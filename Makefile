@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke chaos cover fuzz live-smoke fleet-smoke results-smoke clean
+.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke bench-harness chaos cover fuzz live-smoke fleet-smoke results-smoke clean
 
 all: tier1
 
@@ -49,6 +49,12 @@ bench-smoke:
 
 bench-par-smoke:
 	./scripts/benchsmoke.sh BenchmarkParHotPath_PktsPerSec
+
+# The repository benchmark (benchmark/, its own module) vetted and unit
+# tested: it calls exported internal APIs, so a change to one that breaks
+# the harness fails here instead of only when benchmark/run.sh runs.
+bench-harness:
+	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # Ratcheted per-package coverage gate. Floors live in
 # scripts/coverage_thresholds.txt; raise them as coverage improves.

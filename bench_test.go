@@ -8,15 +8,13 @@
 package bench
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"linkguardian/internal/core"
-	"linkguardian/internal/corropt"
 	"linkguardian/internal/experiments"
 	"linkguardian/internal/fabric"
-	"linkguardian/internal/failtrace"
+	"linkguardian/internal/fleetsim"
 	"linkguardian/internal/phy"
 	"linkguardian/internal/simtime"
 	"linkguardian/internal/workload"
@@ -339,16 +337,16 @@ func BenchmarkAblation_IncrementalDeployment(b *testing.B) {
 	var p25, p100 float64
 	for i := 0; i < b.N; i++ {
 		sum := func(frac float64) float64 {
-			rng := rand.New(rand.NewSource(42))
-			cfg := fabric.DefaultConfig()
-			cfg.Pods = 16
-			net := fabric.New(cfg)
-			trace := failtrace.Generate(rand.New(rand.NewSource(7)), net.NumLinks(), 90*24*time.Hour)
-			samples := corropt.Run(rng, net, trace, corropt.Options{
-				Constraint: 0.75, Policy: corropt.WithLinkGuardian, DeployFraction: frac,
-			}, 12*time.Hour, 90*24*time.Hour)
+			res := fleetsim.Run(fleetsim.Config{
+				Fabric:         fabric.Config{Pods: 16},
+				Horizon:        90 * 24 * time.Hour,
+				SampleEvery:    12 * time.Hour,
+				Seed:           7,
+				Constraint:     0.75,
+				DeployFraction: frac,
+			}, fleetsim.LinkGuardian{})
 			s := 0.0
-			for _, x := range samples {
+			for _, x := range res.Samples {
 				s += x.TotalPenalty
 			}
 			return s

@@ -1,17 +1,16 @@
 // Command fleetsim runs the §4.8 large-scale deployment simulation in two
-// modes.
+// modes, both on internal/fleetsim's sharded engine.
 //
 // Legacy mode (default) reproduces the paper's CorrOpt vs
 // LinkGuardian+CorrOpt comparison on a Facebook-fabric topology, reporting
-// the Figure 15 time series and the Figure 16 distributions — byte-
-// identical to the pre-plugin simulator:
+// the Figure 15 time series and the Figure 16 distributions:
 //
 //	fleetsim [-pods 256] [-days 365] [-constraint 0.75] [-sample 6h]
 //	         [-seed 1] [-series] [-workers 0]
 //
-// Matrix mode (-solutions) scales to multi-million-link fabrics on the
-// compact sharded engine and emits one Pareto table comparing repair
-// solutions (cost vs capacity vs residual loss):
+// Matrix mode (-solutions) scales to multi-million-link fabrics and emits
+// one Pareto table comparing repair solutions (cost vs capacity vs
+// residual loss):
 //
 //	fleetsim -solutions all -links 1000000 [-years 1] [-constraint 0.75]
 //	         [-sample 6h] [-seed 1] [-pods-per-shard 32] [-workers 0]
@@ -92,7 +91,7 @@ func main() {
 
 	if *metricsOut != "" {
 		reg := obs.NewRegistry()
-		obs.RegisterFleet(reg, "fleet", m.ObsStats())
+		registerFleet(reg, "fleet", m.Results)
 		if err := obs.WriteMetricsFile(*metricsOut, reg.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
@@ -103,6 +102,27 @@ func main() {
 		if err := ingestPareto(*resultsDir, cfg, m); err != nil {
 			fmt.Fprintln(os.Stderr, "fleetsim:", err)
 			os.Exit(1)
+		}
+	}
+}
+
+// registerFleet exposes per-shard fleet-simulation counters under
+// "<prefix>.<solution>.shard<i>": links simulated, corruption onsets,
+// repair dispatches and completions, solution activations, and the peak
+// repair backlog and corrupting-set sizes. Values are captured at
+// registration time — the matrix has run to completion, so there is no
+// live state to sample.
+func registerFleet(r *obs.Registry, prefix string, results []fleetsim.SolutionResult) {
+	for _, res := range results {
+		for i, sh := range res.Shards {
+			p := fmt.Sprintf("%s.%s.shard%d", prefix, res.Solution, i)
+			r.GaugeFunc(p+".links", func() float64 { return float64(sh.Links) })
+			r.CounterFunc(p+".onsets", func() uint64 { return sh.Onsets })
+			r.CounterFunc(p+".repairs", func() uint64 { return sh.Repairs })
+			r.CounterFunc(p+".activations", func() uint64 { return sh.Activations })
+			r.CounterFunc(p+".disables", func() uint64 { return sh.Disables })
+			r.GaugeFunc(p+".max_repair_backlog", func() float64 { return float64(sh.MaxRepairBacklog) })
+			r.GaugeFunc(p+".max_corrupting", func() float64 { return float64(sh.MaxCorrupting) })
 		}
 	}
 }
@@ -153,8 +173,8 @@ func ingestPareto(dir string, cfg fleetsim.Config, m fleetsim.MatrixResult) erro
 	return nil
 }
 
-// legacy reproduces the pre-plugin §4.8 report (both policies expressed as
-// Solution plugins; the differential golden test pins the bytes).
+// legacy prints the §4.8 CorrOpt vs LinkGuardian+CorrOpt report (the
+// golden test in internal/experiments pins its bytes).
 func legacy(pods, days int, constraint float64, sample time.Duration, seed int64, series bool) {
 	opts := experiments.FleetOpts{
 		Pods:        pods,

@@ -36,7 +36,7 @@ func main() {
 		fmt.Println("  week 5 snapshot (day | penalty CorrOpt | penalty LG+CorrOpt | LG links):")
 		for i := range v {
 			fmt.Printf("    %5.1f | %10.3e | %10.3e | %d\n",
-				v[i].At.Hours()/24, v[i].TotalPenalty, c[i].TotalPenalty, c[i].LGActive)
+				v[i].At.Hours()/24, v[i].TotalPenalty, c[i].TotalPenalty, c[i].Protected)
 		}
 		fmt.Println()
 	}

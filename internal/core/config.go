@@ -20,8 +20,7 @@
 package core
 
 import (
-	"math"
-
+	"linkguardian/internal/lgmodel"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
 )
@@ -217,19 +216,5 @@ func (c Config) Copies() int {
 	if c.RetxCopies > 0 {
 		return c.RetxCopies
 	}
-	return CopiesFor(c.ActualLossRate, c.TargetLossRate)
-}
-
-// CopiesFor evaluates Equation 2 directly: N >= log(target)/log(actual) - 1,
-// rounded up, with a floor of 1 copy.
-func CopiesFor(actual, target float64) int {
-	if actual <= 0 || actual >= 1 || target <= 0 {
-		return 1
-	}
-	n := math.Log10(target)/math.Log10(actual) - 1
-	in := int(math.Ceil(n - 1e-9))
-	if in < 1 {
-		return 1
-	}
-	return in
+	return lgmodel.CopiesFor(c.ActualLossRate, c.TargetLossRate)
 }

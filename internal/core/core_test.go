@@ -427,6 +427,8 @@ func TestDisableDrains(t *testing.T) {
 	}
 }
 
+// TestCopiesForEquation2 checks that a Config without a RetxCopies override
+// picks N by Equation 2 from its actual and target loss rates.
 func TestCopiesForEquation2(t *testing.T) {
 	cases := []struct {
 		actual, target float64
@@ -441,8 +443,9 @@ func TestCopiesForEquation2(t *testing.T) {
 		{1e-3, 1e-10, 3}, // hmm: -10/-3 - 1 = 2.33 -> 3
 	}
 	for _, c := range cases {
-		if got := CopiesFor(c.actual, c.target); got != c.want {
-			t.Errorf("CopiesFor(%g,%g) = %d, want %d", c.actual, c.target, got, c.want)
+		cfg := Config{ActualLossRate: c.actual, TargetLossRate: c.target}
+		if got := cfg.Copies(); got != c.want {
+			t.Errorf("Copies() at (%g,%g) = %d, want %d", c.actual, c.target, got, c.want)
 		}
 	}
 }

@@ -34,14 +34,3 @@ func Example() {
 	// Output:
 	// delivered 10000/10000, recovered 91 losses with 3 copies each
 }
-
-// ExampleCopiesFor reproduces the paper's Equation 2 worked example: a
-// target loss rate of 1e-8 on a link corrupting at 1e-4 needs a single
-// retransmitted copy; at 1e-3 it needs two.
-func ExampleCopiesFor() {
-	fmt.Println(core.CopiesFor(1e-4, 1e-8))
-	fmt.Println(core.CopiesFor(1e-3, 1e-8))
-	// Output:
-	// 1
-	// 2
-}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"linkguardian/internal/core"
+	"linkguardian/internal/lgmodel"
 	"linkguardian/internal/parallel"
 	"linkguardian/internal/simtime"
 	"linkguardian/internal/stats"
@@ -47,7 +48,7 @@ func DesignSpace(trials int) []DesignSpaceRow {
 	// LinkGuardian's overhead: N retransmitted copies per lost packet plus
 	// the ~0.2% 3-byte header tax, local to the link and proportional to
 	// the loss rate (§4.6).
-	lgOverhead := opts.LossRate*float64(core.CopiesFor(opts.LossRate, 1e-8)) + 0.002
+	lgOverhead := opts.LossRate*float64(lgmodel.CopiesFor(opts.LossRate, 1e-8)) + 0.002
 	runs := []struct {
 		name     string
 		overhead float64

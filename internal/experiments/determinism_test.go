@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -10,8 +11,9 @@ import (
 // The parallel engine's contract: results are a function of the seed alone,
 // bit-identical at any worker count. These tests run the two experiment
 // families that fan out the most — sharded FCT trials and the fleet policy
-// pair — at worker counts 1 (the serial baseline), 2, and 8, and require
-// exact equality percentile-for-percentile.
+// pair — at worker counts 1 (the serial baseline) and up, and require exact
+// equality percentile-for-percentile (and, for the fleet, byte-for-byte in
+// the rendered report).
 
 func fctSnapshot(seed int64) []float64 {
 	opts := DefaultFCTOpts(143)
@@ -29,9 +31,13 @@ func fctSnapshot(seed int64) []float64 {
 	return out
 }
 
-func fleetSnapshot(seed int64) []float64 {
+// fleetSnapshot runs the fleet comparison on 72 pods — three shards, the
+// last one partial — and returns its headline numbers plus the full
+// legacy-mode report (cmd/fleetsim without -solutions) with the series.
+func fleetSnapshot(t *testing.T, seed int64) ([]float64, []byte) {
+	t.Helper()
 	opts := FleetOpts{
-		Pods:        8,
+		Pods:        72,
 		Horizon:     60 * 24 * time.Hour,
 		SampleEvery: 12 * time.Hour,
 		Seed:        seed,
@@ -43,9 +49,13 @@ func fleetSnapshot(seed int64) []float64 {
 	}
 	for i := 0; i < len(fc.Vanilla); i += 17 {
 		out = append(out, fc.Vanilla[i].TotalPenalty, fc.Combined[i].TotalPenalty,
-			float64(fc.Combined[i].LGActive))
+			float64(fc.Combined[i].Protected))
 	}
-	return out
+	var report bytes.Buffer
+	if err := WriteFleetReport(&report, fc, 60, true); err != nil {
+		t.Fatal(err)
+	}
+	return out, report.Bytes()
 }
 
 func TestParallelFCTMatchesSerial(t *testing.T) {
@@ -72,10 +82,10 @@ func TestParallelFleetMatchesSerial(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	for _, seed := range []int64{1, 42} {
 		parallel.SetWorkers(1)
-		base := fleetSnapshot(seed)
-		for _, w := range []int{2, 8} {
+		base, baseReport := fleetSnapshot(t, seed)
+		for _, w := range []int{2, 4, 8} {
 			parallel.SetWorkers(w)
-			got := fleetSnapshot(seed)
+			got, report := fleetSnapshot(t, seed)
 			if len(got) != len(base) {
 				t.Fatalf("seed=%d workers=%d: %d metrics vs %d serial", seed, w, len(got), len(base))
 			}
@@ -83,6 +93,9 @@ func TestParallelFleetMatchesSerial(t *testing.T) {
 				if got[i] != base[i] {
 					t.Fatalf("seed=%d workers=%d: metric %d = %v, serial %v", seed, w, i, got[i], base[i])
 				}
+			}
+			if !bytes.Equal(report, baseReport) {
+				t.Fatalf("seed=%d workers=%d: fleet report differs from the serial one", seed, w)
 			}
 		}
 	}

@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"time"
 
-	"linkguardian/internal/corropt"
 	"linkguardian/internal/fabric"
-	"linkguardian/internal/failtrace"
 	"linkguardian/internal/fleetsim"
 	"linkguardian/internal/parallel"
 	"linkguardian/internal/stats"
@@ -39,55 +37,60 @@ func DefaultFleetOpts() FleetOpts {
 type FleetComparison struct {
 	Constraint         float64
 	Links              int
-	Vanilla, Combined  []corropt.Sample
+	Vanilla, Combined  []fleetsim.Sample
 	PenaltyGain        *stats.Dist // Figure 16a (log10 would be plotted)
 	CapacityDecreasePP *stats.Dist // Figure 16b, percent points
 }
 
-// RunFleet simulates CorrOpt vs LinkGuardian+CorrOpt on identical traces
-// under one capacity constraint — Figures 15 and 16. The two policy runs
-// replay the same trace on independent fabric instances with independent
-// (identically seeded, for a paired comparison) repair-time RNGs, so they
-// execute concurrently on the parallel engine with no shared state.
-//
-// Both policies are expressed as fleetsim Solution plugins adapted into
-// the corropt mitigation seam; the differential golden test pins this path
-// byte-for-byte to the pre-plugin simulator's output.
+// RunFleet simulates CorrOpt vs LinkGuardian+CorrOpt under one capacity
+// constraint — Figures 15 and 16 — as one fleetsim.RunMatrix call over the
+// Figure 4 pod shape. The matrix replays the same per-shard corruption
+// trace for both solutions, so the two series are a paired comparison.
 func RunFleet(constraint float64, opts FleetOpts) FleetComparison {
-	cfg := fabric.DefaultConfig()
-	cfg.Pods = opts.Pods
-	trace := failtrace.Generate(rand.New(rand.NewSource(opts.Seed)), cfg.NumLinks(), opts.Horizon)
-
-	run := func(sol fleetsim.Solution) []corropt.Sample {
-		net := fabric.New(cfg)
-		rng := rand.New(rand.NewSource(opts.Seed + 1000))
-		return corropt.Run(rng, net, trace, corropt.Options{
-			Constraint: constraint,
-			Mitigate:   fleetsim.Mitigation(sol),
-		}, opts.SampleEvery, opts.Horizon)
+	m := fleetsim.RunMatrix(fleetsim.Config{
+		Fabric:      fabric.Config{Pods: opts.Pods},
+		Horizon:     opts.Horizon,
+		SampleEvery: opts.SampleEvery,
+		Seed:        opts.Seed,
+		Constraint:  constraint,
+	}, []fleetsim.Solution{fleetsim.CorrOptOnly{}, fleetsim.LinkGuardian{}})
+	fc := FleetComparison{
+		Constraint: constraint,
+		Links:      m.Config.NumLinks(),
+		Vanilla:    m.Results[0].Samples,
+		Combined:   m.Results[1].Samples,
 	}
-	fc := FleetComparison{Constraint: constraint, Links: cfg.NumLinks()}
-	parallel.Do(
-		func() { fc.Vanilla = run(fleetsim.CorrOptOnly{}) },
-		func() { fc.Combined = run(fleetsim.LinkGuardian{}) },
-	)
-	gains, capDec := corropt.Gain(fc.Vanilla, fc.Combined)
-	// Cap infinities for the distribution (combined penalty of exactly 0).
-	for i, g := range gains {
-		if g > 1e12 {
-			gains[i] = 1e12
-		}
-	}
+	gains, capDec := gain(fc.Vanilla, fc.Combined)
 	fc.PenaltyGain = stats.NewDist(gains)
 	fc.CapacityDecreasePP = stats.NewDist(capDec)
 	return fc
 }
 
+// gain compares the paired vanilla and combined series and returns, per
+// sample, the gain in total penalty (vanilla/combined, capped at 1e12 where
+// the combined penalty is exactly 0) and the decrease in least pod capacity
+// (vanilla - combined, in percent points) — the Figure 16 CDF series.
+func gain(vanilla, combined []fleetsim.Sample) (penaltyGain, capDecrease []float64) {
+	for i, v := range vanilla {
+		c := combined[i]
+		switch {
+		case c.TotalPenalty == 0 && v.TotalPenalty == 0:
+			penaltyGain = append(penaltyGain, 1)
+		case c.TotalPenalty == 0:
+			penaltyGain = append(penaltyGain, 1e12)
+		default:
+			penaltyGain = append(penaltyGain, math.Min(v.TotalPenalty/c.TotalPenalty, 1e12))
+		}
+		capDecrease = append(capDecrease, (v.LeastPodCap-c.LeastPodCap)*100)
+	}
+	return penaltyGain, capDecrease
+}
+
 // Figure15Window extracts a one-week snapshot of the comparison starting at
 // the given offset, mirroring the Figure 15 plots.
-func (fc FleetComparison) Figure15Window(start, span time.Duration) (vanilla, combined []corropt.Sample) {
-	cut := func(ss []corropt.Sample) []corropt.Sample {
-		var out []corropt.Sample
+func (fc FleetComparison) Figure15Window(start, span time.Duration) (vanilla, combined []fleetsim.Sample) {
+	cut := func(ss []fleetsim.Sample) []fleetsim.Sample {
+		var out []fleetsim.Sample
 		for _, s := range ss {
 			if s.At >= start && s.At < start+span {
 				out = append(out, s)
@@ -106,11 +109,9 @@ func (fc FleetComparison) String() string {
 		fc.CapacityDecreasePP.Percentile(50), fc.CapacityDecreasePP.Percentile(99))
 }
 
-// WriteFleetReport renders the §4.8 report exactly as cmd/fleetsim has
-// printed it since the seed: the fabric header, the Figure 16 summary and
-// percentiles, and (optionally) the full Figure 15 series. The byte layout
-// is frozen — the differential golden test compares this output against
-// the pre-plugin simulator's captured stdout.
+// WriteFleetReport renders the §4.8 report cmd/fleetsim prints: the fabric
+// header, the Figure 16 summary and percentiles, and (optionally) the full
+// Figure 15 series. The golden test pins its bytes at full scale.
 func WriteFleetReport(w io.Writer, fc FleetComparison, days int, series bool) error {
 	if _, err := fmt.Fprintf(w, "fabric: %d links, constraint %.0f%%, horizon %dd\n", fc.Links, fc.Constraint*100, days); err != nil {
 		return err
@@ -133,7 +134,7 @@ func WriteFleetReport(w io.Writer, fc FleetComparison, days int, series bool) er
 			fmt.Fprintf(w, "%7.2f  %10.3e  %10.3e  %6.4f  %6.4f  %6.4f  %6.4f  %4d  %2d\n",
 				v.At.Hours()/24, v.TotalPenalty, c.TotalPenalty,
 				v.LeastPaths, c.LeastPaths, v.LeastPodCap, c.LeastPodCap,
-				c.LGActive, c.MaxLGPerPipe)
+				c.Protected, c.MaxProtectedPerPipe)
 		}
 	}
 	return nil

@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// TestFleetDifferentialGolden is the differential regression anchor for the
-// fleet-simulation refactor: the plugin-backed simulator, configured as
-// LinkGuardian+CorrOpt at the seed's full scale (256 pods ≈ 100K links,
-// one year, seed 1), must reproduce the pre-refactor cmd/fleetsim stdout
-// byte-for-byte. The golden file was captured from the seed binary BEFORE
-// the Solution seam was introduced; regenerate with -update only when the
-// report format itself changes deliberately.
+// TestFleetDifferentialGolden pins the §4.8 report of cmd/fleetsim's legacy
+// mode byte-for-byte at the paper's scale (256 pods ≈ 100K links, one year,
+// constraint 75%, seed 1): the Figure 16 percentiles and the full Figure 15
+// series. The golden was captured when Figures 15/16 moved onto the sharded
+// fleetsim engine, whose corruption trace is drawn per shard
+// (parallel.SeedFor) rather than by one fleet-wide failtrace.Generate — a
+// different realisation of the same trace model. Regenerate with -update
+// only for a deliberate change to the report or to the trace realisation,
+// and say why in the commit.
 func TestFleetDifferentialGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale fleet differential skipped in -short mode")

@@ -28,6 +28,14 @@ type Config struct {
 	// RepairCost is charged per repair dispatch (a truck roll); solution
 	// activation costs come from each Solution's Effect. Zero means 1.
 	RepairCost float64
+
+	// DeployFraction models incremental deployment (§5): only this fraction
+	// of links terminate on switches that can run the solution. Zero or 1
+	// means full deployment. Capable links are picked by a deterministic
+	// hash of the global link ID, standing in for a rollout that upgrades
+	// switches over time, so the same links are capable in every shard
+	// layout and for every solution.
+	DeployFraction float64
 }
 
 func (c Config) normalized() Config {
@@ -80,14 +88,18 @@ type Sample struct {
 
 	ActiveCorrupting int // up corrupting links
 	Disabled         int // links out for repair
-	Protected        int // links with the solution engaged
+	Protected        int // up links with the solution engaged
+	// MaxProtectedPerPipe is the worst-case number of up protected links
+	// on one switch pipe, 16 consecutive link IDs of a pod (§5 "handling
+	// multiple corrupting links").
+	MaxProtectedPerPipe int
 
 	Repairs int     // cumulative repair dispatches
 	Cost    float64 // cumulative cost: dispatches + activations
 }
 
-// ShardStats counts one shard's work, exported per shard through
-// obs.RegisterFleet.
+// ShardStats counts one shard's work; cmd/fleetsim -metrics-out exports it
+// per shard.
 type ShardStats struct {
 	Links            int
 	Onsets           uint64 // corruption onsets processed
@@ -180,6 +192,7 @@ func mergeSamples(cfg Config, perShard [][]shardSample) []Sample {
 			s.ActiveCorrupting += int(ss.activeCorrupting)
 			s.Disabled += int(ss.disabled)
 			s.Protected += int(ss.protected)
+			s.MaxProtectedPerPipe = max(s.MaxProtectedPerPipe, int(ss.maxPerPipe))
 			s.Repairs += int(ss.repairs)
 			s.Cost += ss.cost
 		}
@@ -291,6 +304,7 @@ type shardSample struct {
 	activeCorrupting int32
 	disabled         int32
 	protected        int32
+	maxPerPipe       int32
 	repairs          int32 // cumulative dispatches
 	cost             float64
 }
@@ -408,15 +422,16 @@ func (s *shard) run() []shardSample {
 	return samples
 }
 
-func (s *shard) pod(link int32) int32     { return link / s.lpp }
-func (s *shard) podOff(link int32) int32  { return link % s.lpp }
-func (s *shard) isSpine(link int32) bool  { return s.podOff(link) >= s.torLpp }
+func (s *shard) pod(link int32) int32    { return link / s.lpp }
+func (s *shard) podOff(link int32) int32 { return link % s.lpp }
+func (s *shard) isSpine(link int32) bool { return s.podOff(link) >= s.torLpp }
 func (s *shard) spineFab(link int32) int32 {
 	return (s.podOff(link) - s.torLpp) / s.spines
 }
 func (s *shard) torLink(pod, tor, fab int32) int32 { return pod*s.lpp + tor*s.fabrics + fab }
 
-// torPaths mirrors fabric.Network.ToRPaths on the packed state.
+// torPaths counts the valley-free paths from a ToR to the spine layer: for
+// each up ToR-fabric link, the fabric switch contributes its up spine links.
 func (s *shard) torPaths(pod, tor int32) int32 {
 	base := pod*s.lpp + tor*s.fabrics
 	var paths int32
@@ -428,8 +443,9 @@ func (s *shard) torPaths(pod, tor int32) int32 {
 	return paths
 }
 
-// canDisable mirrors fabric.Network.CanDisable (CorrOpt's fast checker) on
-// the packed state; the constraint only ever binds within the link's pod.
+// canDisable is CorrOpt's fast checker: whether taking the link down keeps
+// every affected ToR at or above the least-paths constraint. The
+// constraint only ever binds within the link's pod.
 func (s *shard) canDisable(link int32) bool {
 	if !s.links[link].up() {
 		return false
@@ -451,6 +467,23 @@ func (s *shard) canDisable(link int32) bool {
 	off := s.podOff(link)
 	tor, fab := off/s.fabrics, off%s.fabrics
 	return s.torPaths(pod, tor)-int32(s.spineUp[pod*s.fabrics+fab]) >= need
+}
+
+// capable reports whether the link's switches can run the solution under
+// Config.DeployFraction.
+func (s *shard) capable(link int32) bool {
+	f := s.cfg.DeployFraction
+	return f <= 0 || f >= 1 || deployed(s.podLo*int(s.lpp)+int(link), f)
+}
+
+// deployed is the incremental-deployment hash: a splitmix-style mix of the
+// global link ID, uniform and deterministic, compared against the fraction.
+func deployed(globalLink int, fraction float64) bool {
+	x := uint64(globalLink) * 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	return float64(x%1e6)/1e6 < fraction
 }
 
 func (s *shard) markDirty(pod int32) {
@@ -530,7 +563,7 @@ func (s *shard) onsetAt(at time.Duration, link int32, q float64) {
 	}
 	st.flags |= flagCorrupting
 	st.lossRate = float32(q)
-	if e, on := s.sol.Apply(q); on {
+	if e, on := s.sol.Apply(q); on && s.capable(link) {
 		old := float64(st.effSpeed)
 		st.effLoss = float32(e.EffLoss)
 		// Round through the packed float32 before adjusting the pod
@@ -624,6 +657,29 @@ func (s *shard) activeCorruptingByPenalty() []int32 {
 	return ids
 }
 
+// pipeLinks is how many consecutive pod-local link IDs share one switch
+// pipe.
+const pipeLinks = 16
+
+// maxProtectedPerPipe is the largest number of up protected links on one
+// pipe. The corrupting set is sorted and a pipe's links are consecutive
+// IDs of one pod, so each pipe is one run of the set: a single pass, no map.
+func (s *shard) maxProtectedPerPipe() int32 {
+	var best, run int32
+	pipe := int32(-1)
+	for _, id := range s.corrupting {
+		if st := &s.links[id]; !st.up() || !st.protected() {
+			continue
+		}
+		if p := id - s.podOff(id)%pipeLinks; p != pipe {
+			pipe, run = p, 0
+		}
+		run++
+		best = max(best, run)
+	}
+	return best
+}
+
 // sample emits the shard's streaming aggregates at time t, recomputing
 // least-paths only for pods touched since the last sample.
 func (s *shard) sample(t time.Duration) shardSample {
@@ -658,6 +714,7 @@ func (s *shard) sample(t time.Duration) shardSample {
 		activeCorrupting: s.activeCorr,
 		disabled:         int32(len(s.repairs)),
 		protected:        s.protectedCount,
+		maxPerPipe:       s.maxProtectedPerPipe(),
 		repairs:          s.dispatches,
 		cost:             s.cost,
 	}

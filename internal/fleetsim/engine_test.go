@@ -75,46 +75,56 @@ func TestFleetShardStructureFixedByConfig(t *testing.T) {
 // TestShardStreamingMatchesRecompute runs a dense shard simulation and
 // audits the incremental aggregates (penalty, pod capacity, counters,
 // corrupting set, repair queue) against brute-force recomputation at every
-// sample point.
+// sample point, on a tiny pod shape and on the Figure 4 one.
 func TestShardStreamingMatchesRecompute(t *testing.T) {
-	for _, name := range AllSolutionNames {
-		sol, err := SolutionByName(name)
-		if err != nil {
-			t.Fatal(err)
+	shapes := []fabric.Config{
+		{Pods: 2, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8},
+		{Pods: 2, ToRsPerPod: 48, FabricsPerPod: 4, SpinesPerPlane: 48},
+	}
+	for _, shape := range shapes {
+		for _, name := range AllSolutionNames {
+			streamingMatchesRecompute(t, shape, name)
 		}
-		cfg := Config{
-			Fabric:       fabric.Config{Pods: 2, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8},
-			Horizon:      365 * 24 * time.Hour,
-			SampleEvery:  24 * time.Hour,
-			Seed:         7,
-			Constraint:   0.5,
-			PodsPerShard: 2,
-		}.normalized()
-		s := newShard(cfg, 0, sol)
-		// Dense adversarial drive: frequent onsets on few links so the
-		// corrupting/disable/repair machinery cycles constantly.
-		rng := rand.New(rand.NewSource(99))
-		now := time.Duration(0)
-		for i := 0; i < 4000; i++ {
-			now += time.Duration(rng.Int63n(int64(2 * time.Hour)))
-			for s.repairs.nextAt() <= now {
-				s.completeRepair()
-			}
-			link := int32(rng.Intn(len(s.links)))
-			q := []float64{0, 1e-8, 1e-5, 1e-4, 1e-3, 9e-3, 1}[rng.Intn(7)]
-			s.onsetAt(now, link, q)
-			if i%100 == 0 {
-				if err := s.checkInvariants(); err != nil {
-					t.Fatalf("%s: step %d: %v", name, i, err)
-				}
-			}
-		}
-		for len(s.repairs) > 0 {
+	}
+}
+
+func streamingMatchesRecompute(t *testing.T, shape fabric.Config, name string) {
+	sol, err := SolutionByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Fabric:       shape,
+		Horizon:      365 * 24 * time.Hour,
+		SampleEvery:  24 * time.Hour,
+		Seed:         7,
+		Constraint:   0.5,
+		PodsPerShard: 2,
+	}.normalized()
+	s := newShard(cfg, 0, sol)
+	// Dense adversarial drive: frequent onsets on few links so the
+	// corrupting/disable/repair machinery cycles constantly.
+	rng := rand.New(rand.NewSource(99))
+	now := time.Duration(0)
+	for i := 0; i < 4000; i++ {
+		now += time.Duration(rng.Int63n(int64(2 * time.Hour)))
+		for s.repairs.nextAt() <= now {
 			s.completeRepair()
 		}
-		if err := s.checkInvariants(); err != nil {
-			t.Fatalf("%s: after drain: %v", name, err)
+		link := int32(rng.Intn(len(s.links)))
+		q := []float64{0, 1e-8, 1e-5, 1e-4, 1e-3, 9e-3, 1}[rng.Intn(7)]
+		s.onsetAt(now, link, q)
+		if i%100 == 0 {
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("%s on %d ToRs: step %d: %v", name, shape.ToRsPerPod, i, err)
+			}
 		}
+	}
+	for len(s.repairs) > 0 {
+		s.completeRepair()
+	}
+	if err := s.checkInvariants(); err != nil {
+		t.Fatalf("%s on %d ToRs: after drain: %v", name, shape.ToRsPerPod, err)
 	}
 }
 

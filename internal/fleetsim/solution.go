@@ -8,14 +8,13 @@
 // scheduling (fast checker + optimizer), so the matrix compares the
 // mitigation layer, not the repair workflow.
 //
-// Two engines share the seam:
-//
-//   - the seed-faithful engine (internal/corropt.Run, reached through
-//     Mitigation) — kept byte-identical to the pre-plugin simulator and
-//     pinned by the differential golden test in internal/experiments;
-//   - the compact sharded engine (Run/RunMatrix in this package) — packed
-//     per-link structs, per-shard RNG streams via parallel.SeedFor, and
-//     streaming metric aggregation, built for 1M+ links.
+// One engine runs every fleet simulation, from the paper's Figures 15/16
+// (CorrOpt vs LinkGuardian+CorrOpt, through internal/experiments) to the
+// million-link solution matrix: Run/RunMatrix in this package, with packed
+// per-link structs, per-shard RNG streams via parallel.SeedFor, and
+// streaming metric aggregation. The fleet side links none of the
+// packet-level simulator: LinkGuardian's formulas come from the leaf
+// package internal/lgmodel.
 package fleetsim
 
 import (
@@ -24,7 +23,7 @@ import (
 	"sort"
 	"strings"
 
-	"linkguardian/internal/corropt"
+	"linkguardian/internal/lgmodel"
 	"linkguardian/internal/wharf"
 )
 
@@ -46,15 +45,6 @@ type Effect struct {
 type Solution interface {
 	Name() string
 	Apply(lossRate float64) (e Effect, enabled bool)
-}
-
-// Mitigation adapts a Solution into the corropt seam, so the seed-faithful
-// engine runs the same plugin the sharded engine does.
-func Mitigation(s Solution) corropt.Mitigation {
-	return func(q float64) (float64, float64, bool) {
-		e, on := s.Apply(q)
-		return e.EffLoss, e.EffCapacity, on
-	}
 }
 
 // clampLoss confines a measured loss rate to the physically meaningful
@@ -89,9 +79,9 @@ func (CorrOptOnly) Apply(q float64) (Effect, bool) {
 // loss follows Equation 2 (actual^(N+1) with N retx copies chosen for the
 // operator target) and effective capacity follows the Figure 8 measurement.
 type LinkGuardian struct {
-	TargetLoss float64                  // operator target; 0 means 1e-8
-	EffSpeed   func(q float64) float64  // nil means corropt.Figure8EffSpeed
-	PerLink    float64                  // activation cost; 0 means DefaultLGCost
+	TargetLoss float64                 // operator target; 0 means 1e-8
+	EffSpeed   func(q float64) float64 // nil means lgmodel.Figure8EffSpeed
+	PerLink    float64                 // activation cost; 0 means DefaultLGCost
 }
 
 // DefaultLGCost is the per-activation cost of LinkGuardian: a switch
@@ -113,14 +103,14 @@ func (s LinkGuardian) Apply(q float64) (Effect, bool) {
 	}
 	effSpeed := s.EffSpeed
 	if effSpeed == nil {
-		effSpeed = corropt.Figure8EffSpeed
+		effSpeed = lgmodel.Figure8EffSpeed
 	}
 	cost := s.PerLink
 	if cost == 0 {
 		cost = DefaultLGCost
 	}
 	return Effect{
-		EffLoss:     corropt.EffLoss(q, target),
+		EffLoss:     lgmodel.EffLoss(q, target),
 		EffCapacity: effSpeed(q),
 		Cost:        cost,
 	}, true

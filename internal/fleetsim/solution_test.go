@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"linkguardian/internal/corropt"
+	"linkguardian/internal/lgmodel"
 	"linkguardian/internal/wharf"
 )
 
@@ -67,10 +67,10 @@ func TestLinkGuardianMatchesEquation2(t *testing.T) {
 		if !on {
 			t.Fatalf("LG must engage at q=%g", q)
 		}
-		if want := corropt.EffLoss(q, 1e-8); e.EffLoss != want {
+		if want := lgmodel.EffLoss(q, 1e-8); e.EffLoss != want {
 			t.Errorf("LG eff loss at %g = %g, want Equation 2's %g", q, e.EffLoss, want)
 		}
-		if want := corropt.Figure8EffSpeed(q); e.EffCapacity != want {
+		if want := lgmodel.Figure8EffSpeed(q); e.EffCapacity != want {
 			t.Errorf("LG eff capacity at %g = %g, want Figure 8's %g", q, e.EffCapacity, want)
 		}
 	}

@@ -258,9 +258,12 @@ func TestMultiLinkLoopback(t *testing.T) {
 
 // proxyDropPattern pushes count numbered datagrams through a fresh proxy
 // seeded for one link shard and returns which indices survived — the
-// link's fault pattern. Loopback UDP delivers in order, Jitter and
-// Reorder are off, and the proxy consumes one RNG decision per arriving
-// datagram, so the pattern is a pure function of the seed.
+// link's fault pattern. Jitter and Reorder are off and the proxy consumes
+// one RNG decision per arriving datagram, so the pattern is a pure function
+// of the seed. The datagrams go in lock-step: each is sent only after the
+// proxy has ruled on the previous one and its survivor has been read, so at
+// most one datagram is ever queued in a kernel buffer and an overflow there
+// cannot masquerade as a proxy drop.
 func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 	t.Helper()
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -279,31 +282,35 @@ func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 		t.Fatal(err)
 	}
 	defer src.Close()
+	pat := make([]byte, count)
+	buf := make([]byte, 16)
 	for i := 0; i < count; i++ {
+		forwarded := p.Forwarded()
 		var b [2]byte
 		b[0], b[1] = byte(i), byte(i>>8)
 		if _, err := src.WriteToUDP(b[:], p.Addr()); err != nil {
 			t.Fatal(err)
 		}
-	}
-	got := make([]bool, count)
-	buf := make([]byte, 16)
-	for {
-		_ = sink.SetReadDeadline(time.Now().Add(400 * time.Millisecond))
+		deadline := time.Now().Add(2 * time.Second)
+		for p.Forwarded()+p.Dropped() != uint64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("datagram %d: proxy gave no verdict (forwarded %d, dropped %d)", i, p.Forwarded(), p.Dropped())
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		pat[i] = '0'
+		if p.Forwarded() == forwarded {
+			continue
+		}
+		_ = sink.SetReadDeadline(time.Now().Add(2 * time.Second))
 		n, _, err := sink.ReadFromUDP(buf)
 		if err != nil {
-			break // idle: everything the proxy will forward has arrived
+			t.Fatalf("datagram %d: forwarded but not received: %v", i, err)
 		}
-		if n == 2 {
-			got[int(buf[0])|int(buf[1])<<8] = true
+		if n != 2 || int(buf[0])|int(buf[1])<<8 != i {
+			t.Fatalf("datagram %d: received % x instead", i, buf[:n])
 		}
-	}
-	pat := make([]byte, count)
-	for i, ok := range got {
-		pat[i] = '0'
-		if ok {
-			pat[i] = '1'
-		}
+		pat[i] = '1'
 	}
 	return string(pat)
 }
