@@ -102,20 +102,20 @@ chaos:
 
 # Live dataplane smoke tests, race detector on, strict exit codes: first
 # the single-link lglive loopback demo — real UDP sockets, impairment
-# proxy at 1e-3 loss — then the multi-tenant daemon, eight links sharing
-# one batched mux socket pair with a 1000-flow load generator spread
-# across them. Both must mask every drop (zero app-visible loss,
-# duplicates or reordering on every link) and shut down cleanly within
-# the deadline. ~10s of offered traffic each; rates kept modest because
-# the race detector cuts the loop's event budget roughly 10x.
+# proxy at 1e-3 loss — then the same demo with eight links sharing one
+# batched mux socket pair and a 1000-flow load generator spread across
+# them. Both must mask every drop (zero app-visible loss, duplicates or
+# reordering on every link) and shut down cleanly within the deadline.
+# ~10s of offered traffic each; rates kept modest because the race
+# detector cuts the loop's event budget roughly 10x.
 live-smoke:
 	$(GO) run -race ./cmd/lglive -mode=demo -count 100000 -pps 10000 \
 		-size 512 -loss 1e-3 -seed 42 -strict
-	$(GO) run -race ./cmd/lglive -mode=multi -links 8 -flows 1000 \
+	$(GO) run -race ./cmd/lglive -mode=demo -links 8 -flows 1000 \
 		-count 60000 -pps 6000 -size 256 -loss 1e-3 -seed 42 -strict
 
-# bench-live-smoke gates the batched mux wire path at zero steady-state
-# allocations (budget in scripts/bench_baseline.txt).
+# bench-live-smoke gates the mux wire path, one link and eight, at zero
+# steady-state allocations (budgets in scripts/bench_baseline.txt).
 bench-live-smoke:
 	./scripts/benchsmoke.sh BenchmarkLiveWire_PktsPerSec ./internal/live
 

@@ -20,7 +20,7 @@ import (
 // batch; a received frame is handed to its link's inbox, the loop
 // goroutine decodes it, and either puts it back immediately (no payload)
 // or parks it until the decoded packet's release proves the payload dead
-// (Wire.reclaim via Sim.OnRelease).
+// (MuxWire.reclaim via Sim.OnRelease).
 type frame struct {
 	data [simnet.MaxLinkDatagramBytes]byte
 	n    int      // live prefix of data

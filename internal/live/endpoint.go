@@ -1,8 +1,6 @@
 package live
 
 import (
-	"encoding/binary"
-	"fmt"
 	"net"
 
 	"linkguardian/internal/core"
@@ -11,7 +9,8 @@ import (
 	"linkguardian/internal/simtime"
 )
 
-// EndpointConfig parameterizes one live endpoint process.
+// EndpointConfig parameterizes one live endpoint: one half of a protected
+// link.
 type EndpointConfig struct {
 	// Seed feeds the endpoint's topology RNG.
 	Seed int64
@@ -21,10 +20,6 @@ type EndpointConfig struct {
 	// priority scheduler provides the serialization discipline the
 	// protocol's queues are designed around. Default 1Gbps.
 	LinkRate simtime.Rate
-
-	// Protocol is the LinkGuardian configuration; zero-value means
-	// ProtocolConfig(LinkRate, LossRate).
-	Protocol *core.Config
 
 	// LossRate is the measured corruption rate of the path (the proxy's
 	// configured drop rate), feeding Equation 2 via ProtocolConfig.
@@ -39,10 +34,6 @@ type EndpointConfig struct {
 	// stamps its own AppHost on arriving data) — but they must differ so
 	// the switch can route wire-bound and app-bound traffic apart.
 	AppHost, DeliverTo string
-
-	// Strict makes the receiver's app sink require exactly in-order,
-	// exactly-once delivery (the ordered-mode live acceptance criterion).
-	Strict bool
 }
 
 func (c *EndpointConfig) defaults() {
@@ -55,173 +46,110 @@ func (c *EndpointConfig) defaults() {
 	if c.DeliverTo == "" {
 		c.DeliverTo = "peer"
 	}
-	if c.Protocol == nil {
-		cfg := ProtocolConfig(c.LinkRate, c.LossRate)
-		cfg.Mode = c.Mode
-		c.Protocol = &cfg
-	}
 }
 
-// AppStats is the application-level ground truth the acceptance criteria
-// are judged on: what the sender's app offered vs what the receiver's app
-// observed. Written on the loop goroutine; read via Loop.Call.
+// protocol is the endpoint's LinkGuardian configuration.
+func (c *EndpointConfig) protocol() core.Config {
+	cfg := ProtocolConfig(c.LinkRate, c.LossRate)
+	cfg.Mode = c.Mode
+	return cfg
+}
+
+// AppStats is the sending application's ground truth: what it offered to
+// its stack. Written on the loop goroutine; read via Loop.Call or after
+// the loop has stopped.
 type AppStats struct {
 	Tx uint64 // packets offered by the sending app
-
-	Rx        uint64 // packets delivered to the receiving app
-	RxBytes   uint64
-	Gaps      uint64 // app-visible gap events (sequence jumped forward)
-	Lost      uint64 // app-visible lost packets: gap widths minus late arrivals
-	OutOfSeq  uint64 // reordered deliveries (a gap-skipped packet arriving late)
-	Duplicate uint64 // re-delivery of a sequence already handed to the app
-
-	next    uint64          // next expected app sequence number
-	missing map[uint64]bool // gap-skipped seqs not yet seen; O(losses), not O(traffic)
 }
 
 // Endpoint is one live process half: a host and switch topology, the
 // LinkGuardian instance protecting (one direction of) its wire, and the
-// UDP transport. Build with NewSender/NewReceiver, then Start the loop.
+// link's slot on a shared-socket Mux. Build with NewSender/NewReceiver,
+// then Start the endpoint and the mux.
 type Endpoint struct {
-	Loop  *Loop
-	LG    *core.Instance
-	Wire  *Wire    // dedicated-socket transport (nil when mux-attached)
-	MWire *MuxWire // shared-socket transport (nil when dedicated)
-	App   AppStats
-	Flow  *FlowAudit // per-flow delivery audit (loadgen receivers only)
-	Reg   *obs.Registry
+	Loop *Loop
+	LG   *core.Instance
+	Wire *MuxWire
+	App  AppStats   // sending app's offered count (senders only)
+	Flow *FlowAudit // per-flow delivery audit (receivers only)
+	Reg  *obs.Registry
 
 	cfg  EndpointConfig
 	host *simnet.Host
-	sw   *simnet.Switch
 	wifc *simnet.Ifc
-	conn *net.UDPConn // owned socket; nil when the transport is a shared mux
-	gen  *generator
 	lgen *loadgen
 }
 
-// WireCounters returns the endpoint's transport counters regardless of
-// which transport (dedicated Wire or shared MuxWire) carries it. Same
-// read discipline as WireStats: loop goroutine, or after the loop stopped.
-func (ep *Endpoint) WireCounters() WireStats {
-	if ep.MWire != nil {
-		return ep.MWire.Counters()
-	}
-	return ep.Wire.Stats
-}
-
-// newTopology builds the topology shared by both roles and all transports:
-// app host — switch — wire-facing link against a portal node. The caller
-// attaches the transport to ep.wifc.
-func newTopology(cfg EndpointConfig) *Endpoint {
+// newEndpoint builds the topology both roles share (app host, switch, and
+// a wire-facing link against a portal node) and attaches the wire-facing
+// interface to link id linkID of m, addressed to peer. The mux owns the
+// socket; the endpoint's Stop only halts the loop.
+func newEndpoint(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
 	cfg.defaults()
 	loop := NewLoop(cfg.Seed)
 	ep := &Endpoint{Loop: loop, Reg: obs.NewRegistry(), cfg: cfg}
 	ep.host = simnet.NewHost(loop.Sim, cfg.AppHost)
 	ep.host.StackDelay = 0
-	ep.sw = simnet.NewSwitch(loop.Sim, "sw")
-	hostLink := simnet.Connect(loop.Sim, ep.host, ep.sw, simtime.Rate100G, 0)
-	wire := simnet.Connect(loop.Sim, ep.sw, &portal{loop: loop, name: "wire"}, cfg.LinkRate, 0)
+	sw := simnet.NewSwitch(loop.Sim, "sw")
+	hostLink := simnet.Connect(loop.Sim, ep.host, sw, simtime.Rate100G, 0)
+	wire := simnet.Connect(loop.Sim, sw, &portal{loop: loop, name: "wire"}, cfg.LinkRate, 0)
 	ep.wifc = wire.A()
-	ep.sw.AddRoute(cfg.DeliverTo, ep.wifc)
-	ep.sw.AddRoute(cfg.AppHost, hostLink.B())
-	return ep
-}
-
-// newEndpoint builds the dedicated-socket form: the topology with the UDP
-// transport attached to the switch's wire interface.
-func newEndpoint(cfg EndpointConfig, conn *net.UDPConn, peer *net.UDPAddr) *Endpoint {
-	ep := newTopology(cfg)
-	ep.conn = conn
-	ep.Wire = AttachWire(ep.Loop, ep.wifc, conn, peer, ep.cfg.AppHost)
-	return ep
-}
-
-// newMuxEndpoint builds the shared-socket form: the topology attached to
-// one link id of a Mux. The mux owns the socket; the endpoint's Stop only
-// halts the loop.
-func newMuxEndpoint(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
-	ep := newTopology(cfg)
-	w, err := m.Attach(linkID, ep.Loop, ep.wifc, peer, ep.cfg.AppHost)
+	sw.AddRoute(cfg.DeliverTo, ep.wifc)
+	sw.AddRoute(cfg.AppHost, hostLink.B())
+	w, err := m.Attach(linkID, loop, ep.wifc, peer, cfg.AppHost)
 	if err != nil {
 		return nil, err
 	}
-	ep.MWire = w
+	ep.Wire = w
 	return ep, nil
 }
 
-// NewSender builds the sending endpoint: app traffic egresses the switch
-// onto the protected wire, stamped and buffered by a RoleSender instance;
-// ACKs, loss notifications and PFC frames arriving on the wire drive its
-// Tx buffer and pause state.
-func NewSender(cfg EndpointConfig, conn *net.UDPConn, peer *net.UDPAddr) *Endpoint {
-	ep := newEndpoint(cfg, conn, peer)
-	ep.LG = core.ProtectSender(ep.Loop, ep.wifc, *ep.cfg.Protocol)
-	ep.register()
-	return ep
-}
-
-// NewReceiver builds the receiving endpoint: protected frames arriving on
-// the wire pass through a RoleReceiver instance — loss detection, the
-// reordering buffer, the ACK streams — and recovered traffic is forwarded
-// to the local app host, whose sink verifies the delivery sequence.
-func NewReceiver(cfg EndpointConfig, conn *net.UDPConn, peer *net.UDPAddr) *Endpoint {
-	ep := newEndpoint(cfg, conn, peer)
-	ep.finishReceiver()
-	return ep
-}
-
-// NewMuxSender is NewSender over a shared-socket mux: the endpoint's wire
-// traffic rides link id linkID of m, addressed to peer. Attach before
-// m.Start.
-func NewMuxSender(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
-	ep, err := newMuxEndpoint(cfg, m, linkID, peer)
+// NewSender builds the sending endpoint on link id linkID of m: app
+// traffic egresses the switch onto the protected wire, stamped and
+// buffered by a RoleSender instance; ACKs, loss notifications and PFC
+// frames arriving on the wire drive its Tx buffer and pause state. Attach
+// before m.Start.
+func NewSender(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
+	ep, err := newEndpoint(cfg, m, linkID, peer)
 	if err != nil {
 		return nil, err
 	}
-	ep.LG = core.ProtectSender(ep.Loop, ep.wifc, *ep.cfg.Protocol)
+	ep.LG = core.ProtectSender(ep.Loop, ep.wifc, ep.cfg.protocol())
 	ep.register()
 	return ep, nil
 }
 
-// NewMuxReceiver is NewReceiver over a shared-socket mux.
-func NewMuxReceiver(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
-	ep, err := newMuxEndpoint(cfg, m, linkID, peer)
+// NewReceiver builds the receiving endpoint on link id linkID of m:
+// protected frames arriving on the wire pass through a RoleReceiver
+// instance — loss detection, the reordering buffer, the ACK streams — and
+// recovered traffic is forwarded to the local app host, whose sink audits
+// every flow's delivery sequence. Attach before m.Start.
+func NewReceiver(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
+	ep, err := newEndpoint(cfg, m, linkID, peer)
 	if err != nil {
 		return nil, err
 	}
-	ep.finishReceiver()
-	return ep, nil
-}
-
-// finishReceiver installs the receiver role on a built topology: the
-// LinkGuardian receiver instance and the app-sequence audit sink.
-func (ep *Endpoint) finishReceiver() {
-	ep.LG = core.ProtectReceiver(ep.Loop, ep.wifc, *ep.cfg.Protocol)
-	ep.App.missing = make(map[uint64]bool)
+	ep.LG = core.ProtectReceiver(ep.Loop, ep.wifc, ep.cfg.protocol())
+	ep.Flow = newFlowAudit(ep.Reg)
 	ep.host.Recycle = true
-	ep.host.OnReceive = ep.appSink
+	ep.host.OnReceive = ep.flowSink
 	ep.register()
+	return ep, nil
 }
 
 // register exposes the endpoint's instrumentation in its obs registry.
 func (ep *Endpoint) register() {
 	ep.LG.M.Register(ep.Reg, "lg")
 	r := ep.Reg
+	w := ep.Wire
 	r.CounterFunc("live.app.tx", func() uint64 { return ep.App.Tx })
-	r.CounterFunc("live.app.rx", func() uint64 { return ep.App.Rx })
-	r.CounterFunc("live.app.rx_bytes", func() uint64 { return ep.App.RxBytes })
-	r.CounterFunc("live.app.gaps", func() uint64 { return ep.App.Gaps })
-	r.CounterFunc("live.app.lost", func() uint64 { return ep.App.Lost })
-	r.CounterFunc("live.app.out_of_seq", func() uint64 { return ep.App.OutOfSeq })
-	r.CounterFunc("live.app.duplicates", func() uint64 { return ep.App.Duplicate })
-	r.CounterFunc("live.wire.tx_datagrams", func() uint64 { return ep.WireCounters().TxDatagrams })
-	r.CounterFunc("live.wire.rx_datagrams", func() uint64 { return ep.WireCounters().RxDatagrams })
-	r.CounterFunc("live.wire.tx_errors", func() uint64 { return ep.WireCounters().TxErrors })
-	r.CounterFunc("live.wire.send_retries", func() uint64 { return ep.WireCounters().SendRetries })
-	r.CounterFunc("live.wire.send_drops", func() uint64 { return ep.WireCounters().SendDrops })
-	r.CounterFunc("live.wire.decode_drops", func() uint64 { return ep.WireCounters().DecodeDrops })
-	r.CounterFunc("live.wire.encode_drops", func() uint64 { return ep.WireCounters().EncodeDrops })
+	r.CounterFunc("live.wire.tx_datagrams", func() uint64 { return w.Counters().TxDatagrams })
+	r.CounterFunc("live.wire.rx_datagrams", func() uint64 { return w.Counters().RxDatagrams })
+	r.CounterFunc("live.wire.tx_errors", func() uint64 { return w.Counters().TxErrors })
+	r.CounterFunc("live.wire.send_retries", func() uint64 { return w.Counters().SendRetries })
+	r.CounterFunc("live.wire.send_drops", func() uint64 { return w.Counters().SendDrops })
+	r.CounterFunc("live.wire.decode_drops", func() uint64 { return w.Counters().DecodeDrops })
+	r.CounterFunc("live.wire.encode_drops", func() uint64 { return w.Counters().EncodeDrops })
 }
 
 // Start enables protection and begins pumping the loop in real time.
@@ -230,119 +158,13 @@ func (ep *Endpoint) Start() {
 	ep.Loop.Start()
 }
 
-// Stop halts the loop and closes the socket (which also stops the reader).
-// A mux-attached endpoint has no socket of its own — the shared mux is
-// closed by whoever owns it, after every attached loop has stopped.
-func (ep *Endpoint) Stop() {
-	ep.Loop.Stop()
-	if ep.conn != nil {
-		_ = ep.conn.Close()
-	}
-}
+// Stop halts the loop. The endpoint has no socket of its own — the shared
+// mux is closed by whoever owns it, after every attached loop has stopped.
+func (ep *Endpoint) Stop() { ep.Loop.Stop() }
 
 // Snapshot captures the endpoint's registry from off the loop goroutine.
 func (ep *Endpoint) Snapshot() (obs.Snapshot, bool) {
 	var s obs.Snapshot
 	ok := ep.Loop.Call(func() { s = ep.Reg.Snapshot() })
 	return s, ok
-}
-
-// appSink is the receiving application: it pulls the 8-byte big-endian
-// app sequence number out of each delivered payload and audits the
-// delivery order. With LinkGuardian in Ordered mode the audit must stay
-// clean — no gaps, no out-of-sequence arrivals, no duplicates — because
-// the whole point of the protected link is that the transport above never
-// sees the corruption.
-func (ep *Endpoint) appSink(pkt *simnet.Packet) {
-	a := &ep.App
-	a.Rx++
-	a.RxBytes += uint64(pkt.Size)
-	payload, _ := pkt.Payload.([]byte)
-	if len(payload) < 8 {
-		a.Duplicate++ // malformed app payload: never silently passes
-		return
-	}
-	seq := binary.BigEndian.Uint64(payload)
-	switch {
-	case seq == a.next:
-		a.next = seq + 1
-	case seq > a.next:
-		// The sequence jumped: packets [next, seq) were overtaken or lost.
-		// Record them; if one shows up later it reclassifies from Lost to
-		// OutOfSeq (a reorder the app had to tolerate, still a strict-mode
-		// violation).
-		a.Gaps++
-		a.Lost += seq - a.next
-		for s := a.next; s < seq; s++ {
-			a.missing[s] = true
-		}
-		a.next = seq + 1
-	default: // seq < a.next
-		if a.missing[seq] {
-			delete(a.missing, seq)
-			a.Lost--
-			a.OutOfSeq++
-		} else {
-			a.Duplicate++
-		}
-	}
-}
-
-// generator paces the sending application: count packets of size bytes at
-// pps packets per second, offered to the host stack on the absolute-time
-// ladder of Sim.Every — if the loop falls behind the wall clock the due
-// ticks fire as a catch-up burst, preserving the long-run rate.
-type generator struct {
-	ep    *Endpoint
-	size  int
-	count uint64
-	sent  uint64
-	done  chan struct{}
-}
-
-// StartGenerator begins offering traffic: count packets of size bytes at
-// pps packets/second. The returned channel closes when the last packet has
-// been offered. Call after Start.
-func (ep *Endpoint) StartGenerator(count uint64, size int, pps float64) (<-chan struct{}, error) {
-	if ep.gen != nil {
-		return nil, fmt.Errorf("live: generator already started")
-	}
-	if pps <= 0 || size <= 0 || count == 0 {
-		return nil, fmt.Errorf("live: generator needs positive pps, size and count")
-	}
-	if size < 8 {
-		size = 8 // room for the app sequence number
-	}
-	g := &generator{ep: ep, size: size, count: count, done: make(chan struct{})}
-	ep.gen = g
-	interval := simtime.Duration(float64(simtime.Second) / pps)
-	if interval <= 0 {
-		interval = simtime.Nanosecond
-	}
-	ok := ep.Loop.Call(func() {
-		ep.Loop.Every(interval, g.tick)
-	})
-	if !ok {
-		return nil, fmt.Errorf("live: loop not running")
-	}
-	return g.done, nil
-}
-
-// tick offers one packet per firing; returning false unschedules the
-// ticker after the last packet.
-func (g *generator) tick() bool {
-	ep := g.ep
-	p := ep.Loop.NewPacket(simnet.KindData, g.size, ep.cfg.DeliverTo)
-	payload := make([]byte, 8)
-	binary.BigEndian.PutUint64(payload, g.sent)
-	p.Payload = payload
-	p.FlowID = int(g.sent)
-	g.sent++
-	ep.App.Tx++
-	ep.host.Send(p)
-	if g.sent >= g.count {
-		close(g.done)
-		return false
-	}
-	return true
 }

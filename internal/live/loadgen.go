@@ -29,10 +29,13 @@ var latencyBounds = func() []float64 {
 	return b
 }()
 
-// FlowAudit is the receiving side of the load generator: per-flow
-// exactly-once in-order delivery accounting plus a delivery-latency
-// histogram. All fields are written on the loop goroutine; read via
-// Loop.Call or after the loop has stopped.
+// FlowAudit is the receiving app: per-flow exactly-once in-order delivery
+// accounting of loadgen traffic plus a delivery-latency histogram. With
+// LinkGuardian in Ordered mode the audit must stay clean — no gaps, no
+// out-of-sequence arrivals, no duplicates — because the whole point of the
+// protected link is that the transport above never sees the corruption.
+// Bookkeeping is O(losses), not O(traffic). All fields are written on the
+// loop goroutine; read via Loop.Call or after the loop has stopped.
 type FlowAudit struct {
 	Rx        uint64 // loadgen packets delivered
 	RxBytes   uint64
@@ -47,7 +50,7 @@ type FlowAudit struct {
 	flows map[uint32]*flowState
 }
 
-// flowState is one flow's audit cursor, the per-flow analogue of AppStats.
+// flowState is one flow's audit cursor.
 type flowState struct {
 	next    uint64
 	missing map[uint64]bool
@@ -92,15 +95,11 @@ func HistQuantile(h obs.HistPoint, q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// EnableFlowAudit replaces the receiver endpoint's single-sequence app
-// sink with the per-flow audit sink. Call on a receiver before Start.
-func (ep *Endpoint) EnableFlowAudit() *FlowAudit {
+// newFlowAudit builds an empty audit and registers its counters and
+// latency histogram in r.
+func newFlowAudit(r *obs.Registry) *FlowAudit {
 	a := &FlowAudit{flows: make(map[uint32]*flowState)}
-	a.Latency = ep.Reg.Histogram("live.flow.latency_seconds", latencyBounds...)
-	ep.Flow = a
-	ep.host.Recycle = true
-	ep.host.OnReceive = ep.flowSink
-	r := ep.Reg
+	a.Latency = r.Histogram("live.flow.latency_seconds", latencyBounds...)
 	r.CounterFunc("live.flow.rx", func() uint64 { return a.Rx })
 	r.CounterFunc("live.flow.rx_bytes", func() uint64 { return a.RxBytes })
 	r.CounterFunc("live.flow.short", func() uint64 { return a.Short })
@@ -112,9 +111,11 @@ func (ep *Endpoint) EnableFlowAudit() *FlowAudit {
 	return a
 }
 
-// flowSink audits one delivered loadgen packet: per-flow sequence
-// discipline (the same gap/late-arrival/duplicate classification as
-// appSink, scoped to the packet's flow) plus the delivery latency.
+// flowSink audits one delivered loadgen packet against its flow's cursor
+// and records the delivery latency. A sequence jump records the skipped
+// seqs as Lost; if one shows up later it reclassifies from Lost to
+// OutOfSeq (a reorder the app had to tolerate, still a strict-mode
+// violation); anything already delivered counts Duplicate.
 func (ep *Endpoint) flowSink(pkt *simnet.Packet) {
 	a := ep.Flow
 	a.Rx++
@@ -173,12 +174,12 @@ type loadgen struct {
 // StartLoadgen begins offering flow-stamped traffic: count packets of
 // size bytes at pps packets/second aggregate, round-robin across flows
 // concurrent flows whose ids start at flowBase (globally unique across
-// the links of a multi run). The returned channel closes when the last
-// packet has been offered. Call after Start, on a sender whose receiving
-// peer has EnableFlowAudit.
+// the links of a multi-link run). Frames smaller than the loadgen header
+// are padded up to it. The returned channel closes when the last packet
+// has been offered. Call on a sender, after Start.
 func (ep *Endpoint) StartLoadgen(flowBase uint32, flows int, count uint64, size int, pps float64) (<-chan struct{}, error) {
-	if ep.gen != nil || ep.lgen != nil {
-		return nil, fmt.Errorf("live: generator already started")
+	if ep.lgen != nil {
+		return nil, fmt.Errorf("live: loadgen already started")
 	}
 	if pps <= 0 || size <= 0 || count == 0 || flows <= 0 {
 		return nil, fmt.Errorf("live: loadgen needs positive pps, size, count and flows")

@@ -38,7 +38,7 @@ import (
 // queue, every core.Instance hung off it — is owned by the loop goroutine
 // once Start is called. Build the topology before Start; afterwards, touch
 // it only from functions passed to Do or Call. Sockets hand their datagrams
-// across this boundary the same way (see Wire).
+// across this boundary the same way (see MuxWire).
 type Loop struct {
 	*simnet.Sim
 
@@ -187,11 +187,25 @@ func (l *Loop) drainDo() {
 // ratio meaningful (stall timeout >> RTT >> pacing) at timescales an OS
 // timer can honor, and sizes the reordering buffer for the bandwidth-delay
 // product of millisecond-scale recovery instead of microsecond-scale.
+//
+// Under the race detector every event costs roughly an order of magnitude
+// more, and the background event rate — timer-wheel polls, ACK pacing,
+// dummy probes — scales with link count regardless of traffic, so a
+// race-instrumented many-link process drowns at *any* offered rate unless
+// the pure pacing stretches. Only pacing stretches: the correctness
+// timescales (ackNoTimeout, pause refresh/quanta) already tolerate
+// wall-clock hiccups and keep their ordering against the stretched
+// intervals.
 func ProtocolConfig(linkRate simtime.Rate, lossRate float64) core.Config {
 	cfg := core.NewConfig(linkRate, lossRate)
 	cfg.TimerQuantum = 100 * time.Microsecond
 	cfg.AckInterval = 200 * time.Microsecond
 	cfg.DummyInterval = 500 * time.Microsecond
+	if raceEnabled {
+		cfg.TimerQuantum = 400 * time.Microsecond
+		cfg.AckInterval = 1 * time.Millisecond
+		cfg.DummyInterval = 2 * time.Millisecond
+	}
 	// The stall backstop must tolerate wall-clock hiccups a switch pipeline
 	// never sees — GC pauses, scheduler preemption, race-detector builds —
 	// or a recoverable loss gets declared unrecoverable under load.
@@ -222,26 +236,5 @@ func ProtocolConfig(linkRate simtime.Rate, lossRate float64) core.Config {
 	// ackNoTimeout backstop even matters.
 	cfg.RetxCopies = 4
 	cfg.CtrlCopies = 2
-	return cfg
-}
-
-// multiProtocolConfig is ProtocolConfig re-based once more for a
-// multi-tenant process. N loops share the core(s) ProtocolConfig assumes
-// one link owns, and under the race detector every event also costs
-// roughly an order of magnitude more. The offered load is the operator's
-// knob, but the background event rate — timer-wheel polls, ACK pacing,
-// dummy probes — scales with link count regardless of traffic, so a
-// race-instrumented many-link daemon drowns at *any* offered rate unless
-// the pure pacing stretches with it. Only pacing stretches here: the
-// correctness timescales (ackNoTimeout, pause refresh/quanta) already
-// tolerate wall-clock hiccups and keep their ordering against the
-// stretched intervals.
-func multiProtocolConfig(linkRate simtime.Rate, lossRate float64) core.Config {
-	cfg := ProtocolConfig(linkRate, lossRate)
-	if raceEnabled {
-		cfg.TimerQuantum = 400 * time.Microsecond
-		cfg.AckInterval = 1 * time.Millisecond
-		cfg.DummyInterval = 2 * time.Millisecond
-	}
 	return cfg
 }

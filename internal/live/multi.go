@@ -12,22 +12,29 @@ import (
 	"linkguardian/internal/simtime"
 )
 
-// MultiConfig parameterizes a multi-tenant loopback run: N protected
+// MultiConfig parameterizes a self-contained loopback run: N protected
 // links, each sender → per-link proxy → receiver, with every sender
-// sharing one mux socket and every receiver sharing another. The load
-// generator spreads Flows concurrent app flows across the links; each
-// flow sticks to its link (flow-to-link affinity, like a real fabric's
-// per-flow ECMP), so per-flow ordering audits compose per link.
+// sharing one mux socket and every receiver sharing another (the reverse
+// ACK path runs receiver → sender directly, like the paper's testbed where
+// the attenuator corrupts one direction). A single protected link is
+// Links=1. The load generator spreads Flows concurrent app flows across
+// the links; each flow sticks to its link (flow-to-link affinity, like a
+// real fabric's per-flow ECMP), so per-flow ordering audits compose per
+// link.
 type MultiConfig struct {
 	Seed  int64
-	Links int     // protected links sharing each mux socket (default 2)
+	Links int     // protected links sharing each mux socket (default 1)
 	Flows int     // total concurrent flows across all links (default Links)
 	Count uint64  // total packets offered across all links (required)
 	Size  int     // app frame size in bytes (default 1000)
 	PPS   float64 // aggregate offered rate across all links (default 20000)
 
-	// Per-link impairment, as in DemoConfig. Each link's proxy draws its
-	// fault stream from parallel.SeedFor(Seed, link): the run is
+	// Per-link impairment on the forward (data) path: LossRate is the
+	// proxy's corruption probability, and Burst switches the model from
+	// i.i.d. Bernoulli to Gilbert–Elliott with BurstLen mean consecutive
+	// losses (default 4). Jitter is a uniform order-preserving delay span,
+	// Reorder a per-datagram adjacent-swap probability. Each link's proxy
+	// draws its fault stream from parallel.SeedFor(Seed, link): the run is
 	// reproducible and the links' loss processes are decorrelated.
 	LossRate float64
 	Burst    bool
@@ -39,6 +46,9 @@ type MultiConfig struct {
 	Mode     core.Mode
 	Batch    int // mux syscall batch size (default DefaultBatch)
 
+	// Timeout bounds the whole run; zero derives a generous deadline from
+	// Count/PPS. Settle is how long delivery may stand still before the run
+	// is declared drained (default 500ms).
 	Timeout time.Duration
 	Settle  time.Duration
 
@@ -55,7 +65,7 @@ func (c *MultiConfig) defaults() error {
 		return fmt.Errorf("live: multi needs Count > 0")
 	}
 	if c.Links <= 0 {
-		c.Links = 2
+		c.Links = 1
 	}
 	if c.Links > 1<<16 {
 		return fmt.Errorf("live: at most %d links per mux (16-bit link id)", 1<<16)
@@ -92,11 +102,6 @@ func (c *MultiConfig) defaults() error {
 		c.Timeout = 2*offered + 15*time.Second
 	}
 	return nil
-}
-
-// model reuses the demo's loss-model construction.
-func (c *MultiConfig) model() DemoConfig {
-	return DemoConfig{LossRate: c.LossRate, Burst: c.Burst, BurstLen: c.BurstLen}
 }
 
 // share splits total across n shards: shard i of a multi run's packet and
@@ -152,7 +157,7 @@ func (lr *LinkReport) Check() error {
 	return nil
 }
 
-// MultiReport is the outcome of one multi-link run.
+// MultiReport is the outcome of one RunMulti.
 type MultiReport struct {
 	Links []LinkReport
 
@@ -174,7 +179,7 @@ type MultiReport struct {
 }
 
 // Check aggregates the per-link verdicts into one strict outcome — the
-// single exit code of `lglive -mode=multi -strict`.
+// single exit code of `lglive -strict`.
 func (r *MultiReport) Check() error {
 	if !r.Drained {
 		return fmt.Errorf("live: multi run did not drain: delivered %d of %d offered within deadline",
@@ -270,7 +275,6 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 	defer smux.Close()
 	defer rmux.Close()
 
-	dc := cfg.model()
 	senders := make([]*Endpoint, cfg.Links)
 	receivers := make([]*Endpoint, cfg.Links)
 	proxies := make([]*Proxy, cfg.Links)
@@ -298,7 +302,11 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 	}
 
 	for i := 0; i < cfg.Links; i++ {
-		imp := ProxyImpair{Model: dc.Model(), Jitter: cfg.Jitter, ReorderProb: cfg.Reorder}
+		imp := ProxyImpair{
+			Model:       NewLossModel(cfg.LossRate, cfg.Burst, cfg.BurstLen),
+			Jitter:      cfg.Jitter,
+			ReorderProb: cfg.Reorder,
+		}
 		p, err := NewProxy("127.0.0.1:0", rconn.LocalAddr().String(), imp, parallel.SeedFor(cfg.Seed, i))
 		if err != nil {
 			stopLoops()
@@ -306,29 +314,25 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		}
 		proxies[i] = p
 		epc := func(app string, shard int) EndpointConfig {
-			proto := multiProtocolConfig(cfg.LinkRate, cfg.LossRate)
-			proto.Mode = cfg.Mode
 			return EndpointConfig{
 				Seed:     parallel.SeedFor(cfg.Seed, shard),
 				LinkRate: cfg.LinkRate,
 				LossRate: cfg.LossRate,
 				Mode:     cfg.Mode,
 				AppHost:  app,
-				Protocol: &proto,
 			}
 		}
-		s, err := NewMuxSender(epc("sender-app", cfg.Links+i), smux, uint16(i), p.Addr())
+		s, err := NewSender(epc("sender-app", cfg.Links+i), smux, uint16(i), p.Addr())
 		if err != nil {
 			stopLoops()
 			return nil, err
 		}
 		senders[i] = s
-		r, err := NewMuxReceiver(epc("receiver-app", 2*cfg.Links+i), rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr))
+		r, err := NewReceiver(epc("receiver-app", 2*cfg.Links+i), rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr))
 		if err != nil {
 			stopLoops()
 			return nil, err
 		}
-		r.EnableFlowAudit()
 		receivers[i] = r
 	}
 
@@ -446,8 +450,8 @@ poll:
 			P50:            a.Quantile(0.50),
 			P99:            a.Quantile(0.99),
 			P999:           a.Quantile(0.999),
-			SenderWire:     s.WireCounters(),
-			ReceiverWire:   r.WireCounters(),
+			SenderWire:     s.Wire.Counters(),
+			ReceiverWire:   r.Wire.Counters(),
 			ProxyForwarded: p.Forwarded(),
 			ProxyDropped:   p.Dropped(),
 			ProxyDelayed:   p.Delayed(),

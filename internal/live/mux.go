@@ -31,8 +31,10 @@ const wireCacheFrames = 64
 // producers before writing an under-full batch (see flushLoop).
 const flushYields = 4
 
-// Mux shares one UDP socket among many protected links: the live
-// dataplane's answer to "one syscall per datagram caps throughput".
+// Mux is the live dataplane's transport: one UDP socket shared by a
+// process's protected links (a standalone endpoint is link id 0 of its
+// own mux), moving datagrams in batches because one syscall per datagram
+// caps throughput.
 // Outbound, per-link wires enqueue encoded frames and a single flush
 // goroutine writes them in sendmmsg batches, each frame carrying its own
 // destination address. Inbound, a single read goroutine fills recvmmsg
@@ -116,7 +118,11 @@ func NewMux(conn *net.UDPConn, batch int) (*Mux, error) {
 	// Seed the arena so the first batches draw warm frames; steady-state
 	// growth beyond this tracks the in-flight high-water mark.
 	m.arena.prealloc(2 * batch)
-	// Socket buffers sized for batched bursts (see Wire for the rationale).
+	// Socket buffers sized for bursts: a paced catch-up batch or a
+	// retransmission volley must not shed frames in the kernel. (Losses
+	// there are recovered by the protocol anyway — they are wire losses —
+	// but the smoke tests want the baseline clean.) Errors are ignored:
+	// the OS clamps to its limits.
 	_ = conn.SetReadBuffer(4 << 20)
 	_ = conn.SetWriteBuffer(4 << 20)
 	return m, nil
@@ -396,8 +402,8 @@ func (m *Mux) groupByLink(batch []*frame) {
 
 // sendBatch writes one batch, walking past partial completions (the
 // kernel accepting k < n messages is normal backpressure) and retrying
-// transient errors with the same bounded backoff as the single-socket
-// path. Frames that could not be written are counted against their wire
+// transient errors with a bounded backoff (maxSendAttempts, sendBackoff).
+// Frames that could not be written are counted against their wire
 // as send drops — wire losses the protocol recovers. The caller returns
 // the frames to the arena afterwards.
 func (m *Mux) sendBatch(batch []*frame) {
@@ -450,9 +456,15 @@ func (m *Mux) sendBatch(batch []*frame) {
 }
 
 // MuxWire binds one protected link's wire-facing interface to the shared
-// mux socket: the multi-link counterpart of Wire. The loop-goroutine
-// ownership contract is unchanged — decode and injection run on the
-// link's own loop; only the syscalls are shared and batched.
+// mux socket: the live half of a protected link. Outbound, it is the
+// Link.Carrier — every frame the interface's port finishes serializing is
+// framed by the simnet datagram codec and queued for the socket; the
+// simulated wire (loss models, propagation) is bypassed because the
+// physical path is real. Inbound, it decodes each datagram into a pooled
+// packet and injects it through Ifc.Receive — counters, PFC absorption
+// and the LinkGuardian ingress hooks all run exactly as if the frame had
+// arrived over a simulated link. Decode and injection run on the link's
+// own loop; only the syscalls are shared and batched.
 type MuxWire struct {
 	mux       *Mux
 	loop      *Loop
@@ -579,7 +591,8 @@ func (w *MuxWire) pump() {
 }
 
 // deliverFrame decodes one datagram and injects the frame into the
-// interface's ingress MAC, the mux counterpart of Wire.deliver. If the
+// interface's ingress MAC; a rejected datagram is dropped and counted —
+// the exact analogue of a frame failing its FCS check. If the
 // decoded packet carries payload bytes, they alias the arena frame, which
 // is parked until the packet's release; otherwise the frame goes straight
 // back to the arena.
@@ -599,6 +612,8 @@ func (w *MuxWire) deliverFrame(f *frame) {
 		w.putFrame(f)
 	}
 	if pkt.Kind == simnet.KindData {
+		// An L2 link carries no host routing: the receiving switch half
+		// is told where its protected traffic terminates.
 		pkt.ToHost = w.deliverTo
 	}
 	w.rxDatagrams++

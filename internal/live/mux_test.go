@@ -161,16 +161,17 @@ func TestMuxSendBatchPartialCompletion(t *testing.T) {
 	}
 }
 
-// A transient error retries with backoff; exhausting the retries counts
-// the rest of the batch as send drops, exactly like the single-socket
-// wire's policy.
+// A burst of ENOBUFS that clears within the retry budget costs retries but
+// loses nothing; a burst that outlasts it surrenders the rest of the batch
+// to the protocol's loss recovery as counted send drops, never as hard tx
+// errors; a hard error is not retried at all.
 func TestMuxSendBatchTransientRetry(t *testing.T) {
 	m := newTestMux(t, 8)
 	w := &MuxWire{mux: m}
-	fails := 0
+	calls := 0
 	m.writeBatch = func(frames []*frame) (int, error) {
-		if fails < 1 {
-			fails++
+		calls++
+		if calls < maxSendAttempts {
 			return 0, syscall.ENOBUFS
 		}
 		return len(frames), nil
@@ -179,22 +180,38 @@ func TestMuxSendBatchTransientRetry(t *testing.T) {
 	if got := w.txDatagrams.Load(); got != 4 {
 		t.Fatalf("txDatagrams = %d, want 4", got)
 	}
-	if got := w.sendRetries.Load(); got != 4 {
-		t.Fatalf("sendRetries = %d, want 4 (one per queued frame)", got)
+	retries := uint64(4 * (maxSendAttempts - 1)) // per queued frame, per failed attempt
+	if got := w.sendRetries.Load(); calls != maxSendAttempts || got != retries {
+		t.Fatalf("recovered send: calls=%d sendRetries=%d, want %d/%d", calls, got, maxSendAttempts, retries)
+	}
+	if d, e := w.sendDrops.Load(), w.txErrors.Load(); d != 0 || e != 0 {
+		t.Fatalf("recovered send: sendDrops=%d txErrors=%d, want 0/0", d, e)
 	}
 
 	// Persistent ENOBUFS: retries exhaust, frames surrender as drops.
-	m.writeBatch = func(frames []*frame) (int, error) { return 0, syscall.ENOBUFS }
+	calls = 0
+	m.writeBatch = func(frames []*frame) (int, error) { calls++; return 0, syscall.ENOBUFS }
 	m.sendBatch(testFrames(m, w, 2))
-	if got := w.sendDrops.Load(); got != 2 {
-		t.Fatalf("sendDrops = %d, want 2", got)
+	if got := w.sendDrops.Load(); calls != maxSendAttempts || got != 2 {
+		t.Fatalf("exhausted send: calls=%d sendDrops=%d, want %d/2", calls, got, maxSendAttempts)
+	}
+	retries += 2 * (maxSendAttempts - 1)
+	if got := w.sendRetries.Load(); got != retries {
+		t.Fatalf("exhausted send: sendRetries=%d, want %d", got, retries)
+	}
+	if got := w.txErrors.Load(); got != 0 {
+		t.Fatalf("transient exhaustion misfiled as %d hard tx errors", got)
 	}
 
 	// Hard error: no retry, counted as tx errors.
-	m.writeBatch = func(frames []*frame) (int, error) { return 0, errors.New("efault") }
+	calls = 0
+	m.writeBatch = func(frames []*frame) (int, error) { calls++; return 0, errors.New("efault") }
 	m.sendBatch(testFrames(m, w, 3))
-	if got := w.txErrors.Load(); got != 3 {
-		t.Fatalf("txErrors = %d, want 3", got)
+	if got := w.txErrors.Load(); calls != 1 || got != 3 {
+		t.Fatalf("hard error: calls=%d txErrors=%d, want 1/3", calls, got)
+	}
+	if r, d := w.sendRetries.Load(), w.sendDrops.Load(); r != retries || d != 2 {
+		t.Fatalf("hard error retried: sendRetries=%d sendDrops=%d, want %d/2", r, d, retries)
 	}
 }
 

@@ -63,6 +63,20 @@ type ProxyImpair struct {
 	ReorderProb float64
 }
 
+// NewLossModel builds a proxy's forward-path loss model: lossless at a
+// non-positive rate, otherwise i.i.d. Bernoulli at rate, or — with burst
+// set — Gilbert–Elliott at the same mean rate with burstLen mean
+// consecutive losses.
+func NewLossModel(rate float64, burst bool, burstLen float64) simnet.LossModel {
+	switch {
+	case rate <= 0:
+		return simnet.NoLoss{}
+	case burst:
+		return simnet.NewGilbertElliott(rate, burstLen)
+	}
+	return simnet.IIDLoss{P: rate}
+}
+
 // NewProxy starts an impairment relay on listen, forwarding to target.
 // Close releases the sockets.
 func NewProxy(listen, target string, imp ProxyImpair, seed int64) (*Proxy, error) {

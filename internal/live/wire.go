@@ -2,15 +2,13 @@ package live
 
 import (
 	"errors"
-	"net"
 	"syscall"
 	"time"
 
 	"linkguardian/internal/simnet"
 )
 
-// WireStats counts the transport's activity. All fields are written on the
-// loop goroutine; read them via Loop.Call.
+// WireStats counts one link's transport activity (see MuxWire.Counters).
 type WireStats struct {
 	TxDatagrams uint64 // frames encoded and written to the socket
 	RxDatagrams uint64 // datagrams decoded and injected into the ingress MAC
@@ -24,7 +22,7 @@ type WireStats struct {
 // Transient send-error policy: a full kernel socket buffer (ENOBUFS, or
 // EAGAIN from a non-blocking path) drains in microseconds, so a short
 // bounded backoff usually saves the frame. Anything longer would stall the
-// loop goroutine — past maxSendAttempts the frame is surrendered to the
+// flush goroutine — past maxSendAttempts the frame is surrendered to the
 // protocol's own loss recovery, which treats it as a wire loss.
 const maxSendAttempts = 3
 
@@ -34,147 +32,6 @@ var sendBackoff = [maxSendAttempts - 1]time.Duration{50 * time.Microsecond, 200 
 func transientSendErr(err error) bool {
 	return errors.Is(err, syscall.ENOBUFS) || errors.Is(err, syscall.EAGAIN) ||
 		errors.Is(err, syscall.EWOULDBLOCK)
-}
-
-// Wire binds one wire-facing interface to a UDP socket: the live half of a
-// protected link. Outbound, it is the Link.Carrier — every frame the
-// interface's port finishes serializing is framed by the simnet datagram
-// codec and written to the peer address; the simulated wire (loss models,
-// propagation) is bypassed because the physical path is real. Inbound, a
-// reader goroutine hands each datagram to the loop goroutine, which decodes
-// it into a pooled packet and injects it through Ifc.Receive — counters,
-// PFC absorption and the LinkGuardian ingress hooks all run exactly as if
-// the frame had arrived over a simulated link.
-type Wire struct {
-	Stats WireStats
-
-	loop *Loop
-	ifc  *simnet.Ifc
-	conn *net.UDPConn
-	peer *net.UDPAddr
-
-	// deliverTo is stamped as the destination host on arriving data frames:
-	// an L2 link carries no host routing, so the receiving switch half is
-	// told where its protected traffic terminates.
-	deliverTo string
-
-	encBuf []byte // reused encode buffer; loop goroutine only
-
-	// writeTo performs the socket write; a seam for fault-injection tests.
-	writeTo func(b []byte) (int, error)
-}
-
-// AttachWire connects ifc (the local switch's interface on the protected
-// link, e.g. link.A() of a Connect against a portal node) to the socket.
-// Frames egressing ifc go to peer; datagrams read from conn are injected
-// into ifc's ingress. deliverTo names the host arriving data frames are
-// routed to. Must be called before Loop.Start.
-func AttachWire(loop *Loop, ifc *simnet.Ifc, conn *net.UDPConn, peer *net.UDPAddr, deliverTo string) *Wire {
-	w := &Wire{
-		loop:      loop,
-		ifc:       ifc,
-		conn:      conn,
-		peer:      peer,
-		deliverTo: deliverTo,
-		encBuf:    make([]byte, 0, simnet.MaxLGDatagramBytes),
-	}
-	w.writeTo = func(b []byte) (int, error) { return w.conn.WriteToUDP(b, w.peer) }
-	// Socket buffers sized for bursts: a paced catch-up batch or a
-	// retransmission volley must not shed frames in the kernel. (Losses
-	// there are recovered by the protocol anyway — they are wire losses —
-	// but the smoke tests want the baseline clean.) Errors are ignored:
-	// the OS clamps to its limits.
-	_ = conn.SetReadBuffer(4 << 20)
-	_ = conn.SetWriteBuffer(4 << 20)
-	ifc.Link().Carrier = w.carry
-	go w.readLoop()
-	return w
-}
-
-// carry is the Link.Carrier hook: it runs on the loop goroutine at the end
-// of a frame's serialization, owns the packet, and must dispose of it —
-// the wire is a terminal point of the packet pool's ownership discipline.
-func (w *Wire) carry(pkt *simnet.Packet, from *simnet.Ifc) {
-	defer w.loop.Release(pkt)
-	if from != w.ifc {
-		// The portal end never transmits; a frame here is a topology bug.
-		w.Stats.EncodeDrops++
-		return
-	}
-	payload, _ := pkt.Payload.([]byte)
-	b, err := simnet.AppendLGDatagram(w.encBuf[:0], pkt, payload)
-	if err != nil {
-		w.Stats.EncodeDrops++
-		return
-	}
-	w.encBuf = b[:0]
-	if !w.send(b) {
-		return
-	}
-	w.Stats.TxDatagrams++
-}
-
-// send writes one encoded datagram, retrying transient kernel-side failures
-// (ENOBUFS/EAGAIN) a bounded number of times with a short backoff. Reports
-// whether the datagram made it onto the socket.
-func (w *Wire) send(b []byte) bool {
-	for attempt := 0; ; attempt++ {
-		_, err := w.writeTo(b)
-		if err == nil {
-			return true
-		}
-		if !transientSendErr(err) {
-			w.Stats.TxErrors++
-			return false
-		}
-		if attempt == maxSendAttempts-1 {
-			w.Stats.SendDrops++
-			return false
-		}
-		w.Stats.SendRetries++
-		time.Sleep(sendBackoff[attempt])
-	}
-}
-
-// readLoop pulls datagrams off the socket and ships each one — copied, so
-// the read buffer can be reused immediately — to the loop goroutine for
-// decoding. It exits when the socket is closed or the loop stops.
-func (w *Wire) readLoop() {
-	buf := make([]byte, 64<<10)
-	for {
-		n, _, err := w.conn.ReadFromUDP(buf)
-		if err != nil {
-			// The socket is unconnected, so no per-peer ICMP errors surface
-			// here; any error means the socket was closed for shutdown.
-			return
-		}
-		b := make([]byte, n)
-		copy(b, buf[:n])
-		if !w.loop.Do(func() { w.deliver(b) }) {
-			return
-		}
-	}
-}
-
-// deliver decodes one datagram on the loop goroutine and injects the frame
-// into the interface's ingress MAC. Rejected datagrams are dropped and
-// counted — the exact analogue of a frame failing its FCS check.
-func (w *Wire) deliver(b []byte) {
-	pkt := w.loop.NewPacket(simnet.KindData, 0, "")
-	payload, err := simnet.DecodeLGDatagram(b, pkt)
-	if err != nil {
-		w.Stats.DecodeDrops++
-		w.loop.Release(pkt)
-		return
-	}
-	if len(payload) > 0 {
-		pkt.Payload = payload // aliases b, which is owned by this frame
-	}
-	if pkt.Kind == simnet.KindData {
-		pkt.ToHost = w.deliverTo
-	}
-	w.Stats.RxDatagrams++
-	w.ifc.Receive(pkt)
 }
 
 // portal is the stub node on the far end of the wire-facing link. With the

@@ -10,16 +10,13 @@ import (
 )
 
 // BenchmarkLiveWire_PktsPerSec measures the raw live wire path — encode,
-// socket, decode, ingress injection — without the protocol state machines,
-// so the number isolates what the transport itself can move:
-//
-//   - single-link-unbatched: the dedicated-socket Wire, one sendto and one
-//     recvfrom syscall (plus a buffer copy and a decode thunk) per datagram.
-//   - batched-8: eight links multiplexed over one socket pair, moving
-//     DefaultBatch datagrams per sendmmsg/recvmmsg call through the frame
-//     arena. The steady state of this path is allocation-free, which
-//     scripts/benchsmoke.sh gates at -benchtime 1x (see
-//     scripts/bench_baseline.txt).
+// mux, batched syscalls, demux, decode, ingress injection — without the
+// protocol state machines, so the number isolates what the transport
+// itself can move: one link (a standalone protected link) and eight links
+// multiplexed over one socket pair, each moving up to 4×DefaultBatch
+// datagrams per sendmmsg/recvmmsg call through the frame arena. The steady
+// state is allocation-free, which scripts/benchsmoke.sh gates at
+// -benchtime 1x (see scripts/bench_baseline.txt).
 //
 // Both subbenchmarks drive the sender's Carrier hook directly from the
 // bench goroutine (the sender loops are never started, so the loop-owned
@@ -29,8 +26,7 @@ import (
 // delivery is deterministic; the drain tolerates a shortfall anyway
 // (reporting it) rather than hanging the benchmark on a lost datagram.
 func BenchmarkLiveWire_PktsPerSec(b *testing.B) {
-	b.Run("single-link-unbatched", func(b *testing.B) { benchUnbatchedWires(b, 1) })
-	b.Run("unbatched-8", func(b *testing.B) { benchUnbatchedWires(b, 8) })
+	b.Run("batched-1", func(b *testing.B) { benchBatchedMuxWire(b, 1) })
 	b.Run("batched-8", func(b *testing.B) { benchBatchedMuxWire(b, 8) })
 }
 
@@ -86,57 +82,6 @@ func benchDrain(b *testing.B, rx *atomic.Uint64, target uint64) uint64 {
 	}
 }
 
-// benchUnbatchedWires measures the dedicated-socket Wire path across
-// `links` independent links — one sendto and one recvfrom syscall per
-// datagram, the pre-mux shape of a multi-tenant daemon.
-func benchUnbatchedWires(b *testing.B, links int) {
-	var rx atomic.Uint64
-	senders := make([]*Endpoint, links)
-	receivers := make([]*Endpoint, links)
-	conns := make([]*net.UDPConn, 0, 2*links)
-	for i := 0; i < links; i++ {
-		sconn, rconn, saddr, raddr := benchUDPPair(b)
-		conns = append(conns, sconn, rconn)
-		rep := newEndpoint(EndpointConfig{Seed: int64(100 + i)}, rconn, saddr)
-		benchCountIngress(rep, &rx)
-		rep.Loop.Start()
-		senders[i] = newEndpoint(EndpointConfig{Seed: int64(10 + i)}, sconn, raddr)
-		receivers[i] = rep
-	}
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		for _, rep := range receivers {
-			rep.Loop.Stop() // sender loops never started; Stop would block
-		}
-	}()
-
-	var tx uint64
-	send := func(n int) {
-		for i := 0; i < n; i++ {
-			for tx-rx.Load() >= benchWindow {
-				time.Sleep(20 * time.Microsecond)
-			}
-			sep := senders[int(tx)%links]
-			pkt := sep.Loop.NewPacket(simnet.KindData, 0, "")
-			sep.Wire.carry(pkt, sep.Wire.ifc)
-			tx++
-		}
-	}
-
-	send(2048) // warm the pools, the window loop's timer, the socket path
-	warm := benchDrain(b, &rx, tx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	send(b.N)
-	got := benchDrain(b, &rx, tx) - warm
-	elapsed := time.Since(start)
-	b.StopTimer()
-	b.ReportMetric(float64(got)/elapsed.Seconds(), "pkts/sec")
-}
-
 func benchBatchedMuxWire(b *testing.B, links int) {
 	sconn, rconn, saddr, raddr := benchUDPPair(b)
 	smux, err := NewMux(sconn, 4*DefaultBatch)
@@ -151,11 +96,11 @@ func benchBatchedMuxWire(b *testing.B, links int) {
 	senders := make([]*Endpoint, links)
 	receivers := make([]*Endpoint, links)
 	for i := 0; i < links; i++ {
-		sep, err := newMuxEndpoint(EndpointConfig{Seed: int64(10 + i)}, smux, uint16(i), raddr)
+		sep, err := newEndpoint(EndpointConfig{Seed: int64(10 + i)}, smux, uint16(i), raddr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rep, err := newMuxEndpoint(EndpointConfig{Seed: int64(100 + i)}, rmux, uint16(i), saddr)
+		rep, err := newEndpoint(EndpointConfig{Seed: int64(100 + i)}, rmux, uint16(i), saddr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +126,7 @@ func benchBatchedMuxWire(b *testing.B, links int) {
 			}
 			sep := senders[int(tx)%links]
 			pkt := sep.Loop.NewPacket(simnet.KindData, 0, "")
-			sep.MWire.carry(pkt, sep.MWire.ifc)
+			sep.Wire.carry(pkt, sep.Wire.ifc)
 			tx++
 		}
 	}

@@ -31,48 +31,3 @@ func TestTransientSendErrClassifier(t *testing.T) {
 		}
 	}
 }
-
-// A burst of ENOBUFS that clears within the retry budget costs retries but
-// loses nothing; a burst that outlasts it surrenders the frame to the
-// protocol's loss recovery as a counted send drop.
-func TestSendRetryBackoff(t *testing.T) {
-	w := &Wire{}
-
-	var calls int
-	w.writeTo = func(b []byte) (int, error) {
-		calls++
-		if calls < 3 {
-			return 0, syscall.ENOBUFS
-		}
-		return len(b), nil
-	}
-	if !w.send([]byte("frame")) {
-		t.Fatal("send failed despite the buffer clearing within budget")
-	}
-	if calls != 3 || w.Stats.SendRetries != 2 || w.Stats.SendDrops != 0 || w.Stats.TxErrors != 0 {
-		t.Fatalf("recovered send: calls=%d stats=%+v", calls, w.Stats)
-	}
-
-	w.Stats = WireStats{}
-	calls = 0
-	w.writeTo = func([]byte) (int, error) { calls++; return 0, syscall.ENOBUFS }
-	if w.send([]byte("frame")) {
-		t.Fatal("send succeeded with a permanently full buffer")
-	}
-	if calls != maxSendAttempts || w.Stats.SendDrops != 1 || w.Stats.SendRetries != uint64(maxSendAttempts-1) {
-		t.Fatalf("exhausted send: calls=%d stats=%+v", calls, w.Stats)
-	}
-	if w.Stats.TxErrors != 0 {
-		t.Fatalf("transient exhaustion misfiled as a hard tx error: %+v", w.Stats)
-	}
-
-	w.Stats = WireStats{}
-	calls = 0
-	w.writeTo = func([]byte) (int, error) { calls++; return 0, syscall.ECONNREFUSED }
-	if w.send([]byte("frame")) {
-		t.Fatal("send succeeded on a hard error")
-	}
-	if calls != 1 || w.Stats.TxErrors != 1 || w.Stats.SendRetries != 0 || w.Stats.SendDrops != 0 {
-		t.Fatalf("hard error: calls=%d stats=%+v", calls, w.Stats)
-	}
-}

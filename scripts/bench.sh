@@ -4,8 +4,8 @@
 # 4-segment fabric (BenchmarkParHotPath_PktsPerSec) — plus the fleet
 # simulation matrix (BenchmarkFleetPareto: four repair solutions over a
 # 100K-link fleet for one simulated year per iteration), the live wire
-# path (BenchmarkLiveWire_PktsPerSec: dedicated-socket Wires vs the batched
-# shared-socket mux across 8 links), and the results-service ingest path
+# path (BenchmarkLiveWire_PktsPerSec: the batched mux socket carrying one
+# link and eight), and the results-service ingest path
 # (BenchmarkIngestFile/Mem: 64 parallel producers streaming runs through
 # the batching committer into each backend, with the per-stage commit
 # timing breakdown), and records the results as BENCH_10.json at the
@@ -164,8 +164,7 @@ fi
     emit "lossy_1e3" "HotPath_PktsPerSec/lossy-1e-3" "$base4_lossy";      printf ',\n'
     emit "par_shards_1" "ParHotPath_PktsPerSec/shards-1";                 printf ',\n'
     emit "par_shards_4" "ParHotPath_PktsPerSec/shards-4";                 printf ',\n'
-    emit "live_single_link" "LiveWire_PktsPerSec/single-link-unbatched";  printf ',\n'
-    emit "live_unbatched_8" "LiveWire_PktsPerSec/unbatched-8";            printf ',\n'
+    emit "live_batched_1" "LiveWire_PktsPerSec/batched-1";                printf ',\n'
     emit "live_batched_8" "LiveWire_PktsPerSec/batched-8";                printf ',\n'
     emit_ingest "ingest_file" "IngestFile";                               printf ',\n'
     emit_ingest "ingest_mem" "IngestMem";                                 printf ',\n'
@@ -178,15 +177,7 @@ fi
     printf '  },\n'
     s1=$(samples "ParHotPath_PktsPerSec/shards-1" "pkts/sec" | best)
     s4=$(samples "ParHotPath_PktsPerSec/shards-4" "pkts/sec" | best)
-    awk -v a="$s4" -v b="$s1" 'BEGIN { printf "  \"par_speedup_shards4_vs_shards1\": %.2f,\n", a / b }'
-    # Best-vs-best across samples: the batched mux against 8 dedicated-socket
-    # Wires (the acceptance ratio, one syscall per datagram on the baseline)
-    # and against one such Wire in isolation.
-    lb=$(samples "LiveWire_PktsPerSec/batched-8" "pkts/sec" | best)
-    lu=$(samples "LiveWire_PktsPerSec/unbatched-8" "pkts/sec" | best)
-    lsl=$(samples "LiveWire_PktsPerSec/single-link-unbatched" "pkts/sec" | best)
-    awk -v a="$lb" -v b="$lu" 'BEGIN { printf "  \"live_batched8_speedup_vs_unbatched8\": %.2f,\n", a / b }'
-    awk -v a="$lb" -v b="$lsl" 'BEGIN { printf "  \"live_batched8_speedup_vs_single_link\": %.2f\n", a / b }'
+    awk -v a="$s4" -v b="$s1" 'BEGIN { printf "  \"par_speedup_shards4_vs_shards1\": %.2f\n", a / b }'
     printf '}\n'
 } > "$OUT"
 echo "wrote $OUT"
