@@ -22,11 +22,14 @@ test:
 # Race job for the concurrent packages: the parallel engine itself, the
 # experiment layer that fans out across it, and the sharded simulation
 # engine's determinism regressions (worker/shard invariance is exactly the
-# property a data race would break first). Runs are filtered to the
-# multi-worker tests because the full suite under -race takes many minutes.
+# property a data race would break first). The fabric FCT and chaos runs
+# execute the single-link experiment bodies on shard goroutines. Runs are
+# filtered to the multi-worker tests because the full suite under -race
+# takes many minutes.
 race:
 	$(GO) test -race ./internal/parallel
-	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabricStressShardInvariance' ./internal/experiments
+	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabric(Stress|FCT)ShardInvariance' ./internal/experiments
+	$(GO) test -race -run 'TestFabricChaosShardInvariance' ./internal/chaos
 	$(GO) test -race -run 'TestEngine' ./internal/simnet
 	$(GO) test -race -run 'TestFleetWorkerInvariance' ./internal/fleetsim
 	$(GO) test -race -count=1 ./internal/live

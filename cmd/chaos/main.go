@@ -9,7 +9,7 @@
 //	chaos -gen 17 [-seed 1]             run generated scenario #17 of the seed
 //	chaos -soak 200 [-seed 1] [-workers 8]
 //	                                    sweep generated scenarios in parallel
-//	chaos -scenario spike -fabric 4 [-shards 4]
+//	chaos -scenario spike -fabric 4 [-workers 4]
 //	                                    run one scenario on every segment of a
 //	                                    multi-segment fabric (sharded engine)
 //	chaos -families 6 [-seed 1]         sweep the composite fault families
@@ -51,9 +51,8 @@ func main() {
 	attribMulti := flag.Int("attrib-multi", 0, "correlated multi-culprit attribution scenarios (reported, not gated)")
 	attribMin := flag.Float64("attrib-min", 0.9, "minimum single-culprit top-1 accuracy")
 	seed := flag.Int64("seed", 1, "scenario seed (soak/gen: master seed)")
-	workers := flag.Int("workers", 0, "soak worker count (0 = all cores)")
+	workers := flag.Int("workers", 0, "soak workers, or concurrent fabric shards (0 = all cores); never changes results")
 	fabric := flag.Int("fabric", 0, "run -scenario on an N-segment fabric (sharded engine)")
-	shards := flag.Int("shards", 1, "fabric: concurrent shard executions (never changes results)")
 	artifacts := flag.String("artifacts", "", "flight-recorder directory for failing scenarios")
 	resultsDir := flag.String("results-dir", "", "results store directory: run reports ingest as content-hashed runs and failing-scenario flight-recorder dumps register as content-addressed blobs keyed by scenario-index-seed (replaces -artifacts directory dumps)")
 	tracePath := flag.String("trace", "", "single run: write the protected link's trace (.jsonl = JSONL, else Chrome trace_event)")
@@ -107,7 +106,8 @@ func main() {
 			log.Fatalf("unknown scenario %q (try -list)", *scenario)
 		}
 		if *fabric > 1 {
-			exit(runFabric(sc, *fabric, *shards, *metricsOut, stopProf))
+			parallel.SetWorkers(*workers)
+			exit(runFabric(sc, *fabric, *metricsOut, stopProf))
 		}
 		exit(run(sc, opts, *tracePath, *metricsOut, store, stopProf))
 
@@ -249,10 +249,10 @@ func run(sc chaos.Scenario, opts chaos.RunOpts, tracePath, metricsOut string, st
 	return 0
 }
 
-func runFabric(sc chaos.Scenario, nsegs, shards int, metricsOut string, stopProf func() error) int {
-	fmt.Printf("scenario %s seed=%d rate=%v frame=%dB load=%.2f window=%v steps=%d fabric=%d shards=%d\n",
-		sc.Name, sc.Seed, sc.Rate, sc.FrameSize, sc.LoadFrac, sc.Window, len(sc.Steps), nsegs, shards)
-	fr := chaos.RunFabric(sc, nsegs, shards)
+func runFabric(sc chaos.Scenario, nsegs int, metricsOut string, stopProf func() error) int {
+	fmt.Printf("scenario %s seed=%d rate=%v frame=%dB load=%.2f window=%v steps=%d fabric=%d\n",
+		sc.Name, sc.Seed, sc.Rate, sc.FrameSize, sc.LoadFrac, sc.Window, len(sc.Steps), nsegs)
+	fr := chaos.RunFabric(sc, nsegs, 0)
 	finishProfiles(stopProf)
 	if metricsOut != "" {
 		if err := obs.WriteMetricsFile(metricsOut, fr.Metrics); err != nil {

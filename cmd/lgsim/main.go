@@ -6,7 +6,7 @@
 //
 //	lgsim [-rate 100G] [-loss 1e-3] [-mode ordered|nb] [-duration 20ms]
 //	      [-frame 1518] [-target 1e-8] [-seed 1]
-//	      [-segments 1] [-shards 1]
+//	      [-segments 1]
 //	      [-trace out.json] [-trace-cap 4096] [-metrics-out metrics.json]
 //	      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -16,8 +16,8 @@
 //
 // -segments > 1 runs the multi-segment fabric — N copies of the testbed
 // joined in a ring of cross-shard links — on the sharded conservative
-// engine; -shards caps how many shards execute concurrently (default 1 =
-// sequential). The shard cap never changes results, only wall time.
+// engine, executing up to one shard per core concurrently. Results are
+// identical at any core count; only wall time changes.
 package main
 
 import (
@@ -47,7 +47,6 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile")
 	memprofile := flag.String("memprofile", "", "write a heap profile")
 	segments := flag.Int("segments", 1, "fabric segments (>1 runs the multi-segment fabric on the sharded engine)")
-	shards := flag.Int("shards", 1, "concurrent shard executions of the sharded engine (never changes results)")
 	flag.Parse()
 
 	rate, err := parseRate(*rateStr)
@@ -70,7 +69,7 @@ func main() {
 	}
 
 	if *segments > 1 {
-		fres := experiments.RunFabricStress(*seed, *segments, *shards, rate, *loss, simtime.Duration(*duration), opts)
+		fres := experiments.RunFabricStress(*seed, *segments, 0, rate, *loss, simtime.Duration(*duration), opts)
 		if err := stopProf(); err != nil {
 			log.Fatal(err)
 		}
@@ -79,7 +78,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		fmt.Printf("fabric          : %d segments, %v, loss %.0e, shards cap %d\n", *segments, rate, *loss, *shards)
+		fmt.Printf("fabric          : %d segments, %v, loss %.0e\n", *segments, rate, *loss)
 		for i := 0; i < fres.Segments; i++ {
 			fmt.Printf("segment s%d      : sent %d + cross %d, delivered %d\n",
 				i, fres.Sent[i], fres.CrossTx[(i+fres.Segments-1)%fres.Segments], fres.Received[i])

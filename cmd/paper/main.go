@@ -37,7 +37,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "scale factor for trial counts and durations")
 	workers := flag.Int("workers", 0, "parallel worker count (0 = all cores); results are identical at any setting")
 	segments := flag.Int("segments", 4, "fabric segments for the opt-in fabric experiment")
-	shards := flag.Int("shards", 1, "concurrent shard executions for the fabric experiment; results are identical at any setting")
 	metricsOut := flag.String("metrics-out", "", "write the Figure 8 grid's merged metrics snapshot as JSON (runs the grid if not selected); byte-identical at any -workers")
 	resultsDir := flag.String("results-dir", "", "stream the Figure 8 grid's per-cell runs into the results store at this directory (runs the grid if not selected); content hashes are identical at any -workers")
 	tracePath := flag.String("trace", "", "write the canonical stress cell's link trace (.jsonl = JSONL, else Chrome trace_event)")
@@ -114,7 +113,7 @@ func main() {
 		workloadFCT(*scale)
 	}
 	if want["fabric"] {
-		fabricFCT(*scale, *segments, *shards)
+		fabricFCT(*scale, *segments)
 	}
 	if want["tracks"] {
 		tracksAblation(*scale)
@@ -214,14 +213,14 @@ func designSpace(scale float64) {
 // fabricFCT is the multi-segment fabric FCT experiment on the sharded
 // conservative engine: every segment runs 24,387B DCTCP flows over its own
 // lossy protected link while cross-segment transit traffic rides the ring
-// of cross-shard links. shards caps concurrent shard execution and never
-// changes a byte of the output.
-func fabricFCT(scale float64, segments, shards int) {
-	header(fmt.Sprintf("Fabric FCT: %d segments on the sharded engine (shards cap %d), 24,387B DCTCP, 1e-3 loss", segments, shards))
+// of cross-shard links. Shards execute on up to -workers goroutines, which
+// never changes a byte of the output.
+func fabricFCT(scale float64, segments int) {
+	header(fmt.Sprintf("Fabric FCT: %d segments on the sharded engine, 24,387B DCTCP, 1e-3 loss", segments))
 	opts := experiments.DefaultFCTOpts(24387)
 	opts.Trials = scaleInt(2000, scale)
 	for _, prot := range []experiments.Protection{experiments.NoLoss, experiments.LossOnly, experiments.LG} {
-		results := experiments.RunFabricFCT(experiments.TransDCTCP, prot, opts, segments, shards, 0.05)
+		results := experiments.RunFabricFCT(experiments.TransDCTCP, prot, opts, segments, 0, 0.05)
 		for i, r := range results {
 			fmt.Printf("s%d %v\n", i, r)
 		}

@@ -234,26 +234,9 @@ func RunScenario(sc Scenario) *Report {
 
 // RunScenarioOpts is RunScenario with flight-recorder wiring.
 func RunScenarioOpts(sc Scenario, opts RunOpts) *Report {
-	cfg := core.NewConfig(sc.Rate, sc.provisionLoss())
-	cfg.Mode = sc.Mode
-	if sc.CtrlCopies > 0 {
-		cfg.CtrlCopies = sc.CtrlCopies
-	}
-	cfg.TailLossDetection = !sc.DisableTailLoss
-
-	tb := experiments.NewTestbed(sc.Seed, sc.Rate, cfg)
-	tb.SetLoss(sc.BaseLoss)
-	rig := &Rig{
-		Testbed:   tb,
-		Protected: tb.Link.A(),
-		// Mix the seed so the fault stream and the simulation's own RNG
-		// never accidentally correlate.
-		Rng: rand.New(rand.NewSource(sc.Seed ^ 0x5eed_c4a0_5f4a7c15)),
-	}
-	eng := &engine{rig: rig}
-	tb.Link.FaultFn = eng.verdict
-
-	chk := Watch(tb.Sim, tb.Link, rig.Protected, tb.LG, 5*simtime.Microsecond)
+	tb := experiments.NewTestbed(sc.Seed, sc.Rate, sc.config())
+	run := watch(&sc, tb, sc.Seed)
+	chk := run.chk
 
 	// Flight recorder: a trace ring on the protected link plus a metrics
 	// registry, dumped to an artifact directory if the run fails. The ring
@@ -299,71 +282,9 @@ func RunScenarioOpts(sc Scenario, opts RunOpts) *Report {
 		}
 	}
 
-	tb.LG.Enable()
-	if sc.SeqStart != 0 || sc.SeqEra != 0 {
-		tb.LG.SeedSequence(sc.SeqStart, sc.SeqEra)
-	}
-
-	frame := sc.FrameSize
-	if frame <= 0 {
-		frame = simtime.MTUFrame
-	}
-	gen := tb.StartGeneratorAt(frame, sc.LoadFrac)
-	start := tb.Sim.Now()
-	for _, s := range sc.Steps {
-		// Stateful faults are cloned per run, so a Scenario value can be
-		// executed repeatedly with identical results; faults carrying their
-		// own end-of-run invariants wire them into the checker here.
-		s.Fault = cloneFault(s.Fault)
-		if e, ok := s.Fault.(Expecter); ok {
-			e.Expectations(rig, chk)
-		}
-		eng.schedule(tb.Sim, start, sc.Window, s)
-	}
-	genWindow := sc.Window
-	if sc.TrafficFrac > 0 && sc.TrafficFrac < 1 {
-		genWindow = simtime.Duration(float64(sc.Window) * sc.TrafficFrac)
-	}
-	tb.Sim.RunFor(genWindow)
-	gen.Stop()
-	tb.Sim.RunFor(sc.Window - genWindow)
-
-	// Drain: let every in-flight recovery finish (or time out into the
-	// loss accounting) before the end-of-run invariants.
-	quiesced := false
-	stable := 0
-	for i := 0; i < quiesceRounds; i++ {
-		tb.Sim.RunFor(quiesceRound)
-		if chk.Quiesced() {
-			stable++
-			if stable >= quiesceStable {
-				quiesced = true
-				break
-			}
-		} else {
-			stable = 0
-		}
-	}
-
-	r := &Report{
-		Scenario:    sc.Name,
-		Family:      sc.Family,
-		Seed:        sc.Seed,
-		InEnvelope:  sc.InEnvelope(),
-		TxUnique:    chk.TxUnique(),
-		Forwarded:   chk.Forwarded(),
-		Outstanding: chk.Outstanding(),
-		Unrecovered: tb.LG.M.Unrecovered,
-		Overflows:   tb.LG.M.RxBufOverflows,
-		Retx:        tb.LG.M.Retransmits,
-		Timeouts:    tb.LG.M.Timeouts,
-		Quiesced:    quiesced,
-	}
-	if !quiesced {
-		chk.flag(RuleLiveness, "recovery state failed to quiesce within %v after traffic stopped (missing=%d, rxHeld=%d, txBuf=%d); e.g. undelivered seqs %v",
-			quiesceRounds*quiesceRound, tb.LG.MissingCount(), tb.LG.RxHeldBytes(), tb.LG.OutstandingTx(), chk.sampleOutstanding(5))
-	}
-	r.Violations = chk.Finish(r.InEnvelope, sc.provisionLoss())
+	run.start(&sc)
+	drive(tb.Sim.RunFor, &sc, []*linkRun{run}, nil)
+	r := run.report(&sc, sc.Name)
 	if sc.Family != "" {
 		// Per-family fault counters, visible in the report's snapshot and in
 		// flight-recorder artifacts.
@@ -390,4 +311,155 @@ func RunScenarioOpts(sc Scenario, opts RunOpts) *Report {
 		}
 	}
 	return r
+}
+
+// config is the LinkGuardian configuration a scenario runs with: Equation
+// 2 provisioned for its worst in-envelope loss rate.
+func (sc *Scenario) config() core.Config {
+	cfg := core.NewConfig(sc.Rate, sc.provisionLoss())
+	cfg.Mode = sc.Mode
+	if sc.CtrlCopies > 0 {
+		cfg.CtrlCopies = sc.CtrlCopies
+	}
+	cfg.TailLossDetection = !sc.DisableTailLoss
+	return cfg
+}
+
+// newEngine builds the fault rig on tb's protected link and installs its
+// fault engine as the link's FaultFn. The fault RNG is seeded from seed
+// mixed with a constant, so the fault stream and the simulation's own RNG
+// never accidentally correlate and a run's fault pattern is a pure function
+// of its seed.
+func newEngine(tb *experiments.Testbed, seed int64) *engine {
+	eng := &engine{rig: &Rig{
+		Testbed:   tb,
+		Protected: tb.Link.A(),
+		Rng:       rand.New(rand.NewSource(seed ^ 0x5eed_c4a0_5f4a7c15)),
+	}}
+	tb.Link.FaultFn = eng.verdict
+	return eng
+}
+
+// linkRun is one protected link under a scenario: its fault engine, the
+// checker watching it, and its traffic generator. A single-link run has one;
+// a fabric run has one per segment.
+type linkRun struct {
+	eng      *engine
+	chk      *Checker
+	gen      *experiments.Generator
+	quiesced bool
+	stable   int
+}
+
+// watch is the first half of arming sc on tb: the baseline loss, the fault
+// rig with its stream seeded from faultSeed, and the invariant checker —
+// whose link tap therefore runs before any tap installed after it.
+func watch(sc *Scenario, tb *experiments.Testbed, faultSeed int64) *linkRun {
+	tb.SetLoss(sc.BaseLoss)
+	eng := newEngine(tb, faultSeed)
+	return &linkRun{eng: eng, chk: Watch(tb.Sim, tb.Link, eng.rig.Protected, tb.LG, 5*simtime.Microsecond)}
+}
+
+// start is the second half: LinkGuardian enabled at the scenario's sequence
+// position, traffic on, and every step scheduled. Stateful faults are
+// cloned per run — and so per fabric segment: segments run on different
+// shard goroutines, and a CorrelatedGE clone reproduces the shared chain
+// from its seed, which is how a correlated group spans segments without
+// cross-shard state — so a Scenario value can be executed repeatedly with
+// identical results. Faults carrying their own end-of-run invariants wire
+// them into the checker here.
+func (r *linkRun) start(sc *Scenario) {
+	tb := r.eng.rig.Testbed
+	tb.LG.Enable()
+	if sc.SeqStart != 0 || sc.SeqEra != 0 {
+		tb.LG.SeedSequence(sc.SeqStart, sc.SeqEra)
+	}
+	r.gen = tb.StartGeneratorAt(sc.frame(), sc.LoadFrac)
+	start := tb.Sim.Now()
+	for _, s := range sc.Steps {
+		s.Fault = cloneFault(s.Fault)
+		if e, ok := s.Fault.(Expecter); ok {
+			e.Expectations(r.eng.rig, r.chk)
+		}
+		r.eng.schedule(tb.Sim, start, sc.Window, s)
+	}
+}
+
+// frame is the scenario's frame size (MTU by default).
+func (sc *Scenario) frame() int {
+	if sc.FrameSize <= 0 {
+		return simtime.MTUFrame
+	}
+	return sc.FrameSize
+}
+
+// drive runs a scenario's window with runFor — a testbed's Sim, or a
+// fabric's Engine advancing every segment at once — stopping every
+// generator (then calling stop, if non-nil) after the traffic fraction of
+// it. It then drains: every in-flight recovery must finish (or time out
+// into the loss accounting) before the end-of-run invariants, and a run
+// counts as quiesced once its checker holds steady for quiesceStable
+// consecutive rounds.
+func drive(runFor func(simtime.Duration), sc *Scenario, runs []*linkRun, stop func()) {
+	genWindow := sc.Window
+	if sc.TrafficFrac > 0 && sc.TrafficFrac < 1 {
+		genWindow = simtime.Duration(float64(sc.Window) * sc.TrafficFrac)
+	}
+	runFor(genWindow)
+	for _, r := range runs {
+		r.gen.Stop()
+	}
+	if stop != nil {
+		stop()
+	}
+	runFor(sc.Window - genWindow)
+
+	for i := 0; i < quiesceRounds; i++ {
+		runFor(quiesceRound)
+		all := true
+		for _, r := range runs {
+			if r.quiesced {
+				continue
+			}
+			if r.chk.Quiesced() {
+				r.stable++
+				if r.stable >= quiesceStable {
+					r.quiesced = true
+					continue
+				}
+			} else {
+				r.stable = 0
+			}
+			all = false
+		}
+		if all {
+			break
+		}
+	}
+}
+
+// report closes the run's checker into its invariant report; a run that
+// never quiesced is flagged as a liveness violation first.
+func (r *linkRun) report(sc *Scenario, name string) *Report {
+	lg := r.eng.rig.LG
+	rep := &Report{
+		Scenario:    name,
+		Family:      sc.Family,
+		Seed:        sc.Seed,
+		InEnvelope:  sc.InEnvelope(),
+		TxUnique:    r.chk.TxUnique(),
+		Forwarded:   r.chk.Forwarded(),
+		Outstanding: r.chk.Outstanding(),
+		Unrecovered: lg.M.Unrecovered,
+		Overflows:   lg.M.RxBufOverflows,
+		Retx:        lg.M.Retransmits,
+		Timeouts:    lg.M.Timeouts,
+		Quiesced:    r.quiesced,
+	}
+	if !r.quiesced {
+		r.chk.flag(RuleLiveness, "recovery state failed to quiesce within %v after traffic stopped (missing=%d, rxHeld=%d, txBuf=%d); e.g. undelivered seqs %v",
+			quiesceRounds*quiesceRound, lg.MissingCount(), lg.RxHeldBytes(), lg.OutstandingTx(), r.chk.sampleOutstanding(5))
+	}
+	rep.Violations = r.chk.Finish(rep.InEnvelope, sc.provisionLoss())
+	return rep
 }

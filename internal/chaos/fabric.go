@@ -2,14 +2,11 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
-	"linkguardian/internal/core"
 	"linkguardian/internal/experiments"
 	"linkguardian/internal/obs"
 	"linkguardian/internal/parallel"
-	"linkguardian/internal/simtime"
 )
 
 // FabricReport is the outcome of one fabric scenario: every segment's
@@ -45,140 +42,36 @@ func (fr *FabricReport) String() string {
 }
 
 // RunFabric executes one scenario on every segment of an nsegs-segment
-// fabric simultaneously: each segment gets its own copy of the fault
-// schedule driven by an independent fault RNG (parallel.SeedFor(sc.Seed,
-// segment), so fault patterns decorrelate across segments but are a pure
-// function of the seed), its own checker, and its own protected-link
-// traffic, while cross-segment transit load flows through the ring and
-// across shard boundaries. workers caps concurrent shard execution and —
-// the determinism contract — never changes a byte of the report.
+// fabric simultaneously, through the same arm, drive and report steps as
+// RunScenarioOpts: each segment gets its own copy of the fault schedule
+// driven by an independent fault RNG (parallel.SeedFor(sc.Seed, segment),
+// so fault patterns decorrelate across segments but are a pure function of
+// the seed), its own checker, and its own protected-link traffic, while
+// cross-segment transit load flows through the ring and across shard
+// boundaries. workers caps concurrent shard execution and — the
+// determinism contract — never changes a byte of the report.
 //
 // Faults act on each segment's own protected link, never on the
 // cross-shard ring links: fault state is single-threaded per shard, which
 // is exactly the engine's rule that FaultFn/SetDown on a cross link is
 // unsupported.
 func RunFabric(sc Scenario, nsegs, workers int) *FabricReport {
-	cfg := core.NewConfig(sc.Rate, sc.provisionLoss())
-	cfg.Mode = sc.Mode
-	if sc.CtrlCopies > 0 {
-		cfg.CtrlCopies = sc.CtrlCopies
-	}
-	cfg.TailLossDetection = !sc.DisableTailLoss
-
-	f := experiments.NewSegmented(sc.Seed, nsegs, workers, sc.Rate, cfg)
+	f := experiments.NewSegmented(sc.Seed, nsegs, workers, sc.Rate, sc.config())
 	defer f.Eng.Close()
-
-	frame := sc.FrameSize
-	if frame <= 0 {
-		frame = simtime.MTUFrame
-	}
-
 	reg := obs.NewRegistry()
 	f.Register(reg)
 
-	type segRun struct {
-		chk      *Checker
-		gen      *experiments.Generator
-		quiesced bool
-		stable   int
-	}
-	runs := make([]*segRun, nsegs)
+	runs := make([]*linkRun, len(f.Segs))
 	for i, tb := range f.Segs {
-		tb.SetLoss(sc.BaseLoss)
-		rig := &Rig{
-			Testbed:   tb,
-			Protected: tb.Link.A(),
-			// Same mixing constant as the single-link runner, on the
-			// segment's derived seed: fault streams are independent per
-			// segment and uncorrelated with the shard's own RNG.
-			Rng: rand.New(rand.NewSource(parallel.SeedFor(sc.Seed, i) ^ 0x5eed_c4a0_5f4a7c15)),
-		}
-		eng := &engine{rig: rig}
-		tb.Link.FaultFn = eng.verdict
-		sr := &segRun{chk: Watch(tb.Sim, tb.Link, rig.Protected, tb.LG, 5*simtime.Microsecond)}
-		runs[i] = sr
-
-		tb.LG.Enable()
-		if sc.SeqStart != 0 || sc.SeqEra != 0 {
-			tb.LG.SeedSequence(sc.SeqStart, sc.SeqEra)
-		}
-		sr.gen = tb.StartGeneratorAt(frame, sc.LoadFrac)
-		start := tb.Sim.Now()
-		for _, s := range sc.Steps {
-			// Each segment gets its own clone of every stateful fault:
-			// segments run on different shard goroutines, so sharing one
-			// mutable fault instance across them would race — and a
-			// CorrelatedGE clone reproduces the shared chain from its seed,
-			// which is exactly how the correlated group spans segments
-			// without cross-shard state.
-			s.Fault = cloneFault(s.Fault)
-			if e, ok := s.Fault.(Expecter); ok {
-				e.Expectations(rig, sr.chk)
-			}
-			eng.schedule(tb.Sim, start, sc.Window, s)
-		}
+		runs[i] = watch(&sc, tb, parallel.SeedFor(sc.Seed, i))
+		runs[i].start(&sc)
 	}
-	stopCross, _ := f.CrossTraffic(frame, 0.1)
+	stopCross, _ := f.CrossTraffic(sc.frame(), 0.1)
+	drive(f.Eng.RunFor, &sc, runs, stopCross)
 
-	genWindow := sc.Window
-	if sc.TrafficFrac > 0 && sc.TrafficFrac < 1 {
-		genWindow = simtime.Duration(float64(sc.Window) * sc.TrafficFrac)
-	}
-	f.Eng.RunFor(genWindow)
-	for _, sr := range runs {
-		sr.gen.Stop()
-	}
-	stopCross()
-	f.Eng.RunFor(sc.Window - genWindow)
-
-	// Drain all segments together: the fabric shares one clock, so every
-	// round advances every shard, and a segment counts as quiesced once
-	// its checker holds steady for quiesceStable rounds.
-	for i := 0; i < quiesceRounds; i++ {
-		f.Eng.RunFor(quiesceRound)
-		all := true
-		for _, sr := range runs {
-			if sr.quiesced {
-				continue
-			}
-			if sr.chk.Quiesced() {
-				sr.stable++
-				if sr.stable >= quiesceStable {
-					sr.quiesced = true
-					continue
-				}
-			} else {
-				sr.stable = 0
-			}
-			all = false
-		}
-		if all {
-			break
-		}
-	}
-
-	fr := &FabricReport{Scenario: sc.Name, Seed: sc.Seed, Segments: make([]*Report, nsegs)}
-	for i, tb := range f.Segs {
-		sr := runs[i]
-		r := &Report{
-			Scenario:    fmt.Sprintf("%s/s%d", sc.Name, i),
-			Seed:        sc.Seed,
-			InEnvelope:  sc.InEnvelope(),
-			TxUnique:    sr.chk.TxUnique(),
-			Forwarded:   sr.chk.Forwarded(),
-			Outstanding: sr.chk.Outstanding(),
-			Unrecovered: tb.LG.M.Unrecovered,
-			Overflows:   tb.LG.M.RxBufOverflows,
-			Retx:        tb.LG.M.Retransmits,
-			Timeouts:    tb.LG.M.Timeouts,
-			Quiesced:    sr.quiesced,
-		}
-		if !sr.quiesced {
-			sr.chk.flag(RuleLiveness, "recovery state failed to quiesce within %v after traffic stopped (missing=%d, rxHeld=%d, txBuf=%d); e.g. undelivered seqs %v",
-				quiesceRounds*quiesceRound, tb.LG.MissingCount(), tb.LG.RxHeldBytes(), tb.LG.OutstandingTx(), sr.chk.sampleOutstanding(5))
-		}
-		r.Violations = sr.chk.Finish(r.InEnvelope, sc.provisionLoss())
-		fr.Segments[i] = r
+	fr := &FabricReport{Scenario: sc.Name, Seed: sc.Seed, Segments: make([]*Report, len(runs))}
+	for i, r := range runs {
+		fr.Segments[i] = r.report(&sc, fmt.Sprintf("%s/s%d", sc.Name, i))
 	}
 	reg.Sample()
 	fr.Metrics = reg.Snapshot()

@@ -28,7 +28,7 @@ func fabricDigest(t *testing.T, workers int) []byte {
 
 // TestFabricChaosShardInvariance is the chaos half of the parallel
 // engine's determinism regression: the same fabric chaos scenario must
-// report byte-identically at -shards=1, 2 and 4.
+// report byte-identically at worker caps 1, 2 and 4.
 func TestFabricChaosShardInvariance(t *testing.T) {
 	ref := fabricDigest(t, 1)
 	for _, w := range []int{2, 4} {
@@ -37,10 +37,10 @@ func TestFabricChaosShardInvariance(t *testing.T) {
 			l1, l2 := bytes.Split(ref, []byte("\n")), bytes.Split(got, []byte("\n"))
 			for i := 0; i < len(l1) && i < len(l2); i++ {
 				if !bytes.Equal(l1[i], l2[i]) {
-					t.Fatalf("shards=1 vs shards=%d differ at line %d:\n %s\n %s", w, i+1, l1[i], l2[i])
+					t.Fatalf("workers=1 vs workers=%d differ at line %d:\n %s\n %s", w, i+1, l1[i], l2[i])
 				}
 			}
-			t.Fatalf("shards=1 vs shards=%d reports differ in length", w)
+			t.Fatalf("workers=1 vs workers=%d reports differ in length", w)
 		}
 	}
 }

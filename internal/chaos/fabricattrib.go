@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -26,7 +25,7 @@ import (
 // answers ("which link should I enable protection on?"). The whole pipeline
 // is deterministic: probe pacing uses no randomness, fault streams derive
 // from (seed, segment), and observations merge in (src, dst) order, so the
-// blame table is byte-identical at any -workers/-shards setting.
+// blame table is byte-identical at any -workers setting.
 
 // AttribScenario describes one fabric attribution run.
 type AttribScenario struct {
@@ -72,31 +71,6 @@ func probePath(s, d, n int) []string {
 		path = append(path, segCrossLink(i))
 	}
 	return path
-}
-
-// probeGen paces one probe stream; no randomness, so the probe workload is
-// identical at any shard count.
-type probeGen struct {
-	sim      *simnet.Sim
-	src      *simnet.Host
-	dst      string
-	flow     int
-	size     int
-	interval simtime.Duration
-	budget   int
-	sent     int
-}
-
-func probeTick(a0, _ any) {
-	g := a0.(*probeGen)
-	if g.sent >= g.budget {
-		return
-	}
-	pkt := g.sim.NewPacket(simnet.KindData, g.size, g.dst)
-	pkt.FlowID = g.flow
-	g.src.Send(pkt)
-	g.sent++
-	g.sim.AfterCall(g.interval, probeTick, g, nil)
 }
 
 // AttribReport is the outcome of one attribution run.
@@ -158,13 +132,7 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	// own engine and fault clone; a correlated group shares one chain seed.
 	for _, si := range sc.FaultSegs {
 		tb := f.Segs[si]
-		rig := &Rig{
-			Testbed:   tb,
-			Protected: tb.Link.A(),
-			Rng:       rand.New(rand.NewSource(parallel.SeedFor(sc.Seed, si) ^ 0x5eed_c4a0_5f4a7c15)),
-		}
-		eng := &engine{rig: rig}
-		tb.Link.FaultFn = eng.verdict
+		eng := newEngine(tb, parallel.SeedFor(sc.Seed, si))
 		var fault Fault
 		if sc.Correlated {
 			fault = NewCorrelatedGE(sc.Seed^0x7ea5_eed0, sc.FaultLoss, 4, 2*simtime.Microsecond)
@@ -183,8 +151,8 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	window := interval * simtime.Duration(probeFrames)
 
 	type probe struct {
-		src, dst int
-		gen      *probeGen
+		src, dst, flow int
+		stream         *experiments.Stream
 	}
 	var probes []probe
 	rx := make([]map[int]int, n)
@@ -200,20 +168,12 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 			if d == s {
 				continue
 			}
-			g := &probeGen{
-				sim:      f.Segs[s].Sim,
-				src:      f.Segs[s].H1,
-				dst:      f.Segs[d].H2.NodeName(),
-				flow:     flowID(s, d),
-				size:     frame,
-				interval: interval,
-				budget:   probeFrames,
-			}
 			// Stagger launches inside one pacing interval so streams don't
 			// synchronize their bursts; the offset is a pure function of the
 			// pair, not of any RNG.
-			f.Segs[s].Sim.AfterCall(interval*simtime.Duration(s*n+d)/simtime.Duration(n*n), probeTick, g, nil)
-			probes = append(probes, probe{src: s, dst: d, gen: g})
+			stagger := interval * simtime.Duration(s*n+d) / simtime.Duration(n*n)
+			g := f.Segs[s].StartStream(f.Segs[d].H2.NodeName(), flowID(s, d), frame, interval, stagger, probeFrames)
+			probes = append(probes, probe{src: s, dst: d, flow: flowID(s, d), stream: g})
 		}
 	}
 
@@ -228,10 +188,10 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	flowObs := make([]attrib.FlowObs, 0, len(probes))
 	for _, p := range probes {
 		flowObs = append(flowObs, attrib.FlowObs{
-			Flow:      int64(p.gen.flow),
+			Flow:      int64(p.flow),
 			Path:      probePath(p.src, p.dst, n),
-			Sent:      p.gen.sent,
-			Delivered: rx[p.dst][p.gen.flow],
+			Sent:      p.stream.Sent(),
+			Delivered: rx[p.dst][p.flow],
 		})
 	}
 	tab := attrib.Vote(flowObs, attrib.Opts{NormalizeByCoverage: true})

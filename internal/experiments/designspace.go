@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"linkguardian/internal/core"
 	"linkguardian/internal/lgmodel"
 	"linkguardian/internal/parallel"
-	"linkguardian/internal/simtime"
 	"linkguardian/internal/stats"
 	"linkguardian/internal/transport"
 	"linkguardian/internal/workload"
@@ -63,54 +61,16 @@ func DesignSpace(trials int) []DesignSpaceRow {
 	})
 }
 
-// runDupFCT measures FCTs for DCTCP with end-to-end duplication, sharding
-// trials into blocks like runFCTWithConfig.
+// runDupFCT measures FCTs for DCTCP with end-to-end duplication: every data
+// segment is sent copies extra times over the unprotected corrupting link.
 func runDupFCT(opts FCTOpts, copies int) FCTResult {
-	nblocks := parallel.Blocks(opts.Trials, fctBlockSize)
-	blocks := parallel.Map(nblocks, func(b int) []float64 {
-		lo, hi := parallel.BlockBounds(opts.Trials, fctBlockSize, b)
-		o := opts
-		o.Trials = hi - lo
-		o.Seed = parallel.SeedFor(opts.Seed, b)
-		return runDupFCTBlock(o, copies)
-	})
-	var fcts []float64
-	for _, blk := range blocks {
-		fcts = append(fcts, blk...)
-	}
-	res := FCTResult{Transport: TransDCTCP, Protection: LossOnly, FlowSize: opts.FlowSize}
-	res.FCTs = stats.NewDist(fcts)
-	res.Trials = len(fcts)
-	return res
-}
-
-// runDupFCTBlock simulates one block of duplicated-flow trials.
-func runDupFCTBlock(opts FCTOpts, copies int) []float64 {
-	cfg := core.NewConfig(opts.Rate, opts.LossRate)
-	tb := NewTestbed(opts.Seed, opts.Rate, cfg)
-	tb.SetLoss(opts.LossRate)
-
-	fcts := make([]float64, 0, opts.Trials)
-	trial := 0
-	topts := transport.DefaultTCPOpts(transport.DCTCP)
-	topts.Duplicates = copies
-	var launch func()
-	done := func(st transport.FlowStats) {
-		fcts = append(fcts, st.FCT.Seconds()*1e6)
-		trial++
-		if trial < opts.Trials {
-			tb.Sim.After(opts.Gap, launch)
-		}
-	}
-	launch = func() {
-		transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, trial+1, opts.FlowSize, topts, done)
-	}
-	launch()
-	deadline := tb.Sim.Now().Add(simtime.Duration(opts.Trials) * (50*simtime.Millisecond + opts.Gap))
-	for trial < opts.Trials && tb.Sim.Now().Before(deadline) {
-		tb.Sim.RunFor(2 * simtime.Millisecond)
-	}
-	return fcts
+	o := transport.DefaultTCPOpts(transport.DCTCP)
+	o.Duplicates = copies
+	start := tcpFlows(o, func() int { return opts.FlowSize })
+	cfg := fctConfig(LossOnly, opts)
+	return runBlocks(opts, func(b FCTOpts) *fctChain {
+		return runBlock(LossOnly, cfg, b, start)
+	}).result(TransDCTCP, LossOnly, opts.FlowSize)
 }
 
 // WorkloadFCTResult aggregates tail-FCT improvements over a realistic
@@ -125,58 +85,19 @@ type WorkloadFCTResult struct {
 // RunWorkloadFCT samples flow sizes from a Figure 2 workload and measures
 // the FCT distribution under one protection setting — the experiment the
 // paper's §1 motivation implies: what a realistic RPC mix experiences on a
-// corrupting link. Trials shard into blocks like RunFCT; each block draws
-// its flow sizes from its own seed-derived stream.
+// corrupting 100G link at 1e-3 loss. Trials shard into blocks like RunFCT.
 func RunWorkloadFCT(w workload.Workload, prot Protection, trials int, seed int64) WorkloadFCTResult {
-	nblocks := parallel.Blocks(trials, fctBlockSize)
-	blocks := parallel.Map(nblocks, func(b int) []float64 {
-		lo, hi := parallel.BlockBounds(trials, fctBlockSize, b)
-		return runWorkloadFCTBlock(w, prot, hi-lo, parallel.SeedFor(seed, b))
+	opts := DefaultFCTOpts(0)
+	opts.Trials, opts.Seed = trials, seed
+	cfg := fctConfig(prot, opts)
+	all := runBlocks(opts, func(b FCTOpts) *fctChain {
+		// Flow sizes come from a dedicated RNG stream derived from the block
+		// seed — not from the simulator RNG that also drives loss decisions —
+		// so runs that differ only in protection sample identical size
+		// sequences and compare paired trials rather than different workloads.
+		sizeRng := rand.New(rand.NewSource(parallel.SeedFor(b.Seed, 1)))
+		dctcp := transport.DefaultTCPOpts(transport.DCTCP)
+		return runBlock(prot, cfg, b, tcpFlows(dctcp, func() int { return w.Sample(sizeRng) }))
 	})
-	var fcts []float64
-	for _, blk := range blocks {
-		fcts = append(fcts, blk...)
-	}
-	return WorkloadFCTResult{Workload: w.Name, Trials: len(fcts), Protection: prot, FCTs: stats.NewDist(fcts)}
-}
-
-// runWorkloadFCTBlock simulates one block of workload-sampled trials. Flow
-// sizes come from a dedicated RNG stream derived from the block seed — not
-// from the simulator RNG that also drives loss decisions — so runs that
-// differ only in protection sample identical size sequences and compare
-// paired trials rather than different workloads.
-func runWorkloadFCTBlock(w workload.Workload, prot Protection, trials int, seed int64) []float64 {
-	sizeRng := rand.New(rand.NewSource(parallel.SeedFor(seed, 1)))
-	cfg := core.NewConfig(simtime.Rate100G, 1e-3)
-	tb := NewTestbed(seed, simtime.Rate100G, cfg)
-	if prot != NoLoss {
-		tb.SetLoss(1e-3)
-	}
-	if prot == LG || prot == LGNB {
-		if prot == LGNB {
-			tb.LG.SetMode(core.NonBlocking)
-		}
-		tb.LG.Enable()
-	}
-	fcts := make([]float64, 0, trials)
-	trial := 0
-	var launch func()
-	done := func(st transport.FlowStats) {
-		fcts = append(fcts, st.FCT.Seconds()*1e6)
-		trial++
-		if trial < trials {
-			tb.Sim.After(2*simtime.Microsecond, launch)
-		}
-	}
-	launch = func() {
-		size := w.Sample(sizeRng)
-		transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, trial+1, size,
-			transport.DefaultTCPOpts(transport.DCTCP), done)
-	}
-	launch()
-	deadline := tb.Sim.Now().Add(simtime.Duration(trials) * 60 * simtime.Millisecond)
-	for trial < trials && tb.Sim.Now().Before(deadline) {
-		tb.Sim.RunFor(2 * simtime.Millisecond)
-	}
-	return fcts
+	return WorkloadFCTResult{Workload: w.Name, Trials: len(all.fcts), Protection: prot, FCTs: stats.NewDist(all.fcts)}
 }

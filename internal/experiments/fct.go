@@ -123,11 +123,17 @@ func (r FCTResult) String() string {
 // (transport, protection) configuration — the core of Figures 10, 11, 12
 // and Table 2.
 func RunFCT(tr Transport, prot Protection, opts FCTOpts) FCTResult {
+	return runFCTWithConfig(tr, prot, fctConfig(prot, opts), opts)
+}
+
+// fctConfig is the LinkGuardian configuration of an FCT run: provisioned
+// for the run's loss rate, NonBlocking under LGNB.
+func fctConfig(prot Protection, opts FCTOpts) core.Config {
 	cfg := core.NewConfig(opts.Rate, opts.LossRate)
 	if prot == LGNB {
 		cfg.Mode = core.NonBlocking
 	}
-	return runFCTWithConfig(tr, prot, cfg, opts)
+	return cfg
 }
 
 // fctBlockSize is the number of trials one shard simulates serially on its
@@ -137,122 +143,160 @@ func RunFCT(tr Transport, prot Protection, opts FCTOpts) FCTResult {
 const fctBlockSize = 250
 
 // runFCTWithConfig allows Table 2's ablation variants to customize the
-// LinkGuardian configuration. Trials are sharded into fctBlockSize blocks
-// executed across the parallel engine, each block on an independent testbed
-// seeded by parallel.SeedFor(opts.Seed, block); block outputs are merged in
-// block-index order.
+// LinkGuardian configuration.
 func runFCTWithConfig(tr Transport, prot Protection, cfg core.Config, opts FCTOpts) FCTResult {
-	nblocks := parallel.Blocks(opts.Trials, fctBlockSize)
-	blocks := parallel.Map(nblocks, func(b int) fctBlock {
-		lo, hi := parallel.BlockBounds(opts.Trials, fctBlockSize, b)
-		o := opts
-		o.Trials = hi - lo
-		o.Seed = parallel.SeedFor(opts.Seed, b)
-		return runFCTBlock(tr, prot, cfg, o)
-	})
+	start := transportFlows(tr, opts)
+	return runBlocks(opts, func(o FCTOpts) *fctChain {
+		return runBlock(prot, cfg, o, start)
+	}).result(tr, prot, opts.FlowSize)
+}
 
-	res := FCTResult{Transport: tr, Protection: prot, FlowSize: opts.FlowSize}
-	fcts := make([]float64, 0, opts.Trials)
-	res.Flows = make([]transport.FlowStats, 0, opts.Trials)
-	if prot != NoLoss {
-		res.DroppedSegs = make([][]int, 0, opts.Trials)
-	}
-	for _, blk := range blocks {
-		fcts = append(fcts, blk.fcts...)
-		res.Flows = append(res.Flows, blk.flows...)
-		if prot != NoLoss {
-			res.DroppedSegs = append(res.DroppedSegs, blk.dropped...)
+// flowStarter starts flow id on tb and reports its statistics to done.
+type flowStarter func(tb *Testbed, id int, done func(transport.FlowStats))
+
+// transportFlows starts opts.FlowSize-byte flows of tr; opts.RTOMin, when
+// set, overrides TCP's minimum retransmission timeout.
+func transportFlows(tr Transport, opts FCTOpts) flowStarter {
+	if tr == TransRDMA || tr == TransRDMASR {
+		o := transport.DefaultRDMAOpts()
+		o.SelectiveRepeat = tr == TransRDMASR
+		return func(tb *Testbed, id int, done func(transport.FlowStats)) {
+			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, id, opts.FlowSize, o, done)
 		}
 	}
-	res.FCTs = stats.NewDist(fcts)
-	res.Trials = len(fcts)
-	return res
+	v := transport.DCTCP
+	switch tr {
+	case TransCubic:
+		v = transport.Cubic
+	case TransBBR:
+		v = transport.BBR
+	}
+	o := transport.DefaultTCPOpts(v)
+	if opts.RTOMin > 0 {
+		o.RTOMin = opts.RTOMin
+	}
+	return tcpFlows(o, func() int { return opts.FlowSize })
 }
 
-// fctBlock is one shard's output: per-trial series in trial order.
-type fctBlock struct {
+// tcpFlows starts TCP flows with o, each sized by size.
+func tcpFlows(o transport.TCPOpts, size func() int) flowStarter {
+	return func(tb *Testbed, id int, done func(transport.FlowStats)) {
+		transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, id, size(), o, done)
+	}
+}
+
+// fctChain is one testbed's chain of back-to-back flows. Its series are in
+// trial order, so len(fcts) is also the index of the running trial.
+type fctChain struct {
+	trials  int
 	fcts    []float64
 	flows   []transport.FlowStats
-	dropped [][]int
+	dropped [][]int // per trial; nil on a lossless link
 }
 
-// runFCTBlock simulates one block of trials serially on a fresh testbed.
-func runFCTBlock(tr Transport, prot Protection, cfg core.Config, opts FCTOpts) fctBlock {
-	tb := NewTestbed(opts.Seed, opts.Rate, cfg)
-	if prot != NoLoss {
-		tb.SetLoss(opts.LossRate)
-	}
+func (c *fctChain) pending() bool { return len(c.fcts) < c.trials }
+
+// startChain arms tb for a chain of opts.Trials back-to-back flows and
+// launches the first. LG and LGNB enable LinkGuardian. Any protection but
+// NoLoss corrupts the protected direction with the i.i.d. model — or a
+// Gilbert–Elliott chain when opts.MeanBurst > 0 — drawing from tb.Sim.Rng
+// exactly as a Link.SetLoss model would, and logs every corrupted data
+// segment against the running trial for the Figure 13 analysis; frames
+// without a segment payload (fabric cross traffic) are never logged. Each
+// completion records the flow and starts the next one opts.Gap later.
+func startChain(tb *Testbed, prot Protection, opts FCTOpts, start flowStarter) *fctChain {
+	c := &fctChain{trials: opts.Trials, fcts: make([]float64, 0, opts.Trials)}
 	if prot == LG || prot == LGNB {
 		tb.LG.Enable()
 	}
-
-	// Record corruption-dropped data segments per trial for the Figure 13
-	// analysis: wrap the loss decision so drops are observable.
-	blk := fctBlock{fcts: make([]float64, 0, opts.Trials)}
-	trial := 0
 	if prot != NoLoss {
-		blk.dropped = make([][]int, opts.Trials)
-		inner := simnet.LossModel(simnet.IIDLoss{P: opts.LossRate})
+		c.dropped = make([][]int, opts.Trials)
+		loss := simnet.LossModel(simnet.IIDLoss{P: opts.LossRate})
 		if opts.MeanBurst > 0 {
-			inner = simnet.NewGilbertElliott(opts.LossRate, opts.MeanBurst)
+			loss = simnet.NewGilbertElliott(opts.LossRate, opts.MeanBurst)
 		}
-		tb.Link.DropFn = func(p *simnet.Packet, f *simnet.Ifc) bool {
-			if f != tb.Link.A() {
+		tb.Link.DropFn = func(p *simnet.Packet, from *simnet.Ifc) bool {
+			if from != tb.Link.A() {
 				return false
 			}
-			drop := inner.Drops(tb.Sim.Rng)
-			if drop && trial < len(blk.dropped) {
-				if d, ok := p.Payload.(transport.SegmentInfo); ok {
-					blk.dropped[trial] = append(blk.dropped[trial], d.Index())
-				}
+			drop := loss.Drops(tb.Sim.Rng)
+			if seg, ok := p.Payload.(transport.SegmentInfo); ok && drop && c.pending() {
+				i := len(c.fcts)
+				c.dropped[i] = append(c.dropped[i], seg.Index())
 			}
 			return drop
 		}
 	}
-
 	var launch func()
 	done := func(st transport.FlowStats) {
-		blk.fcts = append(blk.fcts, st.FCT.Seconds()*1e6)
-		blk.flows = append(blk.flows, st)
-		trial++
-		if trial < opts.Trials {
+		c.fcts = append(c.fcts, st.FCT.Seconds()*1e6)
+		c.flows = append(c.flows, st)
+		if c.pending() {
 			tb.Sim.After(opts.Gap, launch)
 		}
 	}
-	launch = func() {
-		flowID := trial + 1
-		switch tr {
-		case TransRDMA:
-			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, transport.DefaultRDMAOpts(), done)
-		case TransRDMASR:
-			o := transport.DefaultRDMAOpts()
-			o.SelectiveRepeat = true
-			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, o, done)
-		default:
-			v := transport.DCTCP
-			switch tr {
-			case TransCubic:
-				v = transport.Cubic
-			case TransBBR:
-				v = transport.BBR
-			}
-			o := transport.DefaultTCPOpts(v)
-			if opts.RTOMin > 0 {
-				o.RTOMin = opts.RTOMin
-			}
-			transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, o, done)
-		}
-	}
+	launch = func() { start(tb, len(c.fcts)+1, done) }
 	launch()
-	// Run in slices and stop as soon as the last trial completes: with
-	// LinkGuardian enabled the self-replenishing queues keep the event
-	// queue busy forever, so a fixed far-future horizon would simulate an
-	// idle link indefinitely.
-	deadline := tb.Sim.Now().Add(simtime.Duration(opts.Trials)*(50*simtime.Millisecond+opts.Gap) + simtime.Second)
-	for trial < opts.Trials && tb.Sim.Now().Before(deadline) {
-		tb.Sim.RunFor(2 * simtime.Millisecond)
+	return c
+}
+
+// runChains advances runFor — a testbed's Sim, or the Engine that drives
+// every segment of a fabric at once — in 2ms slices until every chain has
+// completed its trials. With LinkGuardian enabled the self-replenishing
+// queues keep the event queue busy forever, so a fixed far-future horizon
+// would simulate an idle link indefinitely; the slice budget (50ms per
+// trial plus a second) only bounds a run that stops making progress.
+func runChains(runFor func(simtime.Duration), opts FCTOpts, chains ...*fctChain) {
+	const slice = 2 * simtime.Millisecond
+	budget := int((simtime.Duration(opts.Trials)*(50*simtime.Millisecond+opts.Gap) + simtime.Second) / slice)
+	running := func() bool {
+		for _, c := range chains {
+			if c.pending() {
+				return true
+			}
+		}
+		return false
 	}
-	return blk
+	for i := 0; i < budget && running(); i++ {
+		runFor(slice)
+	}
+}
+
+// runBlock runs one chain of opts.Trials flows on a fresh testbed seeded
+// opts.Seed.
+func runBlock(prot Protection, cfg core.Config, opts FCTOpts, start flowStarter) *fctChain {
+	tb := NewTestbed(opts.Seed, opts.Rate, cfg)
+	c := startChain(tb, prot, opts, start)
+	runChains(tb.Sim.RunFor, opts, c)
+	return c
+}
+
+// runBlocks shards opts.Trials into fctBlockSize blocks executed across the
+// parallel engine — block b with its own trial count and the seed
+// parallel.SeedFor(opts.Seed, b) — and concatenates the blocks' series in
+// block order.
+func runBlocks(opts FCTOpts, block func(FCTOpts) *fctChain) *fctChain {
+	blocks := parallel.Map(parallel.Blocks(opts.Trials, fctBlockSize), func(b int) *fctChain {
+		lo, hi := parallel.BlockBounds(opts.Trials, fctBlockSize, b)
+		o := opts
+		o.Trials, o.Seed = hi-lo, parallel.SeedFor(opts.Seed, b)
+		return block(o)
+	})
+	all := &fctChain{fcts: make([]float64, 0, opts.Trials)}
+	for _, c := range blocks {
+		all.fcts = append(all.fcts, c.fcts...)
+		all.flows = append(all.flows, c.flows...)
+		all.dropped = append(all.dropped, c.dropped...)
+	}
+	return all
+}
+
+// result is the chain as one line of a Figure 10/11/12 plot.
+func (c *fctChain) result(tr Transport, prot Protection, size int) FCTResult {
+	return FCTResult{
+		Transport: tr, Protection: prot, FlowSize: size, Trials: len(c.fcts),
+		FCTs: stats.NewDist(c.fcts), Flows: c.flows, DroppedSegs: c.dropped,
+	}
 }
 
 // fctCell is one (transport, protection) cell of a figure grid.

@@ -7,8 +7,6 @@ import (
 	"linkguardian/internal/obs"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
-	"linkguardian/internal/stats"
-	"linkguardian/internal/transport"
 )
 
 // SegmentCrossDelay is the propagation delay of the inter-segment links —
@@ -24,9 +22,8 @@ const SegmentCrossDelay = 5 * simtime.Microsecond
 // links of every segment it passes through, so parallel execution
 // exercises the full protocol, not just plain forwarding.
 //
-// The engine's worker cap (the -shards flag of the cmd binaries) never
-// changes results: the partition — one segment per shard — and the
-// per-shard seeds are fixed by (seed, n) alone.
+// The engine's worker cap never changes results: the partition — one
+// segment per shard — and the per-shard seeds are fixed by (seed, n) alone.
 type Segmented struct {
 	Eng  *simnet.Engine
 	Segs []*Testbed
@@ -38,7 +35,7 @@ type Segmented struct {
 
 // NewSegmented builds an n-segment fabric. Shard i is seeded with
 // parallel.SeedFor(seed, i); workers caps concurrent shard execution
-// (0 or 1 = sequential).
+// (0 = parallel.Workers(), 1 = sequential).
 func NewSegmented(seed int64, n, workers int, rate simtime.Rate, cfg core.Config) *Segmented {
 	if n < 1 {
 		n = 1
@@ -90,61 +87,31 @@ func (f *Segmented) EnableAll() {
 	}
 }
 
-// crossGen streams frames from one segment's h1 to the next segment's h2,
-// so every frame crosses at least one shard boundary (and both segments'
-// protected links). The typed re-arm keeps it allocation-free in steady
-// state, like the in-segment Generator.
-type crossGen struct {
-	sim      *simnet.Sim
-	src      *simnet.Host
-	dst      string
-	size     int
-	interval simtime.Duration
-	sent     uint64
-	running  bool
-}
+// crossFlow tags cross-segment traffic.
+const crossFlow = -2
 
-func crossGenTick(a0, _ any) {
-	g := a0.(*crossGen)
-	if !g.running {
-		return
-	}
-	pkt := g.sim.NewPacket(simnet.KindData, g.size, g.dst)
-	pkt.FlowID = -2
-	g.src.Send(pkt)
-	g.sent++
-	g.sim.AfterCall(g.interval, crossGenTick, g, nil)
-}
-
-// CrossTraffic starts a generator in every segment sending frameBytes
-// frames to the next segment's h2 at frac of line rate, and returns a stop
-// function plus a per-segment sent counter accessor. With n == 1 the
-// "next" segment is the segment itself, so the traffic still flows (purely
-// locally), keeping single-segment runs comparable.
+// CrossTraffic starts a stream in every segment sending frameBytes frames
+// from h1 to the next segment's h2 at frac of line rate, so every frame
+// crosses at least one shard boundary (and both segments' protected links),
+// and returns a stop function plus a per-segment sent counter accessor.
+// With n == 1 the "next" segment is the segment itself, so the traffic
+// still flows (purely locally), keeping single-segment runs comparable.
 func (f *Segmented) CrossTraffic(frameBytes int, frac float64) (stop func(), sent func(i int) uint64) {
 	if frac <= 0 || frac > 1 {
 		frac = 1
 	}
-	gens := make([]*crossGen, len(f.Segs))
+	interval := simtime.Duration(float64(f.rate.Serialize(simtime.WireBytes(frameBytes))) / frac)
+	streams := make([]*Stream, len(f.Segs))
 	for i, tb := range f.Segs {
-		dst := f.Segs[(i+1)%len(f.Segs)].H2
-		g := &crossGen{
-			sim:      tb.Sim,
-			src:      tb.H1,
-			dst:      dst.NodeName(),
-			size:     frameBytes,
-			interval: simtime.Duration(float64(f.rate.Serialize(simtime.WireBytes(frameBytes))) / frac),
-			running:  true,
-		}
-		tb.Sim.AfterCall(0, crossGenTick, g, nil)
-		gens[i] = g
+		dst := f.Segs[(i+1)%len(f.Segs)].H2.NodeName()
+		streams[i] = tb.StartStream(dst, crossFlow, frameBytes, interval, 0, 0)
 	}
 	return func() {
-			for _, g := range gens {
-				g.running = false
+			for _, s := range streams {
+				s.Stop()
 			}
 		}, func(i int) uint64 {
-			return gens[i].sent
+			return uint64(streams[i].Sent())
 		}
 }
 
@@ -229,119 +196,28 @@ func RunFabricStress(seed int64, nsegs, workers int, rate simtime.Rate, lossRate
 }
 
 // RunFabricFCT is the fabric flow-completion-time experiment: every
-// segment runs its own sequence of flows over its protected lossy link —
-// exactly runFCTBlock's workload — while cross-segment background traffic
-// at crossFrac of line rate flows through the ring, so every segment's
-// FCTs feel the transit load and the whole fabric advances in lockstep on
-// the parallel engine. Results are per segment, in segment order;
-// the worker cap never changes a byte of them.
+// segment runs RunFCT's chain of flows over its own protected lossy link
+// while cross-segment background traffic at crossFrac of line rate flows
+// through the ring, so every segment's FCTs feel the transit load and the
+// whole fabric advances in lockstep on the parallel engine. Results are per
+// segment, in segment order; the worker cap never changes a byte of them.
+// Shard 0 of a one-segment fabric is seeded like RunFCT's first block, so
+// without cross traffic the two agree trial for trial.
 func RunFabricFCT(tr Transport, prot Protection, opts FCTOpts, nsegs, workers int, crossFrac float64) []FCTResult {
-	cfg := core.NewConfig(opts.Rate, opts.LossRate)
-	if prot == LGNB {
-		cfg.Mode = core.NonBlocking
-	}
-	f := NewSegmented(opts.Seed, nsegs, workers, opts.Rate, cfg)
+	f := NewSegmented(opts.Seed, nsegs, workers, opts.Rate, fctConfig(prot, opts))
 	defer f.Eng.Close()
-	if prot != NoLoss {
-		f.SetLoss(opts.LossRate)
-	}
-	if prot == LG || prot == LGNB {
-		f.EnableAll()
+	start := transportFlows(tr, opts)
+	chains := make([]*fctChain, len(f.Segs))
+	for i, tb := range f.Segs {
+		chains[i] = startChain(tb, prot, opts, start)
 	}
 	if crossFrac > 0 {
-		stop, _ := f.CrossTraffic(simtime.MTUFrame, crossFrac)
-		defer stop()
+		f.CrossTraffic(simtime.MTUFrame, crossFrac)
 	}
-
-	type segRun struct {
-		blk   fctBlock
-		trial int
-	}
-	runs := make([]*segRun, nsegs)
-	for i, tb := range f.Segs {
-		tb, sr := tb, &segRun{}
-		sr.blk.fcts = make([]float64, 0, opts.Trials)
-		runs[i] = sr
-		if prot != NoLoss {
-			sr.blk.dropped = make([][]int, opts.Trials)
-			inner := simnet.LossModel(simnet.IIDLoss{P: opts.LossRate})
-			tb.Link.DropFn = func(p *simnet.Packet, fr *simnet.Ifc) bool {
-				if fr != tb.Link.A() {
-					return false
-				}
-				// Cross-segment transit frames stay on the stochastic
-				// model; only this segment's own flows feed the per-trial
-				// drop log.
-				drop := inner.Drops(tb.Sim.Rng)
-				if drop && sr.trial < len(sr.blk.dropped) && p.FlowID > 0 {
-					if d, ok := p.Payload.(transport.SegmentInfo); ok {
-						sr.blk.dropped[sr.trial] = append(sr.blk.dropped[sr.trial], d.Index())
-					}
-				}
-				return drop
-			}
-		}
-		launchFlow(tr, tb, opts, &sr.blk, &sr.trial)
-	}
-
-	deadline := f.Eng.Now().Add(simtime.Duration(opts.Trials)*(50*simtime.Millisecond+opts.Gap) + simtime.Second)
-	pending := func() bool {
-		for _, sr := range runs {
-			if sr.trial < opts.Trials {
-				return true
-			}
-		}
-		return false
-	}
-	for pending() && f.Eng.Now().Before(deadline) {
-		f.Eng.RunFor(2 * simtime.Millisecond)
-	}
-
-	out := make([]FCTResult, nsegs)
-	for i, sr := range runs {
-		out[i] = FCTResult{Transport: tr, Protection: prot, FlowSize: opts.FlowSize}
-		out[i].Flows = sr.blk.flows
-		if prot != NoLoss {
-			out[i].DroppedSegs = sr.blk.dropped
-		}
-		out[i].FCTs = stats.NewDist(sr.blk.fcts)
-		out[i].Trials = len(sr.blk.fcts)
+	runChains(f.Eng.RunFor, opts, chains...)
+	out := make([]FCTResult, len(chains))
+	for i, c := range chains {
+		out[i] = c.result(tr, prot, opts.FlowSize)
 	}
 	return out
-}
-
-// launchFlow starts the trial chain on one testbed: each completion
-// records its stats and schedules the next launch after the gap, exactly
-// as runFCTBlock does.
-func launchFlow(tr Transport, tb *Testbed, opts FCTOpts, blk *fctBlock, trial *int) {
-	var launch func()
-	done := func(st transport.FlowStats) {
-		blk.fcts = append(blk.fcts, st.FCT.Seconds()*1e6)
-		blk.flows = append(blk.flows, st)
-		*trial++
-		if *trial < opts.Trials {
-			tb.Sim.After(opts.Gap, launch)
-		}
-	}
-	launch = func() {
-		flowID := *trial + 1
-		switch tr {
-		case TransRDMA:
-			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, transport.DefaultRDMAOpts(), done)
-		case TransRDMASR:
-			o := transport.DefaultRDMAOpts()
-			o.SelectiveRepeat = true
-			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, o, done)
-		default:
-			v := transport.DCTCP
-			switch tr {
-			case TransCubic:
-				v = transport.Cubic
-			case TransBBR:
-				v = transport.BBR
-			}
-			transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, flowID, opts.FlowSize, transport.DefaultTCPOpts(v), done)
-		}
-	}
-	launch()
 }

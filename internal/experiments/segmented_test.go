@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -27,8 +28,8 @@ func fabricStressDigest(t *testing.T, workers int) []byte {
 
 // TestFabricStressShardInvariance is the tier-1 determinism regression for
 // the parallel engine: the same 4-segment fabric stress run must produce
-// byte-identical output at -shards=1, 2 and 4 (the worker cap of the fixed
-// 4-shard partition).
+// byte-identical output at worker caps 1, 2 and 4 of the fixed 4-shard
+// partition.
 func TestFabricStressShardInvariance(t *testing.T) {
 	ref := fabricStressDigest(t, 1)
 	if len(ref) == 0 {
@@ -40,10 +41,10 @@ func TestFabricStressShardInvariance(t *testing.T) {
 			l1, l2 := bytes.Split(ref, []byte("\n")), bytes.Split(got, []byte("\n"))
 			for i := 0; i < len(l1) && i < len(l2); i++ {
 				if !bytes.Equal(l1[i], l2[i]) {
-					t.Fatalf("shards=1 vs shards=%d differ at line %d:\n %s\n %s", w, i+1, l1[i], l2[i])
+					t.Fatalf("workers=1 vs workers=%d differ at line %d:\n %s\n %s", w, i+1, l1[i], l2[i])
 				}
 			}
-			t.Fatalf("shards=1 vs shards=%d digests differ in length", w)
+			t.Fatalf("workers=1 vs workers=%d digests differ in length", w)
 		}
 	}
 }
@@ -75,6 +76,44 @@ func TestFabricFCTShardInvariance(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		if got := run(w); got != ref {
 			t.Fatalf("fabric FCT diverged between workers=1 and workers=%d", w)
+		}
+	}
+}
+
+// TestFabricFCTOneSegmentMatchesRunFCT is the experiment-level twin of
+// simnet's TestEngineSingleShardMatchesSim. A one-segment fabric without
+// cross traffic is RunFCT's first block run on a 1-shard engine — shard 0
+// is seeded parallel.SeedFor(seed, 0), exactly like block 0 — so the two
+// must agree trial for trial, including the end-host RTOMin and the
+// Gilbert–Elliott loss model.
+func TestFabricFCTOneSegmentMatchesRunFCT(t *testing.T) {
+	conds := []struct {
+		name   string
+		rtoMin simtime.Duration
+		burst  float64
+	}{
+		{"iid", 0, 0},
+		{"burst+fast-rto", FastRTOMin, tracksMeanBurst},
+	}
+	for _, c := range conds {
+		for _, prot := range []Protection{LossOnly, LG} {
+			opts := DefaultFCTOpts(24387)
+			opts.Trials = fctBlockSize
+			opts.RTOMin, opts.MeanBurst = c.rtoMin, c.burst
+			want := RunFCT(TransDCTCP, prot, opts)
+			got := RunFabricFCT(TransDCTCP, prot, opts, 1, 1, 0)[0]
+			if want.Trials != opts.Trials || got.Trials != want.Trials {
+				t.Fatalf("%s/%v: trials RunFCT=%d fabric=%d, want %d", c.name, prot, want.Trials, got.Trials, opts.Trials)
+			}
+			if !reflect.DeepEqual(got.FCTs, want.FCTs) {
+				t.Errorf("%s/%v: FCTs differ: fabric p99.9=%.1fµs, RunFCT p99.9=%.1fµs", c.name, prot, got.P(99.9), want.P(99.9))
+			}
+			if !reflect.DeepEqual(got.Flows, want.Flows) {
+				t.Errorf("%s/%v: per-trial flow stats differ", c.name, prot)
+			}
+			if !reflect.DeepEqual(got.DroppedSegs, want.DroppedSegs) {
+				t.Errorf("%s/%v: dropped-segment logs differ", c.name, prot)
+			}
 		}
 	}
 }

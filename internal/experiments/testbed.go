@@ -114,6 +114,48 @@ func (g *Generator) Stop() { g.running = false }
 // Sent returns the number of injected frames.
 func (g *Generator) Sent() uint64 { return g.sent }
 
+// Stream is a paced frame stream sourced at h1: unlike Generator, its
+// frames take the host stack and the switches' routes, so they can cross
+// into other segments of a fabric. The typed re-arm keeps it
+// allocation-free in steady state.
+type Stream struct {
+	tb       *Testbed
+	dst      string
+	flow     int
+	size     int
+	interval simtime.Duration
+	budget   int
+	sent     int
+	stopped  bool
+}
+
+// StartStream begins sending size-byte frames tagged flow from h1 to the
+// host named dst, one every interval from delay on. budget > 0 caps the
+// frames sent; 0 streams until Stop.
+func (tb *Testbed) StartStream(dst string, flow, size int, interval, delay simtime.Duration, budget int) *Stream {
+	s := &Stream{tb: tb, dst: dst, flow: flow, size: size, interval: interval, budget: budget}
+	tb.Sim.AfterCall(delay, streamTick, s, nil)
+	return s
+}
+
+func streamTick(a0, _ any) {
+	s := a0.(*Stream)
+	if s.stopped || (s.budget > 0 && s.sent >= s.budget) {
+		return
+	}
+	pkt := s.tb.Sim.NewPacket(simnet.KindData, s.size, s.dst)
+	pkt.FlowID = s.flow
+	s.tb.H1.Send(pkt)
+	s.sent++
+	s.tb.Sim.AfterCall(s.interval, streamTick, s, nil)
+}
+
+// Stop halts the stream.
+func (s *Stream) Stop() { s.stopped = true }
+
+// Sent returns the number of frames sent.
+func (s *Stream) Sent() int { return s.sent }
+
 // CountReceived attaches a sink on h2 counting received data packets and
 // payload bytes. The sink retains nothing, so the host recycles each packet
 // to the free list after counting — closing the allocation-free loop from

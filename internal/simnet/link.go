@@ -292,12 +292,19 @@ func (l *Link) verdict(pkt *Packet, from *Ifc, model LossModel) bool {
 // propagation delay, registering the new interfaces with both nodes. The
 // returned link starts lossless.
 func Connect(s *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) *Link {
-	l := &Link{sim: s, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
+	return newLink(s, s, a, b, rate, delay)
+}
+
+// newLink builds a lossless link between a (whose side lives in sa) and b
+// (in sb) and registers its interfaces with their nodes. The link itself
+// belongs to sa; sa != sb only for Engine.Connect's cross-shard links.
+func newLink(sa, sb *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) *Link {
+	l := &Link{sim: sa, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
 	ia := &Ifc{node: a, link: l, Name: a.NodeName() + "->" + b.NodeName()}
 	ib := &Ifc{node: b, link: l, Name: b.NodeName() + "->" + a.NodeName()}
 	ia.peer, ib.peer = ib, ia
-	ia.Port = &Port{sim: s, ifc: ia, Rate: rate}
-	ib.Port = &Port{sim: s, ifc: ib, Rate: rate}
+	ia.Port = &Port{sim: sa, ifc: ia, Rate: rate}
+	ib.Port = &Port{sim: sb, ifc: ib, Rate: rate}
 	l.a, l.b = ia, ib
 	register(a, ia)
 	register(b, ib)
@@ -310,19 +317,11 @@ func Connect(s *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) *Link
 // modeling Tofino's recirculation path used for the Tx buffer and the
 // reordering buffer.
 func Loopback(s *Sim, n Node, rate simtime.Rate, delay simtime.Duration) *Ifc {
-	l := &Link{sim: s, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
-	ia := &Ifc{node: n, link: l, Name: n.NodeName() + "->recirc"}
-	ib := &Ifc{node: n, link: l, Name: n.NodeName() + "<-recirc"}
-	ia.peer, ib.peer = ib, ia
-	ia.Port = &Port{sim: s, ifc: ia, Rate: rate}
-	ib.Port = &Port{sim: s, ifc: ib, Rate: rate}
-	l.a, l.b = ia, ib
-	register(n, ia)
-	// Only ia is registered: packets are enqueued on ia and received on ib,
-	// whose ingress path calls back into the node with in == ib. Give ib a
-	// hook slot by registering it too.
-	register(n, ib)
-	return ia
+	// Packets are enqueued on a and received on b, whose ingress path calls
+	// back into the node; both are registered so b has a hook slot too.
+	l := newLink(s, s, n, n, rate, delay)
+	l.a.Name, l.b.Name = n.NodeName()+"->recirc", n.NodeName()+"<-recirc"
+	return l.a
 }
 
 // registrar is implemented by nodes that track their interfaces.

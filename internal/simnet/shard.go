@@ -203,18 +203,9 @@ func (e *Engine) Connect(ai int, a Node, bi int, b Node, rate simtime.Rate, dela
 	if delay <= 0 {
 		panic("simnet: cross-shard link requires positive propagation delay (lookahead bound)")
 	}
-	sa, sb := e.shards[ai].Sim, e.shards[bi].Sim
-	l := &Link{sim: sa, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
-	ia := &Ifc{node: a, link: l, Name: a.NodeName() + "->" + b.NodeName()}
-	ib := &Ifc{node: b, link: l, Name: b.NodeName() + "->" + a.NodeName()}
-	ia.peer, ib.peer = ib, ia
-	ia.Port = &Port{sim: sa, ifc: ia, Rate: rate}
-	ib.Port = &Port{sim: sb, ifc: ib, Rate: rate}
-	l.a, l.b = ia, ib
+	l := newLink(e.shards[ai].Sim, e.shards[bi].Sim, a, b, rate, delay)
 	l.xab = e.outboxFor(ai, bi)
 	l.xba = e.outboxFor(bi, ai)
-	register(a, ia)
-	register(b, ib)
 	if e.lookahead == 0 || int64(delay) < e.lookahead {
 		e.lookahead = int64(delay)
 	}
