@@ -64,7 +64,7 @@ bench-harness:
 cover:
 	./scripts/covercheck.sh
 
-# Fuzz smoke pass: ~40s total across the native fuzz targets. The
+# Fuzz smoke pass: ~55s total across the native fuzz targets. The
 # checked-in crasher corpus under testdata/fuzz/ also runs during plain
 # `go test`, so regressions are caught even without -fuzz.
 fuzz:
@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLGAckWire -fuzztime 7s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventString -fuzztime 8s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzLinkLifecycle -fuzztime 10s ./internal/fleetsim
+	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 8s ./internal/eventq
 
 # Fleet-simulation smoke gate: the full solution matrix on a small fleet,
 # with the engine re-rendering the Pareto table at -workers 1/2/4/8 and

@@ -6,11 +6,24 @@
 // fire in the order they were scheduled. This makes entire simulation runs
 // reproducible from a seed.
 //
-// The scheduler is built for the simulator's hot loop: an inlined 4-ary heap
-// (no container/heap interface boxing), event structs recycled through a
-// per-queue free list (steady-state Schedule/Step perform zero allocations),
-// and lazy cancellation (Cancel marks the event dead in place; the heap slot
-// is reclaimed when it surfaces, avoiding O(log n) mid-heap removal).
+// The scheduler is built for the simulator's hot loop. Nearly every event is
+// created in time order by the handler that scheduled the previous one of its
+// kind (a port's next transmission completion, a link's next delivery), so
+// each typed handler already produces a sorted run. The queue keeps those
+// runs as per-handler FIFO lanes: a ScheduleCall/AfterCall event joins its
+// handler's lane when its time is not earlier than the lane's tail, and only
+// the lane heads plus the out-of-order events live in an inlined 4-ary heap
+// (no container/heap interface boxing). When a lane head fires, its
+// successor replaces it at the root with one sift-down. Within a lane time
+// never decreases and the sequence number always increases, so the heap
+// root is still the global minimum by (time, seq) and the firing order is
+// exactly that of a single heap holding every event. The closure form stays
+// heap-only.
+//
+// Event structs are recycled through a per-queue free list (steady-state
+// Schedule/Step perform zero allocations), and cancellation is lazy: Cancel
+// marks the event dead in place, and its heap slot or lane position is
+// reclaimed when it surfaces at the root, avoiding O(log n) mid-heap removal.
 // Callers hold Timer handles rather than raw event pointers: a generation
 // counter makes handles to fired, canceled, or recycled events permanently
 // inert, so the free list can reuse memory without use-after-fire hazards.
@@ -27,10 +40,11 @@ package eventq
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 )
 
-// event is one heap entry. Instances are owned by the queue and recycled
+// event is one queue entry. Instances are owned by the queue and recycled
 // through its free list; external code only ever sees Timer handles.
 type event struct {
 	at  int64 // firing time, ns
@@ -42,6 +56,7 @@ type event struct {
 	fn2    func(a0, a1 any)
 	a0, a1 any
 	gen    uint64 // bumped on fire/cancel, invalidating outstanding Timers
+	lane   *lane  // owning lane, nil for a heap-only event
 	next   *event // free-list link
 }
 
@@ -71,12 +86,47 @@ func (t Timer) At() int64 {
 	return t.e.at
 }
 
+// laneBits sizes the per-queue lane table: 64 slots, far more than the
+// distinct typed handlers a simulation uses.
+const laneBits = 6
+
+const laneSlots = 1 << laneBits
+
+// lane is one handler's sorted run: evs[head:] in (at, seq) order. While the
+// lane is non-empty its head, evs[head], is also in the heap; the rest wait
+// here until they become the head.
+type lane struct {
+	key  uintptr // handler code pointer, 0 for a free slot
+	evs  []*event
+	head int
+}
+
+// pop drops the lane's head and returns its successor, or nil once the lane
+// is empty. A drained prefix is compacted away once it dominates the slice,
+// so steady-state lanes recycle one backing array.
+func (l *lane) pop() *event {
+	l.evs[l.head] = nil
+	l.head++
+	if l.head == len(l.evs) {
+		l.evs = l.evs[:0]
+		l.head = 0
+		return nil
+	}
+	if l.head > 64 && l.head*2 > len(l.evs) {
+		n := copy(l.evs, l.evs[l.head:])
+		clear(l.evs[n:])
+		l.evs = l.evs[:n]
+		l.head = 0
+	}
+	return l.evs[l.head]
+}
+
 // Queue is a time-ordered event queue. The zero value is ready to use.
 // Queue is not safe for concurrent use; a simulation run is single-threaded
 // by design (independent queues may run on concurrent goroutines — the
 // sharded engine in internal/simnet runs one Queue per topology shard).
 type Queue struct {
-	h      []*event
+	h      []*event // heap: lane heads and out-of-order events
 	free   *event
 	now    int64
 	nexts  uint64
@@ -94,6 +144,10 @@ type Queue struct {
 	// Drain panics on budget exhaustion — the flight-recorder hook, letting
 	// a run dump its trace ring and metrics snapshot before dying.
 	OnBudgetExceeded func(diag string)
+
+	// lanes is the per-handler lane table (see laneFor), open-addressed by
+	// code pointer. It sits last so the hot fields above share cache lines.
+	lanes [laneSlots]lane
 }
 
 // SetShard marks the queue as owned by shard id of a parallel engine; the
@@ -120,6 +174,7 @@ func (q *Queue) Fired() uint64 { return q.nfired }
 func (q *Queue) Schedule(at int64, fn func()) Timer {
 	e := q.alloc(at)
 	e.fn = fn
+	q.push(e)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -132,6 +187,17 @@ func (q *Queue) ScheduleCall(at int64, fn func(a0, a1 any), a0, a1 any) Timer {
 	e := q.alloc(at)
 	e.fn2 = fn
 	e.a0, e.a1 = a0, a1
+	if l := q.laneFor(fn); l != nil {
+		if n := len(l.evs); n == l.head || at >= l.evs[n-1].at {
+			e.lane = l
+			l.evs = append(l.evs, e)
+			if n > l.head {
+				// Behind the tail: the heap sees e only once it heads the lane.
+				return Timer{e: e, gen: e.gen}
+			}
+		}
+	}
+	q.push(e)
 	return Timer{e: e, gen: e.gen}
 }
 
@@ -152,8 +218,9 @@ func (q *Queue) AfterCall(d int64, fn func(a0, a1 any), a0, a1 any) Timer {
 	return q.ScheduleCall(q.now+d, fn, a0, a1)
 }
 
-// alloc pops a recycled event (or allocates one) and enters it into the
-// heap at time at, with the next tie-breaking sequence number.
+// alloc pops a recycled event (or allocates one) for time at and stamps it
+// with the next tie-breaking sequence number; the caller enters it into a
+// lane or the heap.
 func (q *Queue) alloc(at int64) *event {
 	if at < q.now {
 		panic("eventq: scheduling into the past")
@@ -169,15 +236,34 @@ func (q *Queue) alloc(at int64) *event {
 	e.seq = q.nexts
 	q.nexts++
 	q.live++
-	q.h = append(q.h, e)
-	q.siftUp(len(q.h) - 1)
 	return e
+}
+
+// laneFor returns fn's lane, claiming a free slot on first use, or nil when
+// the table has no room for it. The key is the handler's code pointer, so
+// closures sharing one body share a lane; that is only a performance hint,
+// since an event joins a lane solely on the tail check in ScheduleCall.
+func (q *Queue) laneFor(fn func(a0, a1 any)) *lane {
+	key := reflect.ValueOf(fn).Pointer()
+	i := uint64(key) * 0x9E3779B97F4A7C15 >> (64 - laneBits)
+	for range laneSlots {
+		l := &q.lanes[i]
+		if l.key == key {
+			return l
+		}
+		if l.key == 0 {
+			l.key = key
+			return l
+		}
+		i = (i + 1) & (laneSlots - 1)
+	}
+	return nil
 }
 
 // Cancel removes a pending event. Canceling a fired or already-canceled
 // event is a no-op, so callers can cancel unconditionally. Cancellation is
-// lazy: the entry stays in the heap until it surfaces, then is recycled
-// without firing.
+// lazy: the entry stays in its lane or the heap until it surfaces at the
+// root, then is recycled without firing.
 func (q *Queue) Cancel(t Timer) {
 	e := t.e
 	if e == nil || e.gen != t.gen {
@@ -193,44 +279,20 @@ func (q *Queue) Cancel(t Timer) {
 // Step fires the earliest pending event and returns true, or returns false
 // if no live events remain.
 func (q *Queue) Step() bool {
-	for len(q.h) > 0 {
-		e := q.h[0]
-		q.popRoot()
-		if e.dead() { // lazily canceled; reclaim silently
-			q.recycle(e)
-			continue
-		}
-		q.now = e.at
-		fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
-		e.fn = nil
-		e.fn2 = nil
-		e.a0, e.a1 = nil, nil
-		e.gen++
-		q.live--
-		q.nfired++
-		// Recycle before dispatch: fn may Schedule and immediately reuse
-		// this slot, which is safe now that the generation has advanced.
-		q.recycle(e)
-		if fn2 != nil {
-			fn2(a0, a1)
-		} else {
-			fn()
-		}
-		return true
+	e := q.peek()
+	if e == nil {
+		return false
 	}
-	return false
+	q.fire(e)
+	return true
 }
 
 // RunUntil fires events until the queue is empty or the next event is after
 // deadline. Time advances to deadline if the queue drains earlier events
 // first; Now never exceeds deadline on return unless it already did.
 func (q *Queue) RunUntil(deadline int64) {
-	for {
-		q.purgeCanceled()
-		if len(q.h) == 0 || q.h[0].at > deadline {
-			break
-		}
-		q.Step()
+	for e := q.peek(); e != nil && e.at <= deadline; e = q.peek() {
+		q.fire(e)
 	}
 	if q.now < deadline {
 		q.now = deadline
@@ -240,41 +302,14 @@ func (q *Queue) RunUntil(deadline int64) {
 // RunBefore fires every event strictly before limit in one batched pass and
 // advances Now to limit. It is the shard-window primitive of the parallel
 // engine: a shard executes all events inside its lookahead-safe window
-// [Now, limit) with a single tight loop — no per-event purge pass, no
-// per-event dispatch-function call — amortizing the heap bookkeeping that
-// Step pays per event. On return Now == limit (the window's end), so the
-// next window's cross-shard arrivals, all stamped at or after limit by the
-// lookahead guarantee, can be scheduled without time running backwards. It
-// returns the number of events fired.
+// [Now, limit) with a single tight loop. On return Now == limit (the
+// window's end), so the next window's cross-shard arrivals, all stamped at
+// or after limit by the lookahead guarantee, can be scheduled without time
+// running backwards. It returns the number of events fired.
 func (q *Queue) RunBefore(limit int64) int {
 	fired := 0
-	for len(q.h) > 0 {
-		e := q.h[0]
-		if e.dead() { // lazily canceled; reclaim silently
-			q.popRoot()
-			q.recycle(e)
-			continue
-		}
-		if e.at >= limit {
-			break
-		}
-		q.popRoot()
-		q.now = e.at
-		fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
-		e.fn = nil
-		e.fn2 = nil
-		e.a0, e.a1 = nil, nil
-		e.gen++
-		q.live--
-		q.nfired++
-		// Recycle before dispatch: fn may Schedule and immediately reuse
-		// this slot, which is safe now that the generation has advanced.
-		q.recycle(e)
-		if fn2 != nil {
-			fn2(a0, a1)
-		} else {
-			fn()
-		}
+	for e := q.peek(); e != nil && e.at < limit; e = q.peek() {
+		q.fire(e)
 		fired++
 	}
 	if q.now < limit {
@@ -286,13 +321,13 @@ func (q *Queue) RunBefore(limit int64) int {
 // NextAt reports the firing time of the earliest pending event. ok is false
 // when no live events remain. Real-time executors (internal/live) use it to
 // set their wall-clock wakeup; the discrete-event Run/Drain loops never need
-// it. Lazily-canceled heap entries are purged so the answer is exact.
+// it. Lazily-canceled entries are purged so the answer is exact.
 func (q *Queue) NextAt() (at int64, ok bool) {
-	q.purgeCanceled()
-	if len(q.h) == 0 {
+	e := q.peek()
+	if e == nil {
 		return 0, false
 	}
-	return q.h[0].at, true
+	return e.at, true
 }
 
 // Drain fires events until none remain. maxEvents bounds runaway
@@ -323,15 +358,24 @@ func (q *Queue) Drain(maxEvents int64) {
 func (q *Queue) Diagnostics(k int) string { return q.diagnose(k) }
 
 // diagnose summarizes queue state for the Drain panic: the current time,
-// how many live events are pending, and the earliest k deadlines. A queue
-// owned by a parallel-engine shard (SetShard) leads with the shard id and
-// labels the time as that shard's local clock — under the sharded engine
-// there is no single global queue for the old message to describe.
+// how many live events are pending, and the earliest k deadlines across the
+// heap and every lane. A queue owned by a parallel-engine shard (SetShard)
+// leads with the shard id and labels the time as that shard's local clock —
+// under the sharded engine there is no single global queue for the old
+// message to describe.
 func (q *Queue) diagnose(k int) string {
-	next := make([]int64, 0, len(q.h))
+	next := make([]int64, 0, q.live)
 	for _, e := range q.h {
-		if !e.dead() {
+		if e.lane == nil && !e.dead() { // lane heads are counted with their lane
 			next = append(next, e.at)
+		}
+	}
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		for _, e := range l.evs[l.head:] {
+			if !e.dead() {
+				next = append(next, e.at)
+			}
 		}
 	}
 	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
@@ -346,13 +390,40 @@ func (q *Queue) diagnose(k int) string {
 		q.now, q.live, next)
 }
 
-// purgeCanceled pops lazily-canceled entries off the heap root so that
-// q.h[0], if present, is a live event.
-func (q *Queue) purgeCanceled() {
-	for len(q.h) > 0 && q.h[0].dead() {
+// peek returns the earliest live event, left in place at the heap root, or
+// nil when none remain. Lazily-canceled entries surfacing at the root on the
+// way are recycled.
+func (q *Queue) peek() *event {
+	for len(q.h) > 0 {
 		e := q.h[0]
+		if !e.dead() {
+			return e
+		}
 		q.popRoot()
 		q.recycle(e)
+	}
+	return nil
+}
+
+// fire removes e, the live root returned by peek, advances Now to its time
+// and dispatches it.
+func (q *Queue) fire(e *event) {
+	q.popRoot()
+	q.now = e.at
+	fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
+	e.fn = nil
+	e.fn2 = nil
+	e.a0, e.a1 = nil, nil
+	e.gen++
+	q.live--
+	q.nfired++
+	// Recycle before dispatch: fn may Schedule and immediately reuse
+	// this slot, which is safe now that the generation has advanced.
+	q.recycle(e)
+	if fn2 != nil {
+		fn2(a0, a1)
+	} else {
+		fn()
 	}
 }
 
@@ -364,9 +435,9 @@ func (q *Queue) recycle(e *event) {
 // ------------------------------------------------- inlined 4-ary heap ----
 //
 // A 4-ary layout halves the tree depth of a binary heap, trading slightly
-// wider sift-down scans for fewer cache-missing levels — a win at the
-// queue sizes the simulator sustains. Comparisons are direct field reads;
-// there is no interface dispatch anywhere on the push/pop path.
+// wider sift-down scans for fewer cache-missing levels. Comparisons are
+// direct field reads; there is no interface dispatch anywhere on the
+// push/pop path.
 
 // less orders events by (at, seq): time first, scheduling order on ties.
 func less(a, b *event) bool {
@@ -376,9 +447,11 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-func (q *Queue) siftUp(i int) {
+// push enters e into the heap.
+func (q *Queue) push(e *event) {
+	q.h = append(q.h, e)
 	h := q.h
-	e := h[i]
+	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 4
 		if !less(e, h[p]) {
@@ -390,18 +463,31 @@ func (q *Queue) siftUp(i int) {
 	h[i] = e
 }
 
-// popRoot removes h[0], restoring heap order.
+// popRoot removes h[0], restoring heap order. A lane head is replaced by its
+// lane successor, which can only sift down; any other root is replaced by
+// the heap's last element.
 func (q *Queue) popRoot() {
-	h := q.h
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	q.h = h[:n]
-	if n == 0 {
-		return
+	e := q.h[0]
+	if l := e.lane; l != nil {
+		e.lane = nil
+		if next := l.pop(); next != nil {
+			q.siftDown(next)
+			return
+		}
 	}
-	h = q.h
-	// Sift the former last element down from the root.
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = nil
+	q.h = q.h[:n]
+	if n > 0 {
+		q.siftDown(last)
+	}
+}
+
+// siftDown places e, the root's replacement, into the heap from the root.
+func (q *Queue) siftDown(e *event) {
+	h := q.h
+	n := len(h)
 	i := 0
 	for {
 		c := 4*i + 1
@@ -409,21 +495,18 @@ func (q *Queue) popRoot() {
 			break
 		}
 		// Smallest of up to four children.
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		m := c
 		for k := c + 1; k < end; k++ {
 			if less(h[k], h[m]) {
 				m = k
 			}
 		}
-		if !less(h[m], last) {
+		if !less(h[m], e) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = last
+	h[i] = e
 }

@@ -160,12 +160,18 @@ func TestDrainBudget(t *testing.T) {
 }
 
 // The budget panic must carry enough queue state to debug a hang: the sim
-// time it stopped at, the live event count, and the next deadlines.
+// time it stopped at, the live event count, and the next deadlines. Most of
+// the pending events here wait behind a lane head, out of the heap, and the
+// deadlines must still be the true earliest ones.
 func TestDrainBudgetPanicDiagnostics(t *testing.T) {
 	var q Queue
 	var bomb func()
 	bomb = func() { q.After(7, bomb) }
 	q.After(7, bomb)
+	nop := func(_, _ any) {}
+	for at := int64(100); at <= 800; at += 100 {
+		q.ScheduleCall(at, nop, nil, nil) // one lane: 100 heads it, 200..800 wait behind
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -175,7 +181,8 @@ func TestDrainBudgetPanicDiagnostics(t *testing.T) {
 		if !ok {
 			t.Fatalf("panic value %T, want string", r)
 		}
-		for _, want := range []string{"budget 10", "now=77ns", "1 live events", "next deadlines (ns): [84]"} {
+		for _, want := range []string{"budget 10", "now=77ns", "9 live events",
+			"next deadlines (ns): [84 100 200 300 400]"} {
 			if !strings.Contains(msg, want) {
 				t.Fatalf("panic message %q missing %q", msg, want)
 			}
@@ -333,6 +340,98 @@ func BenchmarkEventQCancel(b *testing.B) {
 		pending = q.Schedule(q.Now()+500, fn)
 		q.Schedule(q.Now()+100, fn)
 		q.Step()
+	}
+}
+
+// mixRig replays the event mix of the sim_clean testbed (one protected 100G
+// link at line rate, 1500 B frames): each generated packet walks a chain of
+// nine typed handlers with fixed delays, mixDelays[i] before handler i fires,
+// so each handler's events arrive in time order and run in its own lane. The
+// port stage also completes a short ACK frame after 7 ns for every third
+// packet, before the data frames already queued on that handler: those take
+// the heap. About 70 events are live in steady state, the rig's depth.
+type mixRig struct {
+	q    Queue
+	fn   [len(mixDelays)]func(a0, a1 any)
+	pkts int
+}
+
+// mixDelays are the testbed's per-hop delays (ns): generator interval, port
+// serialization, link propagation, switch pipeline, the quantized sender
+// flush, ACK view, host stack, and the two replenishing queues.
+var mixDelays = [...]int64{124, 122, 100, 1000, 1346, 1500, 4000, 200, 200}
+
+// mixAck marks a port completion that ends its chain.
+var mixAck = new(int)
+
+func newMixRig() *mixRig {
+	r := &mixRig{}
+	r.fn = [len(mixDelays)]func(a0, a1 any){
+		func(a0, a1 any) { a0.(*mixRig).hop(0, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(1, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(2, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(3, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(4, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(5, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(6, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(7, a1) },
+		func(a0, a1 any) { a0.(*mixRig).hop(8, a1) },
+	}
+	r.q.AfterCall(0, r.fn[0], r, nil)
+	return r
+}
+
+// hop fires handler i of the chain and schedules the packet's next hop.
+func (r *mixRig) hop(i int, a1 any) {
+	if a1 == mixAck || i == len(mixDelays)-1 {
+		return
+	}
+	next := i + 1
+	if next == 4 { // the sender's flush is an AtCall quantized to the timer tick
+		r.q.ScheduleCall((r.q.Now()+mixDelays[next]+99)/100*100, r.fn[next], r, nil)
+	} else {
+		r.q.AfterCall(mixDelays[next], r.fn[next], r, nil)
+	}
+	if i == 0 { // generator: re-arm; every third packet an ACK overtakes it on the port
+		r.pkts++
+		r.q.AfterCall(mixDelays[0], r.fn[0], r, nil)
+		if r.pkts%3 == 0 {
+			r.q.AfterCall(7, r.fn[1], r, mixAck)
+		}
+	}
+}
+
+// BenchmarkEventQTestbedMix measures ns per event on the testbed's real
+// mix, where most events ride a lane and the heap holds only lane heads and
+// the out-of-order ACK completions. BenchmarkEventQ and
+// BenchmarkEventQCancel use the closure form, so they measure the heap path.
+func BenchmarkEventQTestbedMix(b *testing.B) {
+	r := newMixRig()
+	r.q.RunUntil(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.q.Step()
+	}
+}
+
+// Steady state on the testbed mix allocates nothing: lane slices grow
+// during warm-up and are then compacted in place, and the heap fallback
+// reuses the heap's array.
+func TestTestbedMixZeroAllocsSteadyState(t *testing.T) {
+	r := newMixRig()
+	r.q.RunUntil(100_000)
+	allocs := testing.AllocsPerRun(10000, func() { r.q.Step() })
+	if allocs != 0 {
+		t.Fatalf("testbed mix allocates %.1f objects/event in steady state, want 0", allocs)
+	}
+	if n, live := len(r.q.h), r.q.Len(); live < 60 || n*4 > live {
+		t.Fatalf("%d of %d live events in the heap, want most of ~70 in lanes", n, live)
+	}
+	for i := range r.q.lanes {
+		if l := &r.q.lanes[i]; cap(l.evs) > 256 {
+			t.Fatalf("lane %d holds a %d-slot array: compaction is not reclaiming its fired prefix", i, cap(l.evs))
+		}
 	}
 }
 
