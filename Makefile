@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke bench-harness chaos cover fuzz live-smoke fleet-smoke results-smoke clean
+.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke bench-harness chaos cover loc fuzz live-smoke fleet-smoke results-smoke clean
 
 all: tier1
 
@@ -63,6 +63,12 @@ bench-harness:
 # scripts/coverage_thresholds.txt; raise them as coverage improves.
 cover:
 	./scripts/covercheck.sh
+
+# Ratcheted per-package line-count gate. Ceilings on non-test lines live
+# in scripts/loc_ceilings.txt; growing a package means raising its ceiling
+# in the same diff, and a deletion lowers it.
+loc:
+	./scripts/loccheck.sh
 
 # Fuzz smoke pass: ~55s total across the native fuzz targets. The
 # checked-in crasher corpus under testdata/fuzz/ also runs during plain

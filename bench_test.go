@@ -13,7 +13,6 @@ import (
 
 	"linkguardian/internal/core"
 	"linkguardian/internal/experiments"
-	"linkguardian/internal/fabric"
 	"linkguardian/internal/fleetsim"
 	"linkguardian/internal/phy"
 	"linkguardian/internal/simtime"
@@ -338,7 +337,7 @@ func BenchmarkAblation_IncrementalDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sum := func(frac float64) float64 {
 			res := fleetsim.Run(fleetsim.Config{
-				Fabric:         fabric.Config{Pods: 16},
+				Fabric:         fleetsim.Fabric{Pods: 16},
 				Horizon:        90 * 24 * time.Hour,
 				SampleEvery:    12 * time.Hour,
 				Seed:           7,

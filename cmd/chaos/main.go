@@ -47,7 +47,7 @@ func main() {
 	gen := flag.Int("gen", -1, "generated scenario index to run")
 	soak := flag.Int("soak", 0, "number of generated scenarios to sweep")
 	families := flag.Int("families", 0, "composite-family scenarios to sweep per family")
-	attrib := flag.Int("attrib", 0, "single-culprit attribution scenarios to sweep")
+	attrib := flag.Int("attrib", 0, "single-culprit attribution scenarios to sweep (not ingested into -results-dir)")
 	attribMulti := flag.Int("attrib-multi", 0, "correlated multi-culprit attribution scenarios (reported, not gated)")
 	attribMin := flag.Float64("attrib-min", 0.9, "minimum single-culprit top-1 accuracy")
 	seed := flag.Int64("seed", 1, "scenario seed (soak/gen: master seed)")
@@ -80,19 +80,6 @@ func main() {
 		}
 		opts.Sink = store
 	}
-	// exit drains the results batcher before terminating — os.Exit skips
-	// deferred calls, so every path below must leave through here.
-	exit := func(code int) {
-		if store != nil {
-			if err := store.Close(); err != nil {
-				log.Print(err)
-				if code == 0 {
-					code = 1
-				}
-			}
-		}
-		os.Exit(code)
-	}
 
 	switch {
 	case *list:
@@ -107,13 +94,13 @@ func main() {
 		}
 		if *fabric > 1 {
 			parallel.SetWorkers(*workers)
-			exit(runFabric(sc, *fabric, *metricsOut, stopProf))
+			os.Exit(runFabric(sc, *fabric, *metricsOut, store, stopProf))
 		}
-		exit(run(sc, opts, *tracePath, *metricsOut, store, stopProf))
+		os.Exit(run(sc, opts, *tracePath, *metricsOut, store, stopProf))
 
 	case *gen >= 0:
 		opts.Index = *gen
-		exit(run(chaos.GenScenario(*seed, *gen), opts, *tracePath, *metricsOut, store, stopProf))
+		os.Exit(run(chaos.GenScenario(*seed, *gen), opts, *tracePath, *metricsOut, store, stopProf))
 
 	case *soak > 0:
 		parallel.SetWorkers(*workers)
@@ -128,7 +115,7 @@ func main() {
 		ingestReports(store, "soak", res.Reports)
 		if len(res.Failures()) > 0 {
 			fmt.Printf("reproduce a failure with: chaos -gen <i> -seed %d\n", *seed)
-			exit(1)
+			os.Exit(1)
 		}
 
 	case *families > 0:
@@ -149,7 +136,7 @@ func main() {
 			ingestReports(store, "families", all)
 		}
 		if len(res.Failures()) > 0 {
-			exit(1)
+			os.Exit(1)
 		}
 
 	case *attrib > 0 || *attribMulti > 0:
@@ -159,14 +146,13 @@ func main() {
 		fmt.Print(res)
 		if rate := res.Top1Rate(); *attrib > 0 && rate < *attribMin {
 			fmt.Printf("FAIL: single-culprit top-1 accuracy %.3f < %.3f\n", rate, *attribMin)
-			exit(1)
+			os.Exit(1)
 		}
 
 	default:
 		flag.Usage()
-		exit(2)
+		os.Exit(2)
 	}
-	exit(0)
 }
 
 // reportRun converts one scenario report into a results run: the full
@@ -196,8 +182,8 @@ func reportRun(r *chaos.Report, index int) *results.Run {
 	return run
 }
 
-// ingestReports streams every report of a sweep through the results
-// batcher (no-op without a store).
+// ingestReports stores every report of a sweep as one batch (no-op
+// without a store).
 func ingestReports(store *results.Store, sweep string, reports []*chaos.Report) {
 	if store == nil {
 		return
@@ -249,7 +235,9 @@ func run(sc chaos.Scenario, opts chaos.RunOpts, tracePath, metricsOut string, st
 	return 0
 }
 
-func runFabric(sc chaos.Scenario, nsegs int, metricsOut string, stopProf func() error) int {
+// runFabric runs the scenario on every segment of an nsegs-segment fabric;
+// with a store, the segment reports ingest as one sweep named "fabric".
+func runFabric(sc chaos.Scenario, nsegs int, metricsOut string, store *results.Store, stopProf func() error) int {
 	fmt.Printf("scenario %s seed=%d rate=%v frame=%dB load=%.2f window=%v steps=%d fabric=%d\n",
 		sc.Name, sc.Seed, sc.Rate, sc.FrameSize, sc.LoadFrac, sc.Window, len(sc.Steps), nsegs)
 	fr := chaos.RunFabric(sc, nsegs, 0)
@@ -260,6 +248,7 @@ func runFabric(sc chaos.Scenario, nsegs int, metricsOut string, stopProf func() 
 		}
 	}
 	fmt.Println(fr)
+	ingestReports(store, "fabric", fr.Segments)
 	if fr.Failed() {
 		return 1
 	}

@@ -127,15 +127,10 @@ func registerFleet(r *obs.Registry, prefix string, results []fleetsim.SolutionRe
 	}
 }
 
-// ingestPareto streams one run per solution's Pareto row through the
-// results batcher. The config carries the fabric scale and seed (never the
-// worker count — matrix results are worker-invariant and the content hash
-// must be too).
+// ingestPareto stores one run per solution's Pareto row. The config
+// carries the fabric scale and seed (never the worker count — matrix
+// results are worker-invariant and the content hash must be too).
 func ingestPareto(dir string, cfg fleetsim.Config, m fleetsim.MatrixResult) error {
-	store, err := results.Open(dir)
-	if err != nil {
-		return err
-	}
 	conf := map[string]string{
 		"links":   fmt.Sprint(m.Config.NumLinks()),
 		"horizon": m.Config.Horizon.String(),
@@ -162,14 +157,11 @@ func ingestPareto(dir string, cfg fleetsim.Config, m fleetsim.MatrixResult) erro
 			},
 		})
 	}
-	added, err := store.AddAll(runs)
-	if cerr := store.Close(); err == nil {
-		err = cerr
-	}
+	summary, err := results.Ingest(dir, runs...)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, results.IngestSummary(dir, len(runs), added))
+	fmt.Fprintln(os.Stderr, summary)
 	return nil
 }
 

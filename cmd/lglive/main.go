@@ -222,9 +222,14 @@ func runDemoMode(o *options) error {
 			results.Record{Name: "latency.p999_sec", Value: report.P999.Seconds()},
 			results.Record{Name: "elapsed_sec", Value: report.Elapsed.Seconds()},
 		)
-		if err := ingestRun(o.resultsDir, run); err != nil {
+		// Live runs ride the wall clock, so every execution is a distinct
+		// data point: the content hash covers the measured counters.
+		run.Source = "cmd/lglive"
+		summary, err := results.Ingest(o.resultsDir, run)
+		if err != nil {
 			return err
 		}
+		fmt.Println(summary)
 	}
 	if o.strict {
 		return report.Check()
@@ -245,26 +250,6 @@ func (o *options) ingestConfig() map[string]string {
 		"flows": fmt.Sprint(o.flows),
 		"mode":  o.lgMode,
 	}
-}
-
-// ingestRun streams one run into the results store at dir. Live runs ride
-// the wall clock, so every execution is a distinct data point (the content
-// hash covers the measured counters, which differ run to run).
-func ingestRun(dir string, run *results.Run) error {
-	run.Source = "cmd/lglive"
-	store, err := results.Open(dir)
-	if err != nil {
-		return err
-	}
-	ack := store.Add(run)
-	if err := store.Close(); err != nil {
-		return err
-	}
-	if ack.Err != nil {
-		return ack.Err
-	}
-	fmt.Printf("results: run %s (new=%v) -> %s\n", ack.ID, ack.Added, dir)
-	return nil
 }
 
 // endpoint is a standalone sender or receiver: link id 0 of a mux on the

@@ -153,16 +153,12 @@ func main() {
 	}
 }
 
-// ingestFig8 streams one run per Figure 8 grid cell through the results
-// batcher: every protocol counter of the cell's metrics snapshot plus the
-// headline stress metrics become records, content-hashed so a re-run of the
-// same configuration deduplicates. -workers never appears in the config and
-// snapshots are worker-invariant, so the store content is too.
+// ingestFig8 stores one run per Figure 8 grid cell: every protocol counter
+// of the cell's metrics snapshot plus the headline stress metrics become
+// records, content-hashed so a re-run of the same configuration
+// deduplicates. -workers never appears in the config and snapshots are
+// worker-invariant, so the store content is too.
 func ingestFig8(dir string, scale float64, fig8 []experiments.StressResult) error {
-	store, err := results.Open(dir)
-	if err != nil {
-		return err
-	}
 	cfg := map[string]string{"scale": fmt.Sprintf("%g", scale)}
 	runs := make([]*results.Run, 0, len(fig8))
 	for _, r := range fig8 {
@@ -179,14 +175,11 @@ func ingestFig8(dir string, scale float64, fig8 []experiments.StressResult) erro
 		)
 		runs = append(runs, run)
 	}
-	added, err := store.AddAll(runs)
-	if cerr := store.Close(); err == nil {
-		err = cerr
-	}
+	summary, err := results.Ingest(dir, runs...)
 	if err != nil {
 		return err
 	}
-	fmt.Println(results.IngestSummary(dir, len(runs), added))
+	fmt.Println(summary)
 	return nil
 }
 

@@ -58,23 +58,20 @@ func run(dir, kind, metric string, args []string) error {
 		if len(args) == 0 {
 			return fmt.Errorf("import: no files named")
 		}
-		store, err := results.Open(dir)
+		runs, err := results.ImportBenchFiles(args)
 		if err != nil {
 			return err
 		}
-		total, added, err := results.ImportBenchFiles(store, args)
-		if cerr := store.Close(); err == nil {
-			err = cerr
-		}
+		summary, err := results.Ingest(dir, runs...)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(out, results.IngestSummary(dir, total, added))
+		fmt.Fprintln(out, summary)
 		return nil
 	}
 
-	// Query commands open the backend read-mostly, no batcher needed.
-	b, err := results.OpenFile(dir, results.FileOptions{})
+	// Query commands only read the backend.
+	b, err := results.OpenFile(dir)
 	if err != nil {
 		return err
 	}

@@ -508,13 +508,7 @@ type FamilySoakResult struct {
 // across the worker pool; merge order is (family, index), so the result is
 // bit-identical at any worker count.
 func FamilySoak(master int64, perFamily int) *FamilySoakResult {
-	return FamilySoakArtifacts(master, perFamily, "")
-}
-
-// FamilySoakArtifacts is FamilySoak with the flight recorder armed for every
-// failing scenario.
-func FamilySoakArtifacts(master int64, perFamily int, dir string) *FamilySoakResult {
-	return FamilySoakWith(master, perFamily, RunOpts{ArtifactDir: dir})
+	return FamilySoakWith(master, perFamily, RunOpts{})
 }
 
 // FamilySoakWith is FamilySoak with full per-run options (directory or

@@ -169,7 +169,7 @@ func TestFlightRecorderSink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, err := results.OpenFile(dir, results.FileOptions{})
+	b, err := results.OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,22 +45,14 @@ func (s *SoakResult) String() string {
 // seeded by parallel.SeedFor(master, i); results merge in index order, so
 // the sweep is bit-identical at any worker count.
 func Soak(master int64, n int) *SoakResult {
-	return SoakArtifacts(master, n, "")
-}
-
-// SoakArtifacts is Soak with the flight recorder armed: every failing
-// scenario dumps an artifact directory under dir, keyed by its scenario
-// index and seed. An empty dir disables artifacts (plain Soak). Artifact
-// paths live outside Report.String(), so the determinism contract of the
-// report text is unaffected.
-func SoakArtifacts(master int64, n int, dir string) *SoakResult {
-	return SoakWith(master, n, RunOpts{ArtifactDir: dir})
+	return SoakWith(master, n, RunOpts{})
 }
 
 // SoakWith is Soak with full per-run options (flight-recorder directory or
 // results-store sink); opts.Index is overwritten with each scenario's
 // index. Sinks must be safe for concurrent use — scenarios run across the
-// worker pool.
+// worker pool. Artifact locators live outside Report.String(), so the
+// determinism contract of the report text is unaffected.
 func SoakWith(master int64, n int, opts RunOpts) *SoakResult {
 	return &SoakResult{
 		Master: master,

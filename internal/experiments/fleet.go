@@ -6,7 +6,6 @@ import (
 	"math"
 	"time"
 
-	"linkguardian/internal/fabric"
 	"linkguardian/internal/fleetsim"
 	"linkguardian/internal/parallel"
 	"linkguardian/internal/stats"
@@ -48,7 +47,7 @@ type FleetComparison struct {
 // trace for both solutions, so the two series are a paired comparison.
 func RunFleet(constraint float64, opts FleetOpts) FleetComparison {
 	m := fleetsim.RunMatrix(fleetsim.Config{
-		Fabric:      fabric.Config{Pods: opts.Pods},
+		Fabric:      fleetsim.Fabric{Pods: opts.Pods},
 		Horizon:     opts.Horizon,
 		SampleEvery: opts.SampleEvery,
 		Seed:        opts.Seed,

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"linkguardian/internal/fabric"
 	"linkguardian/internal/failtrace"
 	"linkguardian/internal/parallel"
 )
@@ -13,7 +12,7 @@ import (
 // Config sizes a sharded fleet run. The zero value of every field selects
 // a sensible default; Links wins over Fabric.Pods when both are set.
 type Config struct {
-	Fabric      fabric.Config // pod shape; zero means fabric.DefaultConfig's shape
+	Fabric      Fabric        // pod shape; zero means DefaultFabric's shape
 	Links       int           // target link count, rounded up to whole pods
 	Horizon     time.Duration // simulated span; zero means one year
 	SampleEvery time.Duration // metric sampling interval; zero means 6h
@@ -40,7 +39,7 @@ type Config struct {
 
 func (c Config) normalized() Config {
 	if c.Fabric.ToRsPerPod == 0 {
-		shape := fabric.DefaultConfig()
+		shape := DefaultFabric()
 		shape.Pods = c.Fabric.Pods
 		c.Fabric = shape
 	}
@@ -48,7 +47,7 @@ func (c Config) normalized() Config {
 		c.Fabric.Pods = c.Fabric.PodsFor(c.Links)
 	}
 	if c.Fabric.Pods == 0 {
-		c.Fabric.Pods = fabric.DefaultConfig().Pods
+		c.Fabric.Pods = DefaultFabric().Pods
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 365 * 24 * time.Hour

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"linkguardian/internal/fabric"
 	"linkguardian/internal/parallel"
 )
 
@@ -77,7 +76,7 @@ func TestFleetShardStructureFixedByConfig(t *testing.T) {
 // corrupting set, repair queue) against brute-force recomputation at every
 // sample point, on a tiny pod shape and on the Figure 4 one.
 func TestShardStreamingMatchesRecompute(t *testing.T) {
-	shapes := []fabric.Config{
+	shapes := []Fabric{
 		{Pods: 2, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8},
 		{Pods: 2, ToRsPerPod: 48, FabricsPerPod: 4, SpinesPerPlane: 48},
 	}
@@ -88,7 +87,7 @@ func TestShardStreamingMatchesRecompute(t *testing.T) {
 	}
 }
 
-func streamingMatchesRecompute(t *testing.T, shape fabric.Config, name string) {
+func streamingMatchesRecompute(t *testing.T, shape Fabric, name string) {
 	sol, err := SolutionByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +180,7 @@ func TestMatrixSanity(t *testing.T) {
 // TestMergeSamples pins the shard-merge reduction: sums for extensive
 // quantities, minima for the least-* metrics, in shard-index order.
 func TestMergeSamples(t *testing.T) {
-	cfg := Config{Fabric: fabric.DefaultConfig()}.normalized()
+	cfg := Config{Fabric: DefaultFabric()}.normalized()
 	a := []shardSample{{at: 6 * time.Hour, penalty: 1.5, minPaths: 190, minPodCap: 0.99, activeCorrupting: 2, disabled: 1, protected: 2, repairs: 3, cost: 4.5}}
 	b := []shardSample{{at: 6 * time.Hour, penalty: 0.25, minPaths: 100, minPodCap: 0.75, activeCorrupting: 1, disabled: 0, protected: 1, repairs: 1, cost: 1}}
 	got := mergeSamples(cfg, [][]shardSample{a, b})

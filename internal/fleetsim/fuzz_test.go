@@ -3,8 +3,6 @@ package fleetsim
 import (
 	"testing"
 	"time"
-
-	"linkguardian/internal/fabric"
 )
 
 // FuzzLinkLifecycle drives the per-link lifetime state machine (Weibull
@@ -28,7 +26,7 @@ func FuzzLinkLifecycle(f *testing.F) {
 			ops = ops[:4096]
 		}
 		cfg := Config{
-			Fabric:       fabric.Config{Pods: 2, ToRsPerPod: 4, FabricsPerPod: 2, SpinesPerPlane: 4},
+			Fabric:       Fabric{Pods: 2, ToRsPerPod: 4, FabricsPerPod: 2, SpinesPerPlane: 4},
 			Horizon:      365 * 24 * time.Hour,
 			SampleEvery:  24 * time.Hour,
 			Seed:         seed,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"linkguardian/internal/fabric"
 	"linkguardian/internal/lgmodel"
 )
 
@@ -14,7 +13,7 @@ import (
 // switches, 48 spines per plane).
 func figure4Config(pods int, constraint float64) Config {
 	return Config{
-		Fabric:       fabric.Config{Pods: pods, ToRsPerPod: 48, FabricsPerPod: 4, SpinesPerPlane: 48},
+		Fabric:       Fabric{Pods: pods, ToRsPerPod: 48, FabricsPerPod: 4, SpinesPerPlane: 48},
 		Seed:         7,
 		Constraint:   constraint,
 		PodsPerShard: pods,
@@ -48,7 +47,7 @@ func denseShard(sol Solution, deploy float64, n int, horizon, every time.Duratio
 	return s
 }
 
-// TestLinkIDsRoundTrip pins the pod-major link layout of fabric.Config:
+// TestLinkIDsRoundTrip pins the pod-major link layout of Fabric:
 // every ToR and spine link has a distinct ID that decodes back to its pod,
 // kind and fabric switch, and together they cover the shard.
 func TestLinkIDsRoundTrip(t *testing.T) {

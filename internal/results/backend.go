@@ -9,8 +9,8 @@ import (
 var ErrNotFound = errors.New("results: not found")
 
 // Backend is the swappable persistence seam. Implementations must be safe
-// for concurrent use: the batcher commits from its own goroutine while
-// artifact producers put blobs and queries read.
+// for concurrent use: soak sweeps register flight-recorder artifacts from
+// every worker while queries read.
 //
 // Commit is all-or-nothing per batch: on error no run from the batch is
 // observable afterwards. added[i] reports whether runs[i] was new; a run

@@ -6,17 +6,15 @@ import (
 	"testing"
 )
 
-// benchIngest drives nProducers goroutines streaming distinct runs through
-// one batcher into the backend and reports records/sec plus the per-stage
-// timing breakdown (enqueue wait, batch latch, backend commit) from the
-// batcher's own counters. This is the BENCH ingest gate: the file backend
-// must sustain >= 100k records/sec on one vCPU.
+// benchIngest drives nProducers goroutines calling Store.Add on distinct
+// runs into the backend and reports records/sec. This is the BENCH ingest
+// gate: the file backend must sustain >= 100k records/sec on one vCPU.
 func benchIngest(b *testing.B, backend Backend, nProducers int) {
-	bt := NewBatcher(backend, BatcherOpts{})
+	s := NewStore(backend)
 
 	// Pre-build the distinct runs so the timed section is the ingestion
-	// path itself — Submit, hash, batch, commit, ack — not producer-side
-	// struct construction.
+	// path itself — hash, commit, ack — not producer-side struct
+	// construction.
 	per := b.N/nProducers + 1
 	runs := make([][]*Run, nProducers)
 	for p := range runs {
@@ -41,12 +39,8 @@ func benchIngest(b *testing.B, backend Backend, nProducers int) {
 		wg.Add(1)
 		go func(mine []*Run) {
 			defer wg.Done()
-			acks := make([]<-chan Ack, 0, len(mine))
 			for _, r := range mine {
-				acks = append(acks, bt.Submit(r))
-			}
-			for _, ch := range acks {
-				if ack := <-ch; ack.Err != nil {
+				if ack := s.Add(r); ack.Err != nil {
 					b.Error(ack.Err)
 					return
 				}
@@ -56,20 +50,11 @@ func benchIngest(b *testing.B, backend Backend, nProducers int) {
 	wg.Wait()
 	b.StopTimer()
 
-	st := bt.Stats()
-	n := float64(st.Submitted)
-	b.ReportMetric(n/b.Elapsed().Seconds(), "records/sec")
-	b.ReportMetric(float64(st.EnqueueWaitNs)/n, "enqueue-ns/rec")
-	b.ReportMetric(float64(st.BatchLatchNs)/n, "latch-ns/rec")
-	b.ReportMetric(float64(st.CommitNs)/n, "commit-ns/rec")
-	b.ReportMetric(n/float64(st.Batches), "recs/batch")
-	if err := bt.Close(); err != nil {
-		b.Fatal(err)
-	}
+	b.ReportMetric(float64(nProducers*per)/b.Elapsed().Seconds(), "records/sec")
 }
 
 func BenchmarkIngestFile(b *testing.B) {
-	f, err := OpenFile(b.TempDir(), FileOptions{})
+	f, err := OpenFile(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // Layout under the store directory:
 //
 //	segments/seg-00000001.jsonl   one JSON-encoded Run per line, append-only
-//	segments/seg-00000002.jsonl   (the active segment rotates at SegmentBytes)
+//	segments/seg-00000002.jsonl   (the active segment rotates at segmentBytes)
 //	blobs/ab/<addr>               artifact blobs, keyed by BlobAddr(content)
 //
 // There is no separate index file to corrupt or drift: OpenFile rebuilds the
@@ -42,26 +42,19 @@ type fileRef struct {
 	off, len int64
 }
 
-// FileOptions tunes the file backend; the zero value uses the defaults.
-type FileOptions struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB). Rotation happens between batches, so one batch may
-	// overshoot the limit.
-	SegmentBytes int64
-}
-
-const defaultSegmentBytes = 4 << 20
+// segmentBytes rotates the active segment once it exceeds this size.
+// Rotation happens between batches, so one batch may overshoot the limit.
+const segmentBytes = 4 << 20
 
 // OpenFile opens (creating if necessary) a file store rooted at dir and
 // rebuilds the index from the segments on disk.
-func OpenFile(dir string, opts FileOptions) (*File, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = defaultSegmentBytes
-	}
+func OpenFile(dir string) (*File, error) { return openFile(dir, segmentBytes) }
+
+func openFile(dir string, maxSeg int64) (*File, error) {
 	f := &File{
 		dir:    dir,
 		index:  map[string]fileRef{},
-		maxSeg: opts.SegmentBytes,
+		maxSeg: maxSeg,
 	}
 	if err := os.MkdirAll(f.segDir(), 0o755); err != nil {
 		return nil, err
@@ -142,7 +135,7 @@ func (f *File) rebuild() error {
 }
 
 // Commit appends the batch as one write to the active segment, rotating it
-// afterwards if it outgrew SegmentBytes. Runs already present (by content
+// afterwards if it outgrew its size limit. Runs already present (by content
 // hash) are skipped.
 func (f *File) Commit(runs []*Run) ([]bool, error) {
 	f.mu.Lock()

@@ -19,7 +19,7 @@ func mustCommit(t *testing.T, b Backend, runs ...*Run) []bool {
 
 func TestFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{})
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestFileRoundTrip(t *testing.T) {
 
 func TestFileReopenRebuildsIndex(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{})
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestFileReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := OpenFile(dir, FileOptions{})
+	g, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestFileReopenRebuildsIndex(t *testing.T) {
 
 func TestFileSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{SegmentBytes: 512})
+	f, err := openFile(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFileSegmentRotation(t *testing.T) {
 		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
 	}
 	// Everything must survive reopen across the segment boundaries.
-	g, err := OpenFile(dir, FileOptions{SegmentBytes: 512})
+	g, err := openFile(dir, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFileSegmentRotation(t *testing.T) {
 
 func TestFileTornTrailingLine(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{})
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestFileTornTrailingLine(t *testing.T) {
 	}
 	h.Close()
 
-	g, err := OpenFile(dir, FileOptions{})
+	g, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFileTornTrailingLine(t *testing.T) {
 
 func TestFileBlobs(t *testing.T) {
 	dir := t.TempDir()
-	f, err := OpenFile(dir, FileOptions{})
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestBackendContract(t *testing.T) {
 	backends := map[string]func(t *testing.T) Backend{
 		"mem": func(t *testing.T) Backend { return NewMem() },
 		"file": func(t *testing.T) Backend {
-			f, err := OpenFile(t.TempDir(), FileOptions{})
+			f, err := OpenFile(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -87,18 +87,16 @@ func ImportBench(data []byte, pr int) (*Run, error) {
 	return run, nil
 }
 
-// ImportBenchFiles imports every named BENCH_*.json through the store's
-// batcher and returns the number of files processed and runs added.
-func ImportBenchFiles(s *Store, paths []string) (total, added int, err error) {
+// ImportBenchFiles converts every named BENCH_*.json into its run,
+// stopping at the first file that fails.
+func ImportBenchFiles(paths []string) ([]*Run, error) {
 	runs := make([]*Run, 0, len(paths))
 	for _, p := range paths {
-		r, ierr := ImportBenchFile(p)
-		if ierr != nil {
-			return total, added, ierr
+		r, err := ImportBenchFile(p)
+		if err != nil {
+			return nil, err
 		}
 		runs = append(runs, r)
 	}
-	total = len(runs)
-	added, err = s.AddAll(runs)
-	return total, added, err
+	return runs, nil
 }

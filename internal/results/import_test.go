@@ -1,6 +1,7 @@
 package results
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -69,25 +70,24 @@ func TestImportBenchFileNaming(t *testing.T) {
 // TestImportIdempotent: re-importing the same corpus is a pure dedup — the
 // content hash, not the file name or mtime, is the identity.
 func TestImportIdempotent(t *testing.T) {
-	s := NewStore(NewMem(), BatcherOpts{})
-	defer s.Close()
-	total, added, err := ImportBenchFiles(s, benchFixtures)
-	if err != nil || added != total {
-		t.Fatalf("first import: %d/%d, %v", added, total, err)
-	}
-	total, added, err = ImportBenchFiles(s, benchFixtures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 0 {
-		t.Fatalf("re-import added %d of %d", added, total)
+	dir := t.TempDir()
+	for _, want := range []string{"(4 new, 0 deduplicated)", "(0 new, 4 deduplicated)"} {
+		runs, err := ImportBenchFiles(benchFixtures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		summary, err := Ingest(dir, runs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(summary, want) {
+			t.Fatalf("summary %q, want suffix %q", summary, want)
+		}
 	}
 }
 
 func TestImportBenchFilesMissing(t *testing.T) {
-	s := NewStore(NewMem(), BatcherOpts{})
-	defer s.Close()
-	if _, _, err := ImportBenchFiles(s, []string{"BENCH_99999.json"}); err == nil {
+	if _, err := ImportBenchFiles([]string{"BENCH_99999.json"}); err == nil {
 		t.Fatal("missing file imported")
 	}
 }

@@ -15,9 +15,9 @@ func NewMem() *Mem {
 	return &Mem{runs: map[string]*Run{}, blobs: map[string][]byte{}}
 }
 
-// Commit stores the batch. Runs are retained by pointer: a submitted run
-// must not be mutated afterwards (the Store's Submit documents the
-// ownership transfer).
+// Commit stores the batch. Runs are retained by pointer: a committed run
+// must not be mutated afterwards (Store.Add documents the ownership
+// transfer).
 func (m *Mem) Commit(runs []*Run) ([]bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -43,20 +43,20 @@ var benchFixtures = []string{
 
 func seedBenchHistory(t *testing.T, b Backend, order []int) {
 	t.Helper()
-	s := NewStore(b, BatcherOpts{})
 	paths := make([]string, len(order))
 	for i, j := range order {
 		paths[i] = benchFixtures[j]
 	}
-	total, added, err := ImportBenchFiles(s, paths)
+	runs, err := ImportBenchFiles(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != len(benchFixtures) || added != len(benchFixtures) {
-		t.Fatalf("imported %d/%d, want %d fresh", added, total, len(benchFixtures))
-	}
-	if err := s.Batcher.Close(); err != nil { // keep the backend open for queries
+	added, err := NewStore(b).AddAll(runs)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if added != len(benchFixtures) {
+		t.Fatalf("imported %d/%d, want %d fresh", added, len(runs), len(benchFixtures))
 	}
 }
 
@@ -75,7 +75,7 @@ func TestQueryGolden(t *testing.T) {
 		{"mem-reversed", NewMem(), []int{3, 2, 1, 0}},
 	}
 	for _, order := range [][]int{{0, 1, 2, 3}, {2, 0, 3, 1}} {
-		f, err := OpenFile(t.TempDir(), FileOptions{})
+		f, err := OpenFile(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,16 +17,11 @@
 //     (file.go) — an append-only segmented log with a rebuild-on-open index
 //     and a content-addressed blob store.
 //
-//   - Batcher (batcher.go) is the channel-fed batching committer: thousands
-//     of parallel producers Submit runs; one committer goroutine latches
-//     them into batches and commits through the Backend; every item gets
-//     its own response channel carrying the commit timing breakdown
-//     (enqueue wait, batch latch, backend commit), so ingestion cost is
-//     itself observable.
-//
-//   - Store (store.go) ties a Backend to a Batcher and implements
-//     obs.ArtifactSink, so chaos flight-recorder artifacts register as
-//     content-addressed blobs instead of bare-directory dumps.
+//   - Store (store.go) is the write handle: Add and AddAll hash and commit
+//     through the Backend in the caller's goroutine, Ingest is the
+//     open-commit-close path of the one-shot producer CLIs, and Store
+//     implements obs.ArtifactSink, so chaos flight-recorder artifacts
+//     register as content-addressed blobs instead of bare-directory dumps.
 //
 // Determinism contract: query rendering (query.go) sorts runs by
 // (kind, PR, name, ID) and records by name, so the rendered output is

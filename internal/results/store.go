@@ -7,61 +7,59 @@ import (
 	"linkguardian/internal/obs"
 )
 
-// Store ties a Backend to a running Batcher: the handle producers hold.
+// Store is the handle producers hold: every write commits through the
+// Backend in the caller's goroutine, so a returned call has either stored
+// its runs or reported why not, and there is nothing to drain on exit.
 type Store struct {
 	Backend Backend
-	Batcher *Batcher
 }
 
-// Open opens (creating if necessary) a file-backed store at dir with a
-// default batcher.
+// Ack is the outcome of one Add.
+type Ack struct {
+	ID    string // content hash assigned to the run
+	Added bool   // false when the run deduplicated against an existing ID
+	Err   error  // non-nil when the commit failed; the run is not stored
+}
+
+// Open opens (creating if necessary) a file-backed store at dir.
 func Open(dir string) (*Store, error) {
-	b, err := OpenFile(dir, FileOptions{})
+	b, err := OpenFile(dir)
 	if err != nil {
 		return nil, err
 	}
-	return NewStore(b, BatcherOpts{}), nil
+	return NewStore(b), nil
 }
 
-// NewStore wraps an existing backend with a fresh batcher.
-func NewStore(b Backend, opts BatcherOpts) *Store {
-	return &Store{Backend: b, Batcher: NewBatcher(b, opts)}
-}
+// NewStore wraps an existing backend.
+func NewStore(b Backend) *Store { return &Store{Backend: b} }
 
-// Submit streams one run through the batcher; see Batcher.Submit.
-func (s *Store) Submit(run *Run) <-chan Ack { return s.Batcher.Submit(run) }
-
-// Add submits the run and waits for its ack — the synchronous convenience
-// for low-rate producers (CLI ingestion, artifact registration).
-func (s *Store) Add(run *Run) Ack { return <-s.Submit(run) }
-
-// AddAll submits every run, then waits for every ack. It returns the
-// number added (non-duplicate) and the first commit error, if any.
-func (s *Store) AddAll(runs []*Run) (added int, err error) {
-	acks := make([]<-chan Ack, len(runs))
-	for i, r := range runs {
-		acks[i] = s.Submit(r)
+// Add assigns the run its content hash and commits it. Ownership of the
+// run transfers to the store: it must not be mutated afterwards.
+func (s *Store) Add(run *Run) Ack {
+	if run.ID == "" {
+		run.ID = run.Hash()
 	}
-	for _, ch := range acks {
-		a := <-ch
-		if a.Added {
+	added, err := s.Backend.Commit([]*Run{run})
+	return Ack{ID: run.ID, Added: err == nil && added[0], Err: err}
+}
+
+// AddAll commits every run as one batch. It returns the number added
+// (non-duplicate) and the commit error, if any; on error nothing is stored.
+func (s *Store) AddAll(runs []*Run) (added int, err error) {
+	flags, err := s.Backend.Commit(runs)
+	if err != nil {
+		return 0, err
+	}
+	for _, a := range flags {
+		if a {
 			added++
 		}
-		if a.Err != nil && err == nil {
-			err = a.Err
-		}
 	}
-	return added, err
+	return added, nil
 }
 
-// Close drains the batcher, then closes the backend. Producers must have
-// stopped submitting.
-func (s *Store) Close() error {
-	if err := s.Batcher.Close(); err != nil {
-		return err
-	}
-	return s.Backend.Close()
-}
+// Close closes the backend.
+func (s *Store) Close() error { return s.Backend.Close() }
 
 // PutArtifact implements obs.ArtifactSink: every file becomes a
 // content-addressed blob and the set registers as one run of kind
@@ -95,8 +93,21 @@ func (s *Store) PutArtifact(key string, meta map[string]string, files []obs.Arti
 
 var _ obs.ArtifactSink = (*Store)(nil)
 
-// IngestSummary formats an AddAll outcome for producer CLIs.
-func IngestSummary(dir string, total, added int) string {
+// Ingest is the one-shot producer path: it opens the file store at dir,
+// commits the runs as one batch, closes the store, and returns the line a
+// producer CLI prints.
+func Ingest(dir string, runs ...*Run) (summary string, err error) {
+	s, err := Open(dir)
+	if err != nil {
+		return "", err
+	}
+	added, err := s.AddAll(runs)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", err
+	}
 	return fmt.Sprintf("results: %d run(s) ingested into %s (%d new, %d deduplicated)",
-		total, dir, added, total-added)
+		len(runs), dir, added, len(runs)-added), nil
 }

@@ -2,10 +2,155 @@ package results
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"linkguardian/internal/obs"
 )
+
+// faultBackend wraps a Backend and injects commit stalls and failures:
+// every failEvery-th commit returns errInjected (without storing the
+// batch), and every commit sleeps for stall outside any lock, so
+// concurrent commits overlap.
+type faultBackend struct {
+	Backend
+	stall     time.Duration
+	failEvery int // 0 = never fail
+
+	commits atomic.Uint64
+}
+
+var errInjected = errors.New("injected commit failure")
+
+func (f *faultBackend) Commit(runs []*Run) ([]bool, error) {
+	n := f.commits.Add(1)
+	if f.stall > 0 {
+		time.Sleep(f.stall)
+	}
+	if f.failEvery > 0 && n%uint64(f.failEvery) == 0 {
+		return nil, errInjected
+	}
+	return f.Backend.Commit(runs)
+}
+
+func testRun(producer, i int) *Run {
+	return &Run{
+		Kind:   "bench",
+		Name:   fmt.Sprintf("soak-%d-%d", producer, i),
+		Config: map[string]string{"producer": fmt.Sprint(producer)},
+		Records: []Record{
+			{Name: "value", Value: float64(i)},
+			{Name: "producer", Value: float64(producer)},
+		},
+	}
+}
+
+// TestStoreSoak is the concurrency soak: many producers Add runs at once
+// into a stalling, intermittently failing backend. The guarantees under
+// test: every Add reports exactly one of added, deduplicated or errored,
+// the outcomes partition the total, and the backend holds exactly the runs
+// reported added. Run under -race.
+func TestStoreSoak(t *testing.T) {
+	const (
+		producers = 32
+		perProd   = 150
+	)
+	fb := &faultBackend{Backend: NewMem(), stall: 100 * time.Microsecond, failEvery: 7}
+	s := NewStore(fb)
+
+	var deduped, errored atomic.Uint64
+	var mu sync.Mutex
+	addedIDs := map[string]bool{}
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProd; i++ {
+				ack := s.Add(testRun(p, i%100)) // i%100 forces intra-producer duplicates
+				if ack.ID == "" {
+					t.Error("ack without ID")
+				}
+				switch {
+				case ack.Err != nil:
+					if !errors.Is(ack.Err, errInjected) || ack.Added {
+						t.Errorf("unexpected errored ack: %+v", ack)
+					}
+					errored.Add(1)
+				case ack.Added:
+					mu.Lock()
+					if addedIDs[ack.ID] {
+						t.Errorf("run %s added twice", ack.ID)
+					}
+					addedIDs[ack.ID] = true
+					mu.Unlock()
+				default:
+					deduped.Add(1)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+
+	const total = producers * perProd
+	if got := uint64(len(addedIDs)) + deduped.Load() + errored.Load(); got != total {
+		t.Fatalf("outcomes don't partition: %d added + %d deduped + %d errored != %d",
+			len(addedIDs), deduped.Load(), errored.Load(), total)
+	}
+	if errored.Load() == 0 {
+		t.Fatal("fault injection never fired — the test lost its teeth")
+	}
+	if deduped.Load() == 0 {
+		t.Fatal("no duplicate deduplicated")
+	}
+	stored, err := fb.Backend.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != len(addedIDs) {
+		t.Fatalf("backend holds %d runs, acks said %d added", len(stored), len(addedIDs))
+	}
+	for _, r := range stored {
+		if !addedIDs[r.ID] {
+			t.Fatalf("backend holds %s, never acked added", r.ID)
+		}
+	}
+}
+
+// A failing commit stores nothing of the batch and AddAll returns its
+// error.
+func TestStoreAddAllCommitError(t *testing.T) {
+	mem := NewMem()
+	s := NewStore(&faultBackend{Backend: mem, failEvery: 1}) // every commit fails
+	runs := make([]*Run, 20)
+	for i := range runs {
+		runs[i] = testRun(2, i)
+	}
+	added, err := s.AddAll(runs)
+	if !errors.Is(err, errInjected) || added != 0 {
+		t.Fatalf("AddAll = %d, %v; want 0, injected error", added, err)
+	}
+	if stored, _ := mem.List(); len(stored) != 0 {
+		t.Fatalf("%d runs stored through failing commits", len(stored))
+	}
+}
+
+func TestStoreAddAfterClose(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ack := s.Add(testRun(4, 1)); ack.Err == nil || ack.Added {
+		t.Fatalf("Add after Close = %+v, want an error", ack)
+	}
+}
 
 func TestStorePutArtifact(t *testing.T) {
 	for _, backend := range []struct {
@@ -14,7 +159,7 @@ func TestStorePutArtifact(t *testing.T) {
 	}{
 		{"mem", func(t *testing.T) Backend { return NewMem() }},
 		{"file", func(t *testing.T) Backend {
-			f, err := OpenFile(t.TempDir(), FileOptions{})
+			f, err := OpenFile(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -23,7 +168,7 @@ func TestStorePutArtifact(t *testing.T) {
 	} {
 		t.Run(backend.name, func(t *testing.T) {
 			b := backend.open(t)
-			s := NewStore(b, BatcherOpts{})
+			s := NewStore(b)
 			files := []obs.Artifact{
 				{Name: "violations.txt", Data: []byte("rule=no-loss\n")},
 				{Name: "trace.jsonl", Data: []byte(`{"ev":"tx"}` + "\n")},
@@ -45,10 +190,7 @@ func TestStorePutArtifact(t *testing.T) {
 			if err != nil || loc2 != loc {
 				t.Fatalf("re-put: %q, %v", loc2, err)
 			}
-			if err := s.Batcher.Close(); err != nil {
-				t.Fatal(err)
-			}
-			defer b.Close()
+			defer s.Close()
 
 			run, err := b.Get(id)
 			if err != nil {
@@ -93,7 +235,7 @@ func TestStorePutArtifact(t *testing.T) {
 }
 
 func TestStoreAddAll(t *testing.T) {
-	s := NewStore(NewMem(), BatcherOpts{})
+	s := NewStore(NewMem())
 	runs := []*Run{testRun(0, 1), testRun(0, 2), testRun(0, 1)}
 	added, err := s.AddAll(runs)
 	if err != nil {
@@ -120,7 +262,7 @@ func TestOpenRoundTrip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFile(dir, FileOptions{})
+	f, err := OpenFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,26 +285,5 @@ func TestFromSnapshot(t *testing.T) {
 	}
 	if _, ok := run.Record("depth.hwm"); !ok {
 		t.Fatal("gauge HWM record missing")
-	}
-}
-
-func TestBatcherRegister(t *testing.T) {
-	s := NewStore(NewMem(), BatcherOpts{})
-	reg := obs.NewRegistry()
-	s.Batcher.Register(reg, "results")
-	s.Add(testRun(5, 1))
-	snap := reg.Snapshot()
-	found := map[string]uint64{}
-	for _, c := range snap.Counters {
-		found[c.Name] = c.Value
-	}
-	if found["results.submitted"] != 1 || found["results.committed"] != 1 {
-		t.Fatalf("registered counters: %v", found)
-	}
-	if found["results.enqueue_wait_ns"] == 0 && found["results.commit_ns"] == 0 {
-		t.Fatalf("stage timing counters all zero: %v", found)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

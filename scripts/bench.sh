@@ -6,9 +6,8 @@
 # 100K-link fleet for one simulated year per iteration), the live wire
 # path (BenchmarkLiveWire_PktsPerSec: the batched mux socket carrying one
 # link and eight), and the results-service ingest path
-# (BenchmarkIngestFile/Mem: 64 parallel producers streaming runs through
-# the batching committer into each backend, with the per-stage commit
-# timing breakdown), and records the results as BENCH_10.json at the
+# (BenchmarkIngestFile/Mem: 64 parallel producers calling Store.Add into
+# each backend), and records the results as BENCH_10.json at the
 # repository root.
 #
 # Write-through: unless RESULTS_DIR is set empty, the whole BENCH_* history
@@ -55,7 +54,7 @@ rawlive="$(go test -run '^$' -bench 'BenchmarkLiveWire_PktsPerSec' \
 echo "$rawlive"
 
 # The results-service ingest path: the acceptance gate is >= 100k
-# records/sec through the batcher into the FILE backend on one vCPU, so
+# records/sec through Store.Add into the FILE backend on one vCPU, so
 # that benchmark is pinned to GOMAXPROCS=1; the mem backend runs alongside
 # as the no-fsync reference.
 rawingest="$(GOMAXPROCS=1 go test -run '^$' -bench 'BenchmarkIngest' \
@@ -113,19 +112,13 @@ emit() {
 }
 
 # emit_ingest <json-key> <bench>: one JSON object for a results-ingest
-# benchmark — best/min records/sec plus the per-stage timing breakdown
-# (enqueue wait, batch latch, backend commit, all ns/record) and the mean
-# batch size, taken from the best-throughput perspective (worst stage cost).
+# benchmark — best/min records/sec and their relative spread.
 emit_ingest() {
     local key="$1" name="$2"
-    local rps_best rps_min rps_spread enq latch commit batch
+    local rps_best rps_min rps_spread
     rps_best=$(samples "$name" "records/sec" | best)
     rps_min=$(samples "$name" "records/sec" | worst)
     rps_spread=$(samples "$name" "records/sec" | spread)
-    enq=$(samples "$name" "enqueue-ns/rec" | best)
-    latch=$(samples "$name" "latch-ns/rec" | best)
-    commit=$(samples "$name" "commit-ns/rec" | best)
-    batch=$(samples "$name" "recs/batch" | best)
     if [ -z "$rps_best" ]; then
         echo "bench.sh: no samples for $name" >&2
         exit 1
@@ -133,11 +126,7 @@ emit_ingest() {
     printf '  "%s": {\n' "$key"
     printf '    "records_per_sec": %.0f,\n' "$rps_best"
     printf '    "records_per_sec_min": %.0f,\n' "$rps_min"
-    printf '    "spread_pct": %s,\n' "$rps_spread"
-    printf '    "enqueue_wait_ns_per_rec": %.0f,\n' "$enq"
-    printf '    "batch_latch_ns_per_rec": %.0f,\n' "$latch"
-    printf '    "commit_ns_per_rec": %.0f,\n' "$commit"
-    printf '    "records_per_batch": %.1f\n' "$batch"
+    printf '    "spread_pct": %s\n' "$rps_spread"
     printf '  }'
 }
 

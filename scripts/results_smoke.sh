@@ -43,9 +43,12 @@ id9=$(awk 'NR==5{print $1}' "$tmp/list_a")
 "$tmp/results" -dir "$tmp/a" -metric pkts_per_sec trend | cmp - "$golden/query_trend.golden"
 "$tmp/results" -dir "$tmp/b" -metric pkts_per_sec trend | cmp - "$golden/query_trend.golden"
 
-# 5. Producer write path end to end: a chaos scenario streams its report
-#    into the store through the batching committer.
-go run ./cmd/chaos -scenario flap -seed 1 -results-dir "$tmp/c" > /dev/null
+# 5. Producer write path end to end: a chaos scenario stores its report,
+#    and a fabric run stores one report per segment (<scenario>/s<i>).
+go build -o "$tmp/chaos" ./cmd/chaos
+"$tmp/chaos" -scenario flap -seed 1 -results-dir "$tmp/c" > /dev/null
 "$tmp/results" -dir "$tmp/c" -kind chaos list | grep -q 'flap'
+"$tmp/chaos" -scenario flap -fabric 2 -results-dir "$tmp/f" > /dev/null
+"$tmp/results" -dir "$tmp/f" -kind chaos list | grep -q 'flap/s1'
 
 echo "results-smoke: ok (ingest -> query -> diff round trip, goldens byte-stable)"
