@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench bench-smoke bench-par-smoke bench-live-smoke bench-harness chaos cover loc fuzz live-smoke fleet-smoke results-smoke clean
+.PHONY: all tier1 build vet test race bench-harness chaos cover loc fuzz live-smoke fleet-smoke results-smoke clean
 
 all: tier1
 
@@ -34,24 +34,6 @@ race:
 	$(GO) test -race -run 'TestFleetWorkerInvariance' ./internal/fleetsim
 	$(GO) test -race -count=1 ./internal/live
 	$(GO) test -race -count=1 ./internal/results
-
-# Full hot-path benchmarks (sequential + sharded-parallel engines) plus
-# the fleet-simulation matrix; time-based samples, best-of-3 with recorded
-# variance, written as BENCH_8.json at the repository root.
-bench:
-	./scripts/bench.sh
-	$(GO) test -bench . -run '^$$' ./internal/eventq
-
-# CI gates: one benchmark iteration, failing if allocs/op regresses against
-# the committed budgets in scripts/bench_baseline.txt. Throughput is not
-# gated (machine-dependent); the allocation count is deterministic.
-# bench-smoke covers the sequential engine, bench-par-smoke the sharded
-# parallel engine's cross-shard handoff path.
-bench-smoke:
-	./scripts/benchsmoke.sh
-
-bench-par-smoke:
-	./scripts/benchsmoke.sh BenchmarkParHotPath_PktsPerSec
 
 # The repository benchmark (benchmark/, its own module) vetted and unit
 # tested: it calls exported internal APIs, so a change to one that breaks
@@ -123,11 +105,6 @@ live-smoke:
 		-size 512 -loss 1e-3 -seed 42 -strict
 	$(GO) run -race ./cmd/lglive -mode=demo -links 8 -flows 1000 \
 		-count 60000 -pps 6000 -size 256 -loss 1e-3 -seed 42 -strict
-
-# bench-live-smoke gates the mux wire path, one link and eight, at zero
-# steady-state allocations (budgets in scripts/bench_baseline.txt).
-bench-live-smoke:
-	./scripts/benchsmoke.sh BenchmarkLiveWire_PktsPerSec ./internal/live
 
 # Experiment-results service gate: ingest -> query -> diff round trip
 # through the real CLI on the file backend plus the unit goldens on the

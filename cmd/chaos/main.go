@@ -26,7 +26,8 @@
 // its trace-ring tail (JSONL + Chrome trace_event), metrics snapshot and
 // violation summary into a subdirectory keyed by scenario name, index and
 // seed. -trace/-metrics-out write the trace and metrics of a single run
-// (-scenario/-gen) whether or not it fails.
+// (-scenario/-gen) whether or not it fails. -fabric N > 1 runs -scenario
+// only, without -trace, -trace-cap or -artifacts; otherwise chaos exits 2.
 package main
 
 import (
@@ -61,6 +62,11 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile")
 	memprofile := flag.String("memprofile", "", "write a heap profile")
 	flag.Parse()
+	if *fabric > 1 && (*scenario == "" || *tracePath != "" || *traceCap != 0 || *artifacts != "") {
+		fmt.Fprintln(os.Stderr, "chaos: -fabric needs -scenario and takes no -trace, -trace-cap or -artifacts")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {

@@ -17,7 +17,8 @@
 // -segments > 1 runs the multi-segment fabric — N copies of the testbed
 // joined in a ring of cross-shard links — on the sharded conservative
 // engine, executing up to one shard per core concurrently. Results are
-// identical at any core count; only wall time changes.
+// identical at any core count; only wall time changes. -mode and -target
+// configure every segment; -trace applies to a single link only.
 package main
 
 import (
@@ -53,9 +54,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mode := core.Ordered
-	if strings.EqualFold(*modeStr, "nb") {
-		mode = core.NonBlocking
+	mode, ok := map[string]core.Mode{"ordered": core.Ordered, "nb": core.NonBlocking}[strings.ToLower(*modeStr)]
+	if !ok {
+		log.Fatalf("unknown -mode %q (want ordered or nb)", *modeStr)
+	}
+	if *segments > 1 && *tracePath != "" {
+		log.Fatal("-trace taps the single protected link; it does not apply with -segments > 1")
 	}
 
 	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
@@ -68,8 +72,11 @@ func main() {
 		opts.TraceCap = *traceCap
 	}
 
+	cfg := core.NewConfig(rate, *loss)
+	cfg.Mode = mode
+	cfg.TargetLossRate = *target
 	if *segments > 1 {
-		fres := experiments.RunFabricStress(*seed, *segments, 0, rate, *loss, simtime.Duration(*duration), opts)
+		fres := experiments.RunFabricStress(cfg, rate, *loss, *segments, 0, opts)
 		if err := stopProf(); err != nil {
 			log.Fatal(err)
 		}
@@ -92,9 +99,6 @@ func main() {
 		return
 	}
 
-	cfg := core.NewConfig(rate, *loss)
-	cfg.Mode = mode
-	cfg.TargetLossRate = *target
 	res := experiments.RunStressConfig(cfg, rate, *loss, opts)
 
 	if err := stopProf(); err != nil {
@@ -128,17 +132,10 @@ func main() {
 }
 
 func parseRate(s string) (simtime.Rate, error) {
-	switch strings.ToUpper(s) {
-	case "10G":
-		return simtime.Rate10G, nil
-	case "25G":
-		return simtime.Rate25G, nil
-	case "40G":
-		return simtime.Rate40G, nil
-	case "50G":
-		return simtime.Rate50G, nil
-	case "100G":
-		return simtime.Rate100G, nil
+	for _, r := range []simtime.Rate{simtime.Rate10G, simtime.Rate25G, simtime.Rate40G, simtime.Rate50G, simtime.Rate100G} {
+		if strings.EqualFold(s, r.String()) {
+			return r, nil
+		}
 	}
 	return 0, fmt.Errorf("unknown rate %q", s)
 }

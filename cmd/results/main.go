@@ -1,11 +1,11 @@
 // Command results is the query side of the experiment-results service: a
 // longitudinal, content-addressed store of every experiment run — paper
 // figures, chaos soaks, fleet matrices, live dataplane audits, and the
-// BENCH_*.json benchmark history — with deterministic, byte-stable output.
+// BENCH_*.json history in internal/results/testdata — with byte-stable output.
 //
 // Usage:
 //
-//	results -dir DIR import BENCH_4.json BENCH_6.json ...
+//	results -dir DIR import internal/results/testdata/BENCH_*.json
 //	results -dir DIR list [-kind bench]
 //	results -dir DIR show <id-prefix>
 //	results -dir DIR diff <id-prefix> <id-prefix>

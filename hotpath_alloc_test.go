@@ -1,12 +1,14 @@
 package bench
 
 // Zero-allocation guardrails for the steady-state per-packet paths. These
-// are tests, not benchmarks, so `go test ./...` (tier 1) catches an
-// allocation regression even when nobody runs `make bench`: after warmup,
-// advancing the simulation must not allocate on the port→link→receive path
-// nor on the loss-notification→Tx-buffer→retransmission path.
+// are plain tests, so `go test ./...` (tier 1) catches an allocation
+// regression: after warmup, advancing the simulation must not allocate on
+// the port→link→receive path, on the loss-notification→Tx-buffer→
+// retransmission path, nor across the sharded engine's cross-shard
+// handoffs.
 
 import (
+	"fmt"
 	"testing"
 
 	"linkguardian/internal/core"
@@ -28,7 +30,7 @@ func measureHotPathAllocs(t *testing.T, loss float64) float64 {
 	tb.SetLoss(loss)
 	tb.LG.Enable()
 	tb.CountReceived()
-	// Finite switch buffer, as in the benchmark: the generator is PFC-
+	// A real switch has a finite shared buffer. The generator is PFC-
 	// oblivious, so without a cap the paused backlog grows without bound
 	// and its growth reads as hot-path allocation.
 	tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
@@ -61,5 +63,39 @@ func TestHotPathZeroAllocClean(t *testing.T) {
 func TestSenderRetxPathZeroAlloc(t *testing.T) {
 	if avg := measureHotPathAllocs(t, 1e-3); avg >= 1 {
 		t.Fatalf("lossy hot path allocates: %.2f allocs per %v slice (~800 pkts, ~1 loss)", avg, allocSlice)
+	}
+}
+
+// TestFabricHotPathZeroAlloc is the same gate for the sharded engine: a
+// 4-segment (8-switch) fabric at 1e-3 loss on every protected link, with
+// cross-segment traffic crossing a shard boundary every window, so the
+// outbox cells, barrier merge and packet materialization are all on the
+// measured path. Workers 1 runs the four shards inline on one goroutine,
+// workers 4 runs them concurrently; both must be allocation-free per 1 ms
+// slice (~30k packets).
+func TestFabricHotPathZeroAlloc(t *testing.T) {
+	const loss = 1e-3
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			f := experiments.NewSegmented(1, 4, workers, simtime.Rate100G, core.NewConfig(simtime.Rate100G, loss))
+			defer f.Eng.Close()
+			f.SetLoss(loss)
+			f.EnableAll()
+			f.CountReceivedAll()
+			for _, tb := range f.Segs {
+				// Same finite-buffer guard as above; cross traffic adds to
+				// the protected queue, so the generators leave headroom.
+				tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
+				defer tb.StartGeneratorAt(1500, 0.85).Stop()
+			}
+			stopCross, _ := f.CrossTraffic(1500, 0.1)
+			defer stopCross()
+			for i := 0; i < 10; i++ {
+				f.Eng.RunFor(simtime.Millisecond)
+			}
+			if avg := testing.AllocsPerRun(5, func() { f.Eng.RunFor(simtime.Millisecond) }); avg != 0 {
+				t.Fatalf("fabric hot path allocates: %.2f allocs per 1ms slice at workers=%d", avg, workers)
+			}
+		})
 	}
 }

@@ -147,22 +147,13 @@ type FabricStressResult struct {
 	Metrics  obs.Snapshot
 }
 
-func (r FabricStressResult) String() string {
-	total := uint64(0)
-	for _, n := range r.Received {
-		total += n
-	}
-	return fmt.Sprintf("segments=%d delivered=%d", r.Segments, total)
-}
-
-// RunFabricStress drives every segment's protected link at frac of line
-// rate with LinkGuardian enabled under the given corruption rate, with
-// cross-segment traffic at a tenth of that load, for the given window —
-// the fabric analogue of the §4.1 stress test and the workload behind
-// BenchmarkParHotPath_PktsPerSec.
-func RunFabricStress(seed int64, nsegs, workers int, rate simtime.Rate, lossRate float64, duration simtime.Duration, opts StressOpts) FabricStressResult {
-	cfg := core.NewConfig(rate, lossRate)
-	f := NewSegmented(seed, nsegs, workers, rate, cfg)
+// RunFabricStress drives every segment's protected link at 90% of line
+// rate with LinkGuardian (configured by cfg) enabled under the given
+// corruption rate, with cross-segment traffic at a tenth of line rate, for
+// opts.Duration — the fabric analogue of the §4.1 stress test, seeded by
+// opts.Seed. The fabric has no trace tap: opts.TraceCap is ignored.
+func RunFabricStress(cfg core.Config, rate simtime.Rate, lossRate float64, nsegs, workers int, opts StressOpts) FabricStressResult {
+	f := NewSegmented(opts.Seed, nsegs, workers, rate, cfg)
 	defer f.Eng.Close()
 	f.SetLoss(lossRate)
 	f.EnableAll()
@@ -177,12 +168,12 @@ func RunFabricStress(seed int64, nsegs, workers int, rate simtime.Rate, lossRate
 	}
 	stopCross, crossSent := f.CrossTraffic(opts.FrameSize, 0.1)
 
-	f.Eng.RunFor(duration)
+	f.Eng.RunFor(opts.Duration)
 	for _, g := range gens {
 		g.Stop()
 	}
 	stopCross()
-	f.Eng.RunFor(duration/2 + 10*simtime.Millisecond)
+	f.Eng.RunFor(opts.Duration/2 + 10*simtime.Millisecond)
 
 	res := FabricStressResult{Segments: nsegs}
 	for i := range f.Segs {

@@ -7,8 +7,16 @@ import (
 	"strings"
 	"testing"
 
+	"linkguardian/internal/core"
 	"linkguardian/internal/simtime"
 )
+
+// fabricStressOpts is DefaultStressOpts over a 2 ms window at seed.
+func fabricStressOpts(seed int64) StressOpts {
+	opts := DefaultStressOpts()
+	opts.Seed, opts.Duration = seed, 2*simtime.Millisecond
+	return opts
+}
 
 // fabricStressDigest renders everything observable about a fabric stress
 // run — per-segment sent/received counts and the full obs snapshot,
@@ -16,8 +24,7 @@ import (
 // byte comparison across worker counts.
 func fabricStressDigest(t *testing.T, workers int) []byte {
 	t.Helper()
-	opts := DefaultStressOpts()
-	res := RunFabricStress(11, 4, workers, simtime.Rate25G, 1e-3, 2*simtime.Millisecond, opts)
+	res := RunFabricStress(core.NewConfig(simtime.Rate25G, 1e-3), simtime.Rate25G, 1e-3, 4, workers, fabricStressOpts(11))
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "sent=%v cross=%v recv=%v\n", res.Sent, res.CrossTx, res.Received)
 	if err := res.Metrics.WriteJSON(&buf); err != nil {
@@ -118,13 +125,30 @@ func TestFabricFCTOneSegmentMatchesRunFCT(t *testing.T) {
 	}
 }
 
+// TestFabricStressHonorsConfig: the caller's LinkGuardian configuration
+// reaches every segment. An Ordered receiver recirculates what it holds
+// behind a hole; a NonBlocking one forwards out of order and never loops,
+// so the mode shows on every segment's receiver_loops counter.
+func TestFabricStressHonorsConfig(t *testing.T) {
+	for _, mode := range []core.Mode{core.Ordered, core.NonBlocking} {
+		cfg := core.NewConfig(simtime.Rate25G, 1e-3)
+		cfg.Mode = mode
+		res := RunFabricStress(cfg, simtime.Rate25G, 1e-3, 2, 2, fabricStressOpts(3))
+		for i := 0; i < res.Segments; i++ {
+			loops := res.Metrics.Counter(fmt.Sprintf("s%d.lg.receiver_loops", i))
+			if (loops > 0) != (mode == core.Ordered) {
+				t.Errorf("%v: segment %d receiver_loops = %d", mode, i, loops)
+			}
+		}
+	}
+}
+
 // TestFabricDelivery sanity-checks the fabric itself: cross-segment
 // traffic reaches the next segment's host through two protected links and
 // a shard boundary, LinkGuardian recovers the corruption losses, and the
 // engine actually hands frames across shards.
 func TestFabricDelivery(t *testing.T) {
-	opts := DefaultStressOpts()
-	res := RunFabricStress(3, 2, 2, simtime.Rate25G, 1e-3, 2*simtime.Millisecond, opts)
+	res := RunFabricStress(core.NewConfig(simtime.Rate25G, 1e-3), simtime.Rate25G, 1e-3, 2, 2, fabricStressOpts(3))
 	for i := 0; i < res.Segments; i++ {
 		if res.Received[i] == 0 {
 			t.Fatalf("segment %d delivered nothing", i)

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -14,9 +15,9 @@ import (
 // protocol state machines, so the number isolates what the transport
 // itself can move: one link (a standalone protected link) and eight links
 // multiplexed over one socket pair, each moving up to 4×DefaultBatch
-// datagrams per sendmmsg/recvmmsg call through the frame arena. The steady
-// state is allocation-free, which scripts/benchsmoke.sh gates at
-// -benchtime 1x (see scripts/bench_baseline.txt).
+// datagrams per sendmmsg/recvmmsg call through the frame arena. It is a
+// developer tool; TestMuxWireZeroAlloc gates the same rig's steady state
+// at zero allocations.
 //
 // Both subbenchmarks drive the sender's Carrier hook directly from the
 // bench goroutine (the sender loops are never started, so the loop-owned
@@ -36,16 +37,16 @@ func BenchmarkLiveWire_PktsPerSec(b *testing.B) {
 const benchWindow = 1024
 
 // benchUDPPair opens the two loopback sockets of a benchmark wire.
-func benchUDPPair(b *testing.B) (sconn, rconn *net.UDPConn, saddr, raddr *net.UDPAddr) {
-	b.Helper()
+func benchUDPPair(tb testing.TB) (sconn, rconn *net.UDPConn, saddr, raddr *net.UDPAddr) {
+	tb.Helper()
 	lo := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
 	sconn, err := net.ListenUDP("udp", lo)
 	if err != nil {
-		b.Fatalf("listen: %v", err)
+		tb.Fatalf("listen: %v", err)
 	}
 	rconn, err = net.ListenUDP("udp", lo)
 	if err != nil {
-		b.Fatalf("listen: %v", err)
+		tb.Fatalf("listen: %v", err)
 	}
 	return sconn, rconn, sconn.LocalAddr().(*net.UDPAddr), rconn.LocalAddr().(*net.UDPAddr)
 }
@@ -64,8 +65,8 @@ func benchCountIngress(ep *Endpoint, rx *atomic.Uint64) {
 // benchDrain waits for rx to reach target, bailing out (and reporting how
 // far it got) if delivery plateaus — a benchmark must not hang on a freak
 // loopback drop.
-func benchDrain(b *testing.B, rx *atomic.Uint64, target uint64) uint64 {
-	b.Helper()
+func benchDrain(tb testing.TB, rx *atomic.Uint64, target uint64) uint64 {
+	tb.Helper()
 	last, lastRise := rx.Load(), time.Now()
 	for {
 		cur := rx.Load()
@@ -75,78 +76,126 @@ func benchDrain(b *testing.B, rx *atomic.Uint64, target uint64) uint64 {
 		if cur != last {
 			last, lastRise = cur, time.Now()
 		} else if time.Since(lastRise) > time.Second {
-			b.Logf("drain plateaued at %d of %d delivered", cur, target)
+			tb.Logf("drain plateaued at %d of %d delivered", cur, target)
 			return cur
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
 }
 
-func benchBatchedMuxWire(b *testing.B, links int) {
-	sconn, rconn, saddr, raddr := benchUDPPair(b)
+// muxRig is the benchmark rig: links protected links sharing one batched
+// mux socket pair over loopback, warmed to steady state.
+type muxRig struct {
+	smux, rmux *Mux
+	senders    []*Endpoint
+	rx         atomic.Uint64
+	tx         uint64
+}
+
+func newMuxRig(tb testing.TB, links int) *muxRig {
+	sconn, rconn, saddr, raddr := benchUDPPair(tb)
 	smux, err := NewMux(sconn, 4*DefaultBatch)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rmux, err := NewMux(rconn, 4*DefaultBatch)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var rx atomic.Uint64
-	senders := make([]*Endpoint, links)
+	w := &muxRig{smux: smux, rmux: rmux, senders: make([]*Endpoint, links)}
 	receivers := make([]*Endpoint, links)
 	for i := 0; i < links; i++ {
 		sep, err := newEndpoint(EndpointConfig{Seed: int64(10 + i)}, smux, uint16(i), raddr)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rep, err := newEndpoint(EndpointConfig{Seed: int64(100 + i)}, rmux, uint16(i), saddr)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		benchCountIngress(rep, &rx)
+		benchCountIngress(rep, &w.rx)
 		rep.Loop.Start()
-		senders[i], receivers[i] = sep, rep
+		w.senders[i], receivers[i] = sep, rep
 	}
 	smux.Start()
 	rmux.Start()
-	defer func() {
+	tb.Cleanup(func() {
 		for _, rep := range receivers {
 			rep.Loop.Stop() // sender loops never started; see Mux.Close contract
 		}
 		smux.Close()
 		rmux.Close()
-	}()
-
-	var tx uint64
-	send := func(n int) {
-		for i := 0; i < n; i++ {
-			for tx-rx.Load() >= benchWindow {
-				time.Sleep(20 * time.Microsecond)
-			}
-			sep := senders[int(tx)%links]
-			pkt := sep.Loop.NewPacket(simnet.KindData, 0, "")
-			sep.Wire.carry(pkt, sep.Wire.ifc)
-			tx++
-		}
-	}
+	})
 
 	// The warmup must cycle every link: each receiver loop has its own
 	// packet pool, every wire its own inbox buffers, and the arena grows to
 	// the in-flight high-water mark here — after this, a steady-state
 	// datagram allocates nothing anywhere in the pipeline.
-	send(4096)
-	warm := benchDrain(b, &rx, tx)
+	w.send(4096)
+	w.drain(tb)
+	return w
+}
+
+// send carries n datagrams round-robin across the links, holding the
+// in-flight count under benchWindow.
+func (w *muxRig) send(n int) {
+	for i := 0; i < n; i++ {
+		for w.tx-w.rx.Load() >= benchWindow {
+			time.Sleep(20 * time.Microsecond)
+		}
+		sep := w.senders[int(w.tx)%len(w.senders)]
+		pkt := sep.Loop.NewPacket(simnet.KindData, 0, "")
+		sep.Wire.carry(pkt, sep.Wire.ifc)
+		w.tx++
+	}
+}
+
+// drain waits until every datagram sent so far is delivered and returns
+// the delivered count.
+func (w *muxRig) drain(tb testing.TB) uint64 {
+	tb.Helper()
+	return benchDrain(tb, &w.rx, w.tx)
+}
+
+func benchBatchedMuxWire(b *testing.B, links int) {
+	w := newMuxRig(b, links)
+	warm := w.rx.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
-	send(b.N)
-	got := benchDrain(b, &rx, tx) - warm
+	w.send(b.N)
+	got := w.drain(b) - warm
 	elapsed := time.Since(start)
 	b.StopTimer()
 	b.ReportMetric(float64(got)/elapsed.Seconds(), "pkts/sec")
-	ss, rs := smux.Stats(), rmux.Stats()
+	ss, rs := w.smux.Stats(), w.rmux.Stats()
 	b.Logf("batched=%v tx %d datagrams / %d sendmmsg (%.1f per call), rx %d / %d recvmmsg (%.1f per call)",
-		smux.Batched(), ss.TxDatagrams, ss.TxBatches, float64(ss.TxDatagrams)/float64(max(ss.TxBatches, 1)),
+		w.smux.Batched(), ss.TxDatagrams, ss.TxBatches, float64(ss.TxDatagrams)/float64(max(ss.TxBatches, 1)),
 		rs.RxDatagrams, rs.RxBatches, float64(rs.RxDatagrams)/float64(max(rs.RxBatches, 1)))
+}
+
+// muxAllocRun is the datagram count of one measured run of
+// TestMuxWireZeroAlloc: a per-datagram allocation anywhere in the pipeline
+// reads as at least this many allocs per run.
+const muxAllocRun = 256
+
+// TestMuxWireZeroAlloc is the allocation gate of the live wire path, one
+// link and eight on one mux socket pair: after warmup, carrying a run of
+// datagrams end to end — encode, arena, batched sendmmsg/recvmmsg, demux,
+// decode, ingress — must not allocate. The count covers every goroutine
+// (mux reader and writer, receiver loops), not just the sending one. A
+// fraction of an alloc per run is tolerated for runtime noise.
+func TestMuxWireZeroAlloc(t *testing.T) {
+	for _, links := range []int{1, 8} {
+		t.Run(fmt.Sprintf("links-%d", links), func(t *testing.T) {
+			w := newMuxRig(t, links)
+			avg := testing.AllocsPerRun(20, func() {
+				w.send(muxAllocRun)
+				w.drain(t)
+			})
+			if avg >= 1 {
+				t.Fatalf("live wire path allocates: %.2f allocs per run of %d datagrams", avg, muxAllocRun)
+			}
+		})
+	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // benchIngest drives nProducers goroutines calling Store.Add on distinct
-// runs into the backend and reports records/sec. This is the BENCH ingest
-// gate: the file backend must sustain >= 100k records/sec on one vCPU.
+// runs into the backend and reports records/sec. The store's target for
+// the file backend is >= 100k records/sec on one vCPU (run with
+// GOMAXPROCS=1); this is a developer benchmark, and nothing gates it.
 func benchIngest(b *testing.B, backend Backend, nProducers int) {
 	s := NewStore(backend)
 

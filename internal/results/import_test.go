@@ -58,7 +58,7 @@ func TestImportBenchFileNaming(t *testing.T) {
 	if _, err := ImportBenchFile("testdata/nope.json"); err == nil {
 		t.Fatal("non-BENCH name accepted")
 	}
-	run, err := ImportBenchFile("../../BENCH_9.json")
+	run, err := ImportBenchFile("testdata/BENCH_9.json")
 	if err != nil {
 		t.Fatal(err)
 	}

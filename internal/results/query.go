@@ -132,7 +132,7 @@ func WriteDiff(w io.Writer, a, b *Run) error {
 // column per PR (ascending), for every run of the kind that carries a PR
 // number — plus the relative change of the newest PR against the previous
 // one that has the metric. This is the "did PR N regress PR M?" table; the
-// BENCH_*.json files are just per-PR projections of it.
+// historical BENCH_*.json records backfill into it through ImportBenchFile.
 func WriteTrend(w io.Writer, b Backend, kind, metric string) error {
 	runs, err := b.List()
 	if err != nil {

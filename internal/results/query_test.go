@@ -31,14 +31,14 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// benchFixtures are the checked-in benchmark artifacts of earlier PRs — the
-// backfill corpus. The set is pinned so later BENCH_N.json files don't move
-// the goldens.
+// benchFixtures are the historical benchmark artifacts of earlier PRs — the
+// backfill corpus. The set is pinned so BENCH_10.json, also in testdata,
+// doesn't move the goldens.
 var benchFixtures = []string{
-	"../../BENCH_4.json",
-	"../../BENCH_6.json",
-	"../../BENCH_8.json",
-	"../../BENCH_9.json",
+	"testdata/BENCH_4.json",
+	"testdata/BENCH_6.json",
+	"testdata/BENCH_8.json",
+	"testdata/BENCH_9.json",
 }
 
 func seedBenchHistory(t *testing.T, b Backend, order []int) {

@@ -1,8 +1,8 @@
 // Package results is the experiment-results service of the reproduction:
 // one longitudinal store that every producer — cmd/paper, cmd/chaos,
-// cmd/fleetsim, cmd/lglive, scripts/bench.sh — streams its evidence into,
-// and one query surface (cmd/results) that answers "did PR N regress PR M?"
-// across the whole history instead of per-PR BENCH_*.json snapshots.
+// cmd/fleetsim, cmd/lglive — streams its evidence into, and one query
+// surface (cmd/results) that answers "did PR N regress PR M?" across the
+// whole history, the BENCH_*.json records of PRs 4–10 (testdata/) included.
 //
 // The moving parts:
 //

@@ -19,10 +19,11 @@ go test -count=1 -run 'TestQueryGolden|TestBackendContract|TestStorePutArtifact'
 go build -o "$tmp/results" ./cmd/results
 golden=internal/results/testdata
 
-# 2. Import the checked-in BENCH history into two stores in different
-#    orders; every query below must come out byte-identical.
-"$tmp/results" -dir "$tmp/a" import BENCH_4.json BENCH_6.json BENCH_8.json BENCH_9.json
-"$tmp/results" -dir "$tmp/b" import BENCH_9.json BENCH_4.json BENCH_8.json BENCH_6.json
+# 2. Import the checked-in BENCH history (the goldens' fixtures) into two
+#    stores in different orders; every query below must come out
+#    byte-identical.
+"$tmp/results" -dir "$tmp/a" import "$golden"/BENCH_{4,6,8,9}.json
+"$tmp/results" -dir "$tmp/b" import "$golden"/BENCH_{9,4,8,6}.json
 
 "$tmp/results" -dir "$tmp/a" list > "$tmp/list_a"
 "$tmp/results" -dir "$tmp/b" list > "$tmp/list_b"
@@ -30,7 +31,7 @@ cmp "$tmp/list_a" "$tmp/list_b"
 cmp "$tmp/list_a" "$golden/query_list.golden"
 
 # 3. Re-import must deduplicate everything (content hash, not file identity).
-"$tmp/results" -dir "$tmp/a" import BENCH_4.json BENCH_6.json BENCH_8.json BENCH_9.json \
+"$tmp/results" -dir "$tmp/a" import "$golden"/BENCH_{4,6,8,9}.json \
     | grep -q '(0 new, 4 deduplicated)'
 
 # 4. show / diff / trend against the goldens, resolving runs by ID prefix
