@@ -25,10 +25,12 @@ test:
 # property a data race would break first). The fabric FCT and chaos runs
 # execute the single-link experiment bodies on shard goroutines. Runs are
 # filtered to the multi-worker tests because the full suite under -race
-# takes many minutes.
+# takes many minutes. The reorder-buffer golden runs here too: the
+# receiver's ring replays loops lazily from whichever event touches it
+# first, and the race detector checks that bookkeeping on a busy schedule.
 race:
 	$(GO) test -race ./internal/parallel
-	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabric(Stress|FCT)ShardInvariance' ./internal/experiments
+	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabric(Stress|FCT)ShardInvariance|TestReorderBufferGolden' ./internal/experiments
 	$(GO) test -race -run 'TestFabricChaosShardInvariance' ./internal/chaos
 	$(GO) test -race -run 'TestEngine' ./internal/simnet
 	$(GO) test -race -run 'TestFleetWorkerInvariance' ./internal/fleetsim

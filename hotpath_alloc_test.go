@@ -22,19 +22,27 @@ import (
 // run, small enough that the test stays fast.
 const allocSlice = 100 * simtime.Microsecond
 
-func measureHotPathAllocs(t *testing.T, loss float64) float64 {
-	t.Helper()
+// newRig builds the benchmark's sim rig: one protected 100G link, 1500 B
+// frames at 98 % of line rate, core.Ordered, a 256 KiB egress buffer, seed
+// 1. It returns the testbed, the count of packets delivered to h2 and the
+// running generator.
+func newRig(loss float64) (*experiments.Testbed, *uint64, *experiments.Generator) {
 	cfg := core.NewConfig(simtime.Rate100G, loss)
 	cfg.Mode = core.Ordered
 	tb := experiments.NewTestbed(1, simtime.Rate100G, cfg)
 	tb.SetLoss(loss)
 	tb.LG.Enable()
-	tb.CountReceived()
+	rx, _ := tb.CountReceived()
 	// A real switch has a finite shared buffer. The generator is PFC-
 	// oblivious, so without a cap the paused backlog grows without bound
 	// and its growth reads as hot-path allocation.
 	tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
-	gen := tb.StartGeneratorAt(1500, 0.98)
+	return tb, rx, tb.StartGeneratorAt(1500, 0.98)
+}
+
+func measureHotPathAllocs(t *testing.T, loss float64) float64 {
+	t.Helper()
+	tb, _, gen := newRig(loss)
 	defer gen.Stop()
 	// Warm up pools, queues and the event heap to their high-water marks.
 	for i := 0; i < 4; i++ {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"linkguardian/internal/simnet"
-	"linkguardian/internal/simtime"
-)
+import "linkguardian/internal/simnet"
 
 // ProtectBoth installs LinkGuardian on both directions of a link — the
 // bidirectional-corruption extension sketched in §5: "it is simply a matter
@@ -60,12 +57,8 @@ func (g *Instance) SetMode(m Mode) {
 	if g.cfg.Mode == m {
 		return
 	}
-	if m == Ordered && g.recirc == nil {
-		// The instance was built without a reordering buffer; create it.
-		aggregate := g.cfg.RecircRate * simtime.Rate(g.cfg.RecircPorts)
-		g.recirc = g.rt.Loopback(g.recvIfc.Node(), aggregate, g.cfg.RecircLoopLatency)
-		g.recirc.Peer().OnIngress = g.onRecirc
-	}
+	g.replayRing(false)
+	defer g.armRing()
 	g.cfg.Mode = m
 	if m == Ordered {
 		// Everything at or below latestRx has either been forwarded or is

@@ -45,7 +45,7 @@ type Instance struct {
 	ackNo      seqnum.Seq // next seqNo to forward (Ordered mode)
 	missing    map[seqnum.Seq]lossRecord
 	notified   seqnum.Seq // highest seqNo ever included in a loss notification
-	recirc     *simnet.Ifc
+	ring       ring
 	peerSender *Instance // other direction's instance (bidirectional, §5)
 	rxHeld     int       // bytes currently held in the reordering buffer
 	paused     bool      // curr_state of Algorithm 2
@@ -153,6 +153,9 @@ func protect(rt Runtime, sendIfc, recvIfc *simnet.Ifc, cfg Config, role Role) *I
 	if cfg.CtrlCopies <= 0 {
 		cfg.CtrlCopies = 1
 	}
+	if cfg.RecircLoopLatency <= 0 {
+		cfg.RecircLoopLatency = cfg.PipelineLatency
+	}
 	g := &Instance{
 		rt:      rt,
 		role:    role,
@@ -162,14 +165,7 @@ func protect(rt Runtime, sendIfc, recvIfc *simnet.Ifc, cfg Config, role Role) *I
 		txBuf:   map[seqnum.Seq]*txEntry{},
 		missing: map[seqnum.Seq]lossRecord{},
 		copies:  cfg.Copies(),
-	}
-	if cfg.Mode == Ordered && role != RoleSender {
-		if cfg.RecircLoopLatency <= 0 {
-			cfg.RecircLoopLatency = cfg.PipelineLatency
-		}
-		aggregate := cfg.RecircRate * simtime.Rate(cfg.RecircPorts)
-		g.recirc = rt.Loopback(g.recvIfc.Node(), aggregate, cfg.RecircLoopLatency)
-		g.recirc.Peer().OnIngress = g.onRecirc
+		ring:    ring{rate: cfg.RecircRate * simtime.Rate(cfg.RecircPorts), loop: cfg.RecircLoopLatency},
 	}
 	g.installHooks()
 	return g
@@ -201,6 +197,8 @@ func (g *Instance) Enable() {
 	if g.enabled {
 		return
 	}
+	g.replayRing(false)
+	defer g.armRing()
 	g.enabled = true
 	g.draining = false
 	clear(g.txBuf)
@@ -232,6 +230,8 @@ func (g *Instance) Disable() {
 	if !g.enabled {
 		return
 	}
+	g.replayRing(false)
+	defer g.armRing()
 	g.enabled = false
 	g.draining = true
 	for _, e := range g.txBuf {
@@ -332,6 +332,8 @@ func (g *Instance) OnForward(fn func(*simnet.Packet)) {
 // exercised cheaply. Call it only while no protected packets are in
 // flight (immediately after Enable).
 func (g *Instance) SeedSequence(n uint16, era uint8) {
+	g.replayRing(false)
+	defer g.armRing()
 	start := seqnum.Seq{N: n, Era: era & 1}
 	g.nextSeq = start
 	g.lastTx = start.Add(-1)

@@ -22,7 +22,11 @@ type Metrics struct {
 	AcksReceived uint64
 	AcksStale    uint64 // ACKs discarded for acking beyond lastTx (stale epoch)
 
-	// Receiver side.
+	// Receiver side. ReceiverLoops counts a loop that only sends a held
+	// packet round again when that loop is replayed, the next time the
+	// reordering buffer is touched: a mid-run read (live /metrics) can lag
+	// by the loops of packets still held. Once the buffer has drained the
+	// total is exact.
 	Delivered       uint64 // protected packets forwarded onward
 	Duplicates      uint64 // de-duplicated extra retransmission copies
 	LossEvents      uint64 // detected gap events

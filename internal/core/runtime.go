@@ -8,8 +8,8 @@ import (
 
 // Runtime is the seam between the LinkGuardian state machines and the
 // engine that drives them. The protocol code schedules its timers (loss
-// sweeps, the ackNoTimeout, pause refreshes, ACK/dummy pacing), draws and
-// releases pooled packets, and attaches recirculation ports exclusively
+// sweeps, the ackNoTimeout, pause refreshes, ACK/dummy pacing, reordering-
+// buffer wakeups), and draws and releases pooled packets exclusively
 // through this interface, so the same sender/receiver logic compiles
 // against two backends:
 //
@@ -50,10 +50,6 @@ type Runtime interface {
 	// Release returns an exhausted packet to the pool. Terminal points only;
 	// see simnet.Sim.Release for the ownership discipline.
 	Release(p *simnet.Packet)
-
-	// Loopback attaches a recirculation port to a node — the Tx-buffer and
-	// reordering-buffer loops of Appendix A.2.
-	Loopback(n simnet.Node, rate simtime.Rate, delay simtime.Duration) *simnet.Ifc
 }
 
 // The discrete-event simulator is the reference Runtime; every existing

@@ -27,9 +27,6 @@ func (w wrappedRuntime) NewPacket(kind simnet.Kind, size int, toHost string) *si
 }
 func (w wrappedRuntime) ClonePacket(p *simnet.Packet) *simnet.Packet { return w.s.ClonePacket(p) }
 func (w wrappedRuntime) Release(p *simnet.Packet)                    { w.s.Release(p) }
-func (w wrappedRuntime) Loopback(n simnet.Node, rate simtime.Rate, delay simtime.Duration) *simnet.Ifc {
-	return w.s.Loopback(n, rate, delay)
-}
 
 // seamTally is the comparable subset of protocol activity the equivalence
 // tests assert on, summed across however many instances a scenario builds.

@@ -213,17 +213,15 @@ func ProtocolConfig(linkRate simtime.Rate, lossRate float64) core.Config {
 	cfg.PauseQuanta = 50 * time.Millisecond
 	cfg.PauseRefresh = 20 * time.Millisecond
 	cfg.PipelineLatency = 10 * time.Microsecond
-	// The reordering buffer is a real recirculation loop: every held packet
-	// costs events each time it completes a circuit. At the ASIC's 100G/500ns
-	// loop a single live gap — which lasts a wall-clock RTT, about a thousand
-	// times longer than a sim gap — would recirculate the backlog millions of
-	// times and saturate the loop goroutine (the kernel then drops datagrams,
-	// manufacturing more gaps: a meltdown). Re-base the loop to wall time and
-	// pause the sender while a modest backlog stands, so recirculation stays
-	// a bounded fraction of the loop's event budget. The loop must stay well
-	// under the backlog's pause-drain cycle, though: a held packet is only
-	// re-examined at its next loop completion, so loop latency × backlog
-	// bounds the reordering buffer's drain rate.
+	// The reordering buffer is re-based to wall time: a live gap lasts a
+	// wall-clock RTT, about a thousand times longer than a sim gap. These
+	// values were chosen when every held packet cost events on each circuit
+	// of a real loopback port, and the ASIC's 100G/500ns loop saturated the
+	// loop goroutine. Held packets now cost an event only when released, so
+	// only the other constraint remains: a held packet is re-examined at
+	// its next loop completion, so loop latency × backlog bounds the
+	// reordering buffer's drain rate. Re-tuning the 500µs re-base against
+	// that alone is an open follow-up.
 	cfg.RecircRate = linkRate
 	cfg.RecircLoopLatency = 500 * time.Microsecond
 	cfg.RecircBufBytes = 4 << 20

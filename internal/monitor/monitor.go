@@ -83,13 +83,10 @@ type watchRow struct {
 type counterSnap struct{ all, bad uint64 }
 
 // NewDaemon creates a daemon for a switch. It watches every interface the
-// switch has at creation time (recirculation loopbacks excluded).
+// switch has at creation time.
 func NewDaemon(sim *simnet.Sim, sw *simnet.Switch, bus *Bus, cfg Config) *Daemon {
 	d := &Daemon{sim: sim, cfg: cfg, bus: bus, sw: sw}
 	for _, ifc := range sw.Ifcs() {
-		if ifc.Link().A().Node() == ifc.Link().B().Node() {
-			continue // loopback recirculation port
-		}
 		d.rows = append(d.rows, &watchRow{ifc: ifc})
 	}
 	return d

@@ -4,7 +4,7 @@ import "linkguardian/internal/simtime"
 
 // Node is anything that terminates links: switches and hosts.
 type Node interface {
-	// HandlePacket processes a packet received (or recirculated) on in.
+	// HandlePacket processes a packet received on in.
 	HandlePacket(pkt *Packet, in *Ifc)
 	// NodeName identifies the node in traces and route tables.
 	NodeName() string
@@ -309,19 +309,6 @@ func newLink(sa, sb *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) 
 	register(a, ia)
 	register(b, ib)
 	return l
-}
-
-// Loopback attaches a self-link to a node: a recirculation port. Packets
-// enqueued on the returned interface re-enter the node's HandlePacket (or
-// its OnIngress hook) after serialization at rate plus the loop delay —
-// modeling Tofino's recirculation path used for the Tx buffer and the
-// reordering buffer.
-func Loopback(s *Sim, n Node, rate simtime.Rate, delay simtime.Duration) *Ifc {
-	// Packets are enqueued on a and received on b, whose ingress path calls
-	// back into the node; both are registered so b has a hook slot too.
-	l := newLink(s, s, n, n, rate, delay)
-	l.a.Name, l.b.Name = n.NodeName()+"->recirc", n.NodeName()+"<-recirc"
-	return l.a
 }
 
 // registrar is implemented by nodes that track their interfaces.

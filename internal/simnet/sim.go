@@ -10,9 +10,8 @@
 //   - links with per-direction corruption models (i.i.d. and bursty
 //     Gilbert–Elliott losses dropped at the receiving MAC),
 //   - switches with a fixed pipeline latency, per-port frame counters
-//     (framesRxAll/framesRxOk, as polled by corruptd), recirculation
-//     loopback ports, ECN marking, and ingress/egress hooks where the
-//     LinkGuardian state machines attach,
+//     (framesRxAll/framesRxOk, as polled by corruptd), ECN marking, and
+//     ingress/egress hooks where the LinkGuardian state machines attach,
 //   - hosts with a configurable stack delay for realistic end-to-end RTTs.
 //
 // A Sim owns a single event queue and RNG; a run is single-threaded and
@@ -120,10 +119,3 @@ func (s *Sim) pktID() uint64 {
 // core.Runtime seam (this Sim, and the live runtime wrapping it) offer
 // cloning without the caller naming the concrete *Sim.
 func (s *Sim) ClonePacket(p *Packet) *Packet { return p.Clone(s) }
-
-// Loopback is the method form of the package-level Loopback constructor,
-// part of the core.Runtime seam: protocol code can attach a recirculation
-// port without holding the concrete *Sim.
-func (s *Sim) Loopback(n Node, rate simtime.Rate, delay simtime.Duration) *Ifc {
-	return Loopback(s, n, rate, delay)
-}

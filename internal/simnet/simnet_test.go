@@ -303,26 +303,6 @@ func TestGilbertElliottBursts(t *testing.T) {
 	}
 }
 
-func TestLoopbackRecirculation(t *testing.T) {
-	s := NewSim(1)
-	sw := NewSwitch(s, "sw")
-	sw.PipelineLatency = 500 * simtime.Nanosecond
-	rec := Loopback(s, sw, simtime.Rate100G, sw.PipelineLatency)
-	loops := 0
-	rec.Peer().OnIngress = func(p *Packet) bool {
-		loops++
-		if loops < 5 {
-			rec.EnqueueDirect(p)
-		}
-		return true
-	}
-	rec.EnqueueDirect(s.NewPacket(KindData, 1500, ""))
-	s.RunFor(simtime.Millisecond)
-	if loops != 5 {
-		t.Fatalf("recirculated %d times, want 5", loops)
-	}
-}
-
 func TestCloneDeepCopies(t *testing.T) {
 	s := NewSim(1)
 	p := s.NewPacket(KindData, 100, "h2")
