@@ -21,7 +21,7 @@
 // prefix, which the proxy forwards untouched. The demo, sender and
 // receiver serve Prometheus metrics on -http at /metrics, series labeled
 // link="N"/role. Every role shuts down cleanly on SIGINT/SIGTERM — one
-// signal stops every link's loop before any counter is frozen — and
+// signal stops every loop before any counter is frozen — and
 // -strict folds the delivery audits into the exit code.
 package main
 
@@ -91,7 +91,7 @@ func parseFlags() *options {
 	flag.IntVar(&o.batch, "batch", 0, "mux syscall batch size (demo; 0 means the default)")
 	flag.Float64Var(&o.rateGbps, "rate", 1, "protected link line rate in Gbit/s")
 	flag.StringVar(&o.lgMode, "lg-mode", "ordered", "protocol mode: ordered | nb")
-	flag.Int64Var(&o.seed, "seed", 1, "impairment RNG seed")
+	flag.Int64Var(&o.seed, "seed", 1, "impairment RNG seed (proxy and demo only; the endpoints draw no randomness)")
 	flag.BoolVar(&o.strict, "strict", false, "exit non-zero unless the app-level audit is perfectly clean")
 	flag.BoolVar(&o.jsonOut, "json", false, "dump the final metrics snapshot as JSON to stdout")
 	flag.StringVar(&o.resultsDir, "results-dir", "", "demo: ingest the run's delivery audit and counters into the results store at this directory")
@@ -253,14 +253,15 @@ func (o *options) ingestConfig() map[string]string {
 }
 
 // endpoint is a standalone sender or receiver: link id 0 of a mux on the
-// bound -listen socket, addressed to -peer.
+// bound -listen socket, addressed to -peer. mux.Close stops the loop
+// first; the counters are frozen and plainly readable after it.
 type endpoint struct {
 	*live.Endpoint
 	mux *live.Mux
 }
 
 // openEndpoint binds the socket, wraps it in a mux, builds the role's
-// endpoint on link id 0, starts both and serves its labeled metrics.
+// endpoint on link id 0, starts the mux and serves its labeled metrics.
 func openEndpoint(o *options, role string) (*endpoint, error) {
 	mode, err := o.protocolMode()
 	if err != nil {
@@ -286,7 +287,7 @@ func openEndpoint(o *options, role string) (*endpoint, error) {
 		_ = conn.Close()
 		return nil, err
 	}
-	cfg := live.EndpointConfig{Seed: o.seed, LinkRate: o.linkRate(), LossRate: o.loss, Mode: mode}
+	cfg := live.EndpointConfig{LinkRate: o.linkRate(), LossRate: o.loss, Mode: mode}
 	build := live.NewReceiver
 	if role == "sender" {
 		build = live.NewSender
@@ -296,7 +297,6 @@ func openEndpoint(o *options, role string) (*endpoint, error) {
 		m.Close()
 		return nil, err
 	}
-	ep.Start()
 	m.Start()
 	e := &endpoint{Endpoint: ep, mux: m}
 	serveMetrics(o.httpAddr, func() []obs.LabeledSnapshot {
@@ -309,19 +309,12 @@ func openEndpoint(o *options, role string) (*endpoint, error) {
 	return e, nil
 }
 
-// close stops the loop, then the mux; the counters are frozen and plainly
-// readable after it. Safe to call more than once.
-func (e *endpoint) close() {
-	e.Stop()
-	e.mux.Close()
-}
-
 func runSenderMode(o *options) error {
 	e, err := openEndpoint(o, "sender")
 	if err != nil {
 		return err
 	}
-	defer e.close()
+	defer e.mux.Close()
 	fmt.Printf("offering %d packets at %.0f pps\n", o.count, o.pps)
 	done, err := e.StartLoadgen(0, 1, o.count, o.size, o.pps)
 	if err != nil {
@@ -338,7 +331,7 @@ func runSenderMode(o *options) error {
 		}
 	case <-quit:
 	}
-	e.close()
+	e.mux.Close()
 	w := e.Wire.Counters()
 	fmt.Printf("app: tx=%d | wire: tx=%d rx=%d tx_errs=%d send_drops=%d decode_drops=%d\n",
 		e.App.Tx, w.TxDatagrams, w.RxDatagrams, w.TxErrors, w.SendDrops, w.DecodeDrops)
@@ -350,7 +343,7 @@ func runReceiverMode(o *options) error {
 	if err != nil {
 		return err
 	}
-	defer e.close()
+	defer e.mux.Close()
 	quit := signalChan()
 	if o.duration > 0 {
 		select {
@@ -360,7 +353,7 @@ func runReceiverMode(o *options) error {
 	} else {
 		<-quit
 	}
-	e.close()
+	e.mux.Close()
 	a, w := e.Flow, e.Wire.Counters()
 	fmt.Printf("app: rx=%d flows=%d lost=%d dup=%d ooo=%d gaps=%d | wire: tx=%d rx=%d tx_errs=%d decode_drops=%d\n",
 		a.Rx, a.Flows(), a.Lost, a.Duplicate, a.OutOfSeq, a.Gaps,

@@ -17,14 +17,15 @@ import (
 // encodes into it and enqueues it on the mux send queue; the flush
 // goroutine owns it from dequeue through the sendmmsg completion and puts
 // it back. Inbound: the read goroutine draws frames for the recvmmsg
-// batch; a received frame is handed to its link's inbox, the loop
-// goroutine decodes it, and either puts it back immediately (no payload)
-// or parks it until the decoded packet's release proves the payload dead
-// (MuxWire.reclaim via Sim.OnRelease).
+// batch and stamps each received frame with its link's wire; the batch
+// is handed to the mux's inbox, the loop goroutine decodes each frame,
+// and either puts it back immediately (no payload) or parks it until the
+// decoded packet's release proves the payload dead (Mux.reclaim via
+// Sim.OnRelease).
 type frame struct {
 	data [simnet.MaxLinkDatagramBytes]byte
 	n    int      // live prefix of data
-	wire *MuxWire // owning link, for per-link tx accounting and destination
+	wire *MuxWire // owning link: tx accounting and destination, rx injection
 }
 
 // arena is the frame free pool shared by one mux's goroutines: a stack of

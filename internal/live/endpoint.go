@@ -12,9 +12,6 @@ import (
 // EndpointConfig parameterizes one live endpoint: one half of a protected
 // link.
 type EndpointConfig struct {
-	// Seed feeds the endpoint's topology RNG.
-	Seed int64
-
 	// LinkRate paces the wire-facing egress port: the live link's line
 	// rate. Loopback UDP has no inherent rate, so the port's strict-
 	// priority scheduler provides the serialization discipline the
@@ -65,9 +62,10 @@ type AppStats struct {
 // Endpoint is one live process half: a host and switch topology, the
 // LinkGuardian instance protecting (one direction of) its wire, and the
 // link's slot on a shared-socket Mux. Build with NewSender/NewReceiver,
-// then Start the endpoint and the mux.
+// then Start the mux: its loop runs the endpoint alongside every other
+// link on the socket, and Mux.Close stops it.
 type Endpoint struct {
-	Loop *Loop
+	Loop *Loop // the mux's loop, shared by every link on its socket
 	LG   *core.Instance
 	Wire *MuxWire
 	App  AppStats   // sending app's offered count (senders only)
@@ -81,12 +79,12 @@ type Endpoint struct {
 }
 
 // newEndpoint builds the topology both roles share (app host, switch, and
-// a wire-facing link against a portal node) and attaches the wire-facing
-// interface to link id linkID of m, addressed to peer. The mux owns the
-// socket; the endpoint's Stop only halts the loop.
+// a wire-facing link against a portal node) on m's loop and attaches the
+// wire-facing interface to link id linkID of m, addressed to peer. The
+// mux owns the socket and the loop.
 func newEndpoint(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
 	cfg.defaults()
-	loop := NewLoop(cfg.Seed)
+	loop := m.loop
 	ep := &Endpoint{Loop: loop, Reg: obs.NewRegistry(), cfg: cfg}
 	ep.host = simnet.NewHost(loop.Sim, cfg.AppHost)
 	ep.host.StackDelay = 0
@@ -96,7 +94,7 @@ func newEndpoint(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (
 	ep.wifc = wire.A()
 	sw.AddRoute(cfg.DeliverTo, ep.wifc)
 	sw.AddRoute(cfg.AppHost, hostLink.B())
-	w, err := m.Attach(linkID, loop, ep.wifc, peer, cfg.AppHost)
+	w, err := m.Attach(linkID, ep.wifc, peer, cfg.AppHost)
 	if err != nil {
 		return nil, err
 	}
@@ -107,15 +105,15 @@ func newEndpoint(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (
 // NewSender builds the sending endpoint on link id linkID of m: app
 // traffic egresses the switch onto the protected wire, stamped and
 // buffered by a RoleSender instance; ACKs, loss notifications and PFC
-// frames arriving on the wire drive its Tx buffer and pause state. Attach
-// before m.Start.
+// frames arriving on the wire drive its Tx buffer and pause state. The
+// instance is enabled and runs once m starts; call before m.Start.
 func NewSender(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
 	ep, err := newEndpoint(cfg, m, linkID, peer)
 	if err != nil {
 		return nil, err
 	}
 	ep.LG = core.ProtectSender(ep.Loop, ep.wifc, ep.cfg.protocol())
-	ep.register()
+	ep.protect()
 	return ep, nil
 }
 
@@ -123,7 +121,7 @@ func NewSender(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*E
 // protected frames arriving on the wire pass through a RoleReceiver
 // instance — loss detection, the reordering buffer, the ACK streams — and
 // recovered traffic is forwarded to the local app host, whose sink audits
-// every flow's delivery sequence. Attach before m.Start.
+// every flow's delivery sequence. Call before m.Start.
 func NewReceiver(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (*Endpoint, error) {
 	ep, err := newEndpoint(cfg, m, linkID, peer)
 	if err != nil {
@@ -133,12 +131,15 @@ func NewReceiver(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (
 	ep.Flow = newFlowAudit(ep.Reg)
 	ep.host.Recycle = true
 	ep.host.OnReceive = ep.flowSink
-	ep.register()
+	ep.protect()
 	return ep, nil
 }
 
-// register exposes the endpoint's instrumentation in its obs registry.
-func (ep *Endpoint) register() {
+// protect enables the endpoint's instance — its replenishing queues fire
+// from the moment the loop starts — and exposes its instrumentation in the
+// obs registry.
+func (ep *Endpoint) protect() {
+	ep.LG.Enable()
 	ep.LG.M.Register(ep.Reg, "lg")
 	r := ep.Reg
 	w := ep.Wire
@@ -151,16 +152,6 @@ func (ep *Endpoint) register() {
 	r.CounterFunc("live.wire.decode_drops", func() uint64 { return w.Counters().DecodeDrops })
 	r.CounterFunc("live.wire.encode_drops", func() uint64 { return w.Counters().EncodeDrops })
 }
-
-// Start enables protection and begins pumping the loop in real time.
-func (ep *Endpoint) Start() {
-	ep.LG.Enable()
-	ep.Loop.Start()
-}
-
-// Stop halts the loop. The endpoint has no socket of its own — the shared
-// mux is closed by whoever owns it, after every attached loop has stopped.
-func (ep *Endpoint) Stop() { ep.Loop.Stop() }
 
 // Snapshot captures the endpoint's registry from off the loop goroutine.
 func (ep *Endpoint) Snapshot() (obs.Snapshot, bool) {

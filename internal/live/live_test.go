@@ -148,7 +148,7 @@ func TestShutdownDeadline(t *testing.T) {
 		t.Fatalf("short run took %v", elapsed)
 	}
 
-	l := NewLoop(0)
+	l := NewLoop()
 	l.Start()
 	if !l.Call(func() {}) {
 		t.Fatal("Call on a running loop failed")
@@ -160,5 +160,13 @@ func TestShutdownDeadline(t *testing.T) {
 	}
 	if l.Call(func() {}) {
 		t.Fatal("Call succeeded after Stop")
+	}
+
+	// A loop that never ran stops at once, and Start after Stop is inert.
+	idle := NewLoop()
+	idle.Stop()
+	idle.Start()
+	if idle.Do(func() {}) {
+		t.Fatal("Do succeeded on a loop stopped before Start")
 	}
 }

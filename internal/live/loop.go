@@ -38,7 +38,9 @@ import (
 // queue, every core.Instance hung off it — is owned by the loop goroutine
 // once Start is called. Build the topology before Start; afterwards, touch
 // it only from functions passed to Do or Call. Sockets hand their datagrams
-// across this boundary the same way (see MuxWire).
+// across this boundary the same way: a Mux owns one Loop, shared by every
+// link on its socket, and its read goroutine wakes that loop once per
+// received batch.
 type Loop struct {
 	*simnet.Sim
 
@@ -46,18 +48,19 @@ type Loop struct {
 	do    chan func()
 	quit  chan struct{}
 	done  chan struct{}
+	begin sync.Once
 	stop  sync.Once
 }
 
 // The live loop satisfies the same runtime seam as the simulator.
 var _ core.Runtime = (*Loop)(nil)
 
-// NewLoop returns a stopped real-time loop around a fresh simulator.
-// The seed feeds the topology's RNG (loss models on any residual simulated
-// hops); the protocol itself draws no randomness.
-func NewLoop(seed int64) *Loop {
+// NewLoop returns a stopped real-time loop around a fresh simulator. The
+// simulator's RNG is never drawn: the protocol uses no randomness, and the
+// Carrier that replaces each wire bypasses the simulated loss models.
+func NewLoop() *Loop {
 	return &Loop{
-		Sim:  simnet.NewSim(seed),
+		Sim:  simnet.NewSim(0),
 		do:   make(chan func(), 4096),
 		quit: make(chan struct{}),
 		done: make(chan struct{}),
@@ -66,17 +69,21 @@ func NewLoop(seed int64) *Loop {
 
 // Start anchors the clock at the current instant and begins pumping events
 // on a new goroutine. Events already scheduled (an enabled instance's
-// replenishing queues, a paced generator) fire from t≈0 onward.
+// replenishing queues, a paced generator) fire from t≈0 onward. Later
+// calls, and a call after Stop, do nothing.
 func (l *Loop) Start() {
-	l.epoch = time.Now()
-	go l.run()
+	l.begin.Do(func() {
+		l.epoch = time.Now()
+		go l.run()
+	})
 }
 
 // Stop terminates the loop and waits for the loop goroutine to exit.
 // Pending events do not fire; pending Do thunks are dropped. Safe to call
-// more than once.
+// more than once, and on a loop that was never started.
 func (l *Loop) Stop() {
 	l.stop.Do(func() { close(l.quit) })
+	l.begin.Do(func() { close(l.done) })
 	<-l.done
 }
 

@@ -14,13 +14,13 @@ import (
 
 // MultiConfig parameterizes a self-contained loopback run: N protected
 // links, each sender → per-link proxy → receiver, with every sender
-// sharing one mux socket and every receiver sharing another (the reverse
-// ACK path runs receiver → sender directly, like the paper's testbed where
-// the attenuator corrupts one direction). A single protected link is
-// Links=1. The load generator spreads Flows concurrent app flows across
-// the links; each flow sticks to its link (flow-to-link affinity, like a
-// real fabric's per-flow ECMP), so per-flow ordering audits compose per
-// link.
+// sharing one mux socket and event loop and every receiver sharing another
+// (the reverse ACK path runs receiver → sender directly, like the paper's
+// testbed where the attenuator corrupts one direction). Whatever N, the
+// run has two loops, one per side. A single protected link is Links=1.
+// The load generator spreads Flows concurrent app flows across the links;
+// each flow sticks to its link (flow-to-link affinity, like a real
+// fabric's per-flow ECMP), so per-flow ordering audits compose per link.
 type MultiConfig struct {
 	Seed  int64
 	Links int     // protected links sharing each mux socket (default 1)
@@ -54,7 +54,7 @@ type MultiConfig struct {
 
 	// OnStart, if set, runs once everything is started — the hook lglive
 	// uses to serve per-link labeled metrics. Cancel, if non-nil, aborts
-	// the run when closed (graceful Ctrl-C): every loop is stopped before
+	// the run when closed (graceful Ctrl-C): both loops are stopped before
 	// any counter is frozen, and the report carries Drained=false.
 	OnStart func(senders, receivers []*Endpoint)
 	Cancel  <-chan struct{}
@@ -218,7 +218,7 @@ func (r *MultiReport) String() string {
 
 // LabeledSnapshots captures every endpoint registry with link and role
 // labels, for the labeled Prometheus exposition. Each snapshot is taken
-// on its own loop goroutine.
+// on its endpoint's loop goroutine.
 func LabeledSnapshots(senders, receivers []*Endpoint) []obs.LabeledSnapshot {
 	out := make([]obs.LabeledSnapshot, 0, len(senders)+len(receivers))
 	add := func(eps []*Endpoint, role string) {
@@ -272,35 +272,27 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		_ = rconn.Close()
 		return nil, err
 	}
-	defer smux.Close()
-	defer rmux.Close()
-
-	senders := make([]*Endpoint, cfg.Links)
-	receivers := make([]*Endpoint, cfg.Links)
+	// Shutdown ordering: both loops halt before any mux or proxy is torn
+	// down and before any counter is read — so the counters are frozen,
+	// consistent, and safely readable off-loop.
+	stopLoops := func() {
+		smux.loop.Stop()
+		rmux.loop.Stop()
+	}
 	proxies := make([]*Proxy, cfg.Links)
 	defer func() {
+		stopLoops()
+		smux.Close()
+		rmux.Close()
 		for _, p := range proxies {
 			if p != nil {
 				p.Close()
 			}
 		}
 	}()
-	stopLoops := func() {
-		// Shutdown ordering: every loop halts before any mux or proxy is
-		// torn down and before any counter is read — so the counters are
-		// frozen, consistent, and safely readable off-loop.
-		for _, ep := range senders {
-			if ep != nil {
-				ep.Stop()
-			}
-		}
-		for _, ep := range receivers {
-			if ep != nil {
-				ep.Stop()
-			}
-		}
-	}
 
+	senders := make([]*Endpoint, cfg.Links)
+	receivers := make([]*Endpoint, cfg.Links)
 	for i := 0; i < cfg.Links; i++ {
 		imp := ProxyImpair{
 			Model:       NewLossModel(cfg.LossRate, cfg.Burst, cfg.BurstLen),
@@ -309,42 +301,22 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		}
 		p, err := NewProxy("127.0.0.1:0", rconn.LocalAddr().String(), imp, parallel.SeedFor(cfg.Seed, i))
 		if err != nil {
-			stopLoops()
 			return nil, err
 		}
 		proxies[i] = p
-		epc := func(app string, shard int) EndpointConfig {
-			return EndpointConfig{
-				Seed:     parallel.SeedFor(cfg.Seed, shard),
-				LinkRate: cfg.LinkRate,
-				LossRate: cfg.LossRate,
-				Mode:     cfg.Mode,
-				AppHost:  app,
-			}
-		}
-		s, err := NewSender(epc("sender-app", cfg.Links+i), smux, uint16(i), p.Addr())
-		if err != nil {
-			stopLoops()
+		epc := EndpointConfig{LinkRate: cfg.LinkRate, LossRate: cfg.LossRate, Mode: cfg.Mode, AppHost: "sender-app"}
+		if senders[i], err = NewSender(epc, smux, uint16(i), p.Addr()); err != nil {
 			return nil, err
 		}
-		senders[i] = s
-		r, err := NewReceiver(epc("receiver-app", 2*cfg.Links+i), rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr))
-		if err != nil {
-			stopLoops()
+		epc.AppHost = "receiver-app"
+		if receivers[i], err = NewReceiver(epc, rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr)); err != nil {
 			return nil, err
 		}
-		receivers[i] = r
 	}
 
 	start := time.Now()
-	for _, ep := range receivers {
-		ep.Start()
-	}
-	for _, ep := range senders {
-		ep.Start()
-	}
-	smux.Start()
 	rmux.Start()
+	smux.Start()
 	if cfg.OnStart != nil {
 		cfg.OnStart(senders, receivers)
 	}
@@ -359,7 +331,6 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		pps := cfg.PPS / float64(cfg.Links)
 		done, err := senders[i].StartLoadgen(flowBase, flows, count, cfg.Size, pps)
 		if err != nil {
-			stopLoops()
 			return nil, err
 		}
 		dones[i] = done
@@ -377,7 +348,6 @@ offered:
 			canceled = true
 			break offered
 		case <-deadline.C:
-			stopLoops()
 			return nil, fmt.Errorf("live: loadgen did not finish %d packets within %v", cfg.Count, cfg.Timeout)
 		}
 	}
@@ -385,24 +355,20 @@ offered:
 	// Drain: every link's flow audit accounts for its offered share, or
 	// delivery progress plateaus for a Settle span.
 	report := &MultiReport{Batched: smux.Batched()}
-	totalRx := func() (uint64, bool) {
-		var sum uint64
-		for _, ep := range receivers {
-			var rx uint64
-			if !ep.Loop.Call(func() { rx = ep.Flow.Rx }) {
-				return 0, false
+	totalRx := func() (sum uint64, ok bool) {
+		ok = rmux.loop.Call(func() {
+			for _, ep := range receivers {
+				sum += ep.Flow.Rx
 			}
-			sum += rx
-		}
-		return sum, true
+		})
+		return sum, ok
 	}
 	lastRx, lastProgress := uint64(0), time.Now()
 poll:
 	for !canceled {
 		rx, ok := totalRx()
 		if !ok {
-			stopLoops()
-			return nil, fmt.Errorf("live: a receiver loop stopped during drain")
+			return nil, fmt.Errorf("live: the receiver loop stopped during drain")
 		}
 		if rx >= cfg.Count {
 			report.Drained = true
@@ -422,7 +388,7 @@ poll:
 		}
 	}
 
-	// Quiesce trailing control traffic, then stop every loop before
+	// Quiesce trailing control traffic, then stop both loops before
 	// freezing any counter (see stopLoops); only then close the muxes.
 	time.Sleep(50 * time.Millisecond)
 	stopLoops()

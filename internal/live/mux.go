@@ -23,9 +23,8 @@ const DefaultBatch = 32
 // recovers it), exactly like a full kernel buffer would.
 const sendQueueDepth = 4096
 
-// wireCacheFrames sizes each wire's loop-local frame stash (see
-// MuxWire.cache).
-const wireCacheFrames = 64
+// cacheFrames sizes the loop-local frame stash (see Mux.cache).
+const cacheFrames = 64
 
 // flushYields is how many times the flush goroutine yields the core to
 // producers before writing an under-full batch (see flushLoop).
@@ -34,14 +33,15 @@ const flushYields = 4
 // Mux is the live dataplane's transport: one UDP socket shared by a
 // process's protected links (a standalone endpoint is link id 0 of its
 // own mux), moving datagrams in batches because one syscall per datagram
-// caps throughput.
+// caps throughput, and one event Loop running every attached link — the
+// way one switch pipeline runs LinkGuardian for all the links it hosts.
 // Outbound, per-link wires enqueue encoded frames and a single flush
 // goroutine writes them in sendmmsg batches, each frame carrying its own
 // destination address. Inbound, a single read goroutine fills recvmmsg
-// batches from the frame arena and demultiplexes each datagram to its
-// link's wire by the 16-bit link-id prefix (simnet.AppendLinkDatagram);
-// the wire's loop goroutine decodes and injects on its own topology, so
-// the per-loop single-threading contract is untouched.
+// batches from the frame arena, resolves each datagram's wire by the
+// 16-bit link-id prefix (simnet.AppendLinkDatagram) and hands the batch to
+// the loop, which decodes every frame and injects it on its link's
+// topology — so the loop's single-threading contract is untouched.
 //
 // On non-Linux builds the batched syscalls degrade to a one-datagram-
 // at-a-time portable path (see batch_portable.go); the framing, the
@@ -51,10 +51,33 @@ type Mux struct {
 	rc    syscall.RawConn
 	batch int
 	arena arena
+	loop  *Loop
 
 	wires []*MuxWire // indexed by link id; nil slots are unknown links
 
 	sendq chan *frame
+
+	// inbox is the handoff from the read goroutine to the loop goroutine;
+	// pump drains it with a ping-pong buffer pair so the steady state
+	// appends into warm arrays.
+	inbox struct {
+		mu sync.Mutex
+		q  []*frame
+	}
+	spare       []*frame    // pump-owned second buffer
+	wakePending atomic.Bool // a pump is queued on the loop
+	pumpFn      func()      // pump bound once, so waking the loop never allocates
+
+	// cache is a loop-owned frame stash between the loop and the arena:
+	// carry draws from it and the receive path returns to it, so the
+	// steady state touches the arena mutex once per half-cache refill or
+	// spill instead of once per frame.
+	cache []*frame
+
+	// frameByID parks the arena frame whose bytes a decoded packet's
+	// payload aliases, keyed by packet id, until Sim.OnRelease proves the
+	// payload dead. Loop goroutine only.
+	frameByID map[uint64]*frame
 
 	stage []*MuxWire // groupByLink scratch: wires present in the batch
 
@@ -92,9 +115,10 @@ type MuxStats struct {
 	ArenaFrames    uint64 // frame-arena population high-water mark
 }
 
-// NewMux wraps an open UDP socket in a batched multi-link transport.
-// Attach every link's wire, then Start; Close releases the socket and
-// stops the I/O goroutines.
+// NewMux wraps an open UDP socket in a batched multi-link transport with
+// its own stopped event loop. Build every link's topology on that loop
+// and Attach its wire, then Start; Close stops the loop, releases the
+// socket and stops the I/O goroutines.
 func NewMux(conn *net.UDPConn, batch int) (*Mux, error) {
 	if batch <= 0 {
 		batch = DefaultBatch
@@ -107,11 +131,20 @@ func NewMux(conn *net.UDPConn, batch int) (*Mux, error) {
 		conn:  conn,
 		rc:    rc,
 		batch: batch,
+		loop:  NewLoop(),
 		sendq: make(chan *frame, sendQueueDepth),
 		quit:  make(chan struct{}),
 		rdone: make(chan struct{}),
 		wdone: make(chan struct{}),
+
+		cache:     make([]*frame, 0, cacheFrames),
+		frameByID: make(map[uint64]*frame),
 	}
+	m.pumpFn = m.pump
+	// Payload bytes of decoded data frames alias the arena frame they
+	// arrived in; the packet's release is the proof the payload is dead,
+	// so that is where the frame goes back to the arena.
+	m.loop.Sim.OnRelease = m.reclaim
 	m.readBatch = m.readBatchSys
 	m.writeBatch = m.writeBatchSys
 	m.initBatchIO()
@@ -147,11 +180,11 @@ func (m *Mux) Stats() MuxStats {
 }
 
 // Attach connects one protected link to the shared socket: frames
-// egressing ifc are framed with linkID's prefix and sent to peer;
-// datagrams arriving with that prefix are decoded on loop's goroutine and
-// injected through ifc.Receive, data frames stamped for deliverTo. Must be
-// called before Start.
-func (m *Mux) Attach(linkID uint16, loop *Loop, ifc *simnet.Ifc, peer *net.UDPAddr, deliverTo string) (*MuxWire, error) {
+// egressing ifc — an interface built on the mux's loop — are framed with
+// linkID's prefix and sent to peer; datagrams arriving with that prefix
+// are decoded on the loop goroutine and injected through ifc.Receive,
+// data frames stamped for deliverTo. Must be called before Start.
+func (m *Mux) Attach(linkID uint16, ifc *simnet.Ifc, peer *net.UDPAddr, deliverTo string) (*MuxWire, error) {
 	if m.started {
 		return nil, fmt.Errorf("live: mux already started")
 	}
@@ -164,36 +197,29 @@ func (m *Mux) Attach(linkID uint16, loop *Loop, ifc *simnet.Ifc, peer *net.UDPAd
 	}
 	w := &MuxWire{
 		mux:       m,
-		loop:      loop,
 		ifc:       ifc,
 		linkID:    linkID,
 		peer:      peer,
 		dst:       dst,
 		deliverTo: deliverTo,
-		frameByID: make(map[uint64]*frame),
-		cache:     make([]*frame, 0, wireCacheFrames),
 	}
-	w.pumpFn = w.pump
 	for int(linkID) >= len(m.wires) {
 		m.wires = append(m.wires, nil)
 	}
 	m.wires[linkID] = w
 	ifc.Link().Carrier = w.carry
-	// Payload bytes of decoded data frames alias the arena frame they
-	// arrived in; the packet's release is the proof the payload is dead,
-	// so that is where the frame goes back to the arena.
-	prev := loop.Sim.OnRelease
-	loop.Sim.OnRelease = func(p *simnet.Packet) {
-		w.reclaim(p)
-		if prev != nil {
-			prev(p)
-		}
-	}
 	return w, nil
 }
 
-// Start launches the shared read and flush goroutines.
+// Start begins pumping the loop and launches the shared read and flush
+// goroutines.
 func (m *Mux) Start() {
+	m.loop.Start()
+	m.startIO()
+}
+
+// startIO launches the read and flush goroutines without the loop.
+func (m *Mux) startIO() {
 	if m.started {
 		return
 	}
@@ -202,37 +228,28 @@ func (m *Mux) Start() {
 	go m.flushLoop()
 }
 
-// Close stops the mux: the socket is closed (unblocking the read
-// goroutine), the flush goroutine drains, and every frame still parked in
-// a send queue or a wire inbox returns to the arena. Safe to call more
-// than once. Stop the loops first — Close reclaims inbox frames on the
-// assumption no pump is still running.
+// Close stops the mux: the loop halts, the socket is closed (unblocking
+// the read goroutine), the flush goroutine drains, and every frame still
+// parked in the send queue or the inbox returns to the arena. Safe to
+// call more than once. A process with several muxes stops every loop
+// before it closes any socket, so no loop sends to a closed peer.
 func (m *Mux) Close() {
 	m.stop.Do(func() {
+		m.loop.Stop()
 		close(m.quit)
 		_ = m.conn.Close()
 		if m.started {
 			<-m.rdone
 			<-m.wdone
 		}
-		for _, w := range m.wires {
-			if w == nil {
-				continue
-			}
-			w.inbox.mu.Lock()
-			q := w.inbox.q
-			w.inbox.q = nil
-			w.inbox.mu.Unlock()
-			for _, f := range q {
-				m.arena.put(f)
-			}
-		}
+		m.arena.putAll(m.inbox.q)
+		m.inbox.q = nil
 	})
 }
 
 // readLoop is the shared inbound pump: fill a batch of arena frames with
-// recvmmsg, route each datagram to its wire's inbox by link-id prefix,
-// replace the consumed slots, repeat. It exits when the socket closes.
+// recvmmsg, hand the datagrams to the loop's inbox, replace the consumed
+// slots, repeat. It exits when the socket closes.
 func (m *Mux) readLoop() {
 	defer close(m.rdone)
 	frames := make([]*frame, m.batch)
@@ -261,47 +278,104 @@ func (m *Mux) readLoop() {
 	}
 }
 
-// dispatchBatch routes a batch of received frames by link-id prefix,
-// taking ownership of every frame: each lands in a wire inbox or back in
-// the arena. Consecutive frames for the same wire — the common arrival
-// order, since the sender groups its batches by link — are enqueued as one
-// run: one inbox lock and at most one loop wakeup per run instead of per
-// datagram.
+// dispatchBatch takes ownership of a batch of received frames: each lands
+// in the inbox, stamped with its wire, or back in the arena. The whole
+// batch costs one inbox lock and at most one loop wakeup.
 func (m *Mux) dispatchBatch(frames []*frame) {
-	var runWire *MuxWire
-	runStart := 0
-	for i, f := range frames {
-		w := m.resolve(f)
-		if w != runWire {
-			if runWire != nil {
-				runWire.enqueueRx(frames[runStart:i])
-			}
-			runWire, runStart = w, i
+	k := 0
+	for _, f := range frames {
+		if m.resolve(f) {
+			frames[k] = f
+			k++
 		}
 	}
-	if runWire != nil {
-		runWire.enqueueRx(frames[runStart:])
+	if k == 0 {
+		return
+	}
+	m.inbox.mu.Lock()
+	m.inbox.q = append(m.inbox.q, frames[:k]...)
+	m.inbox.mu.Unlock()
+	if m.wakePending.CompareAndSwap(false, true) && !m.loop.Do(m.pumpFn) {
+		// Loop stopped: leave the frames parked; Close reclaims them.
+		m.wakePending.Store(false)
 	}
 }
 
-// resolve finds the wire a received frame belongs to. Frames with no
-// usable prefix or no attached wire are consumed (counted, returned to the
-// arena) and resolve to nil.
-func (m *Mux) resolve(f *frame) *MuxWire {
+// resolve stamps a received frame with the wire its link-id prefix names.
+// Frames with no usable prefix or no attached wire are consumed (counted,
+// returned to the arena) and resolve to false.
+func (m *Mux) resolve(f *frame) bool {
 	link, _, err := simnet.SplitLinkDatagram(f.data[:f.n])
 	if err != nil {
 		m.shortDatagrams.Add(1)
 		m.arena.put(f)
-		return nil
+		return false
 	}
 	if int(link) < len(m.wires) {
 		if w := m.wires[link]; w != nil {
-			return w
+			f.wire = w
+			return true
 		}
 	}
 	m.unknownLink.Add(1)
 	m.arena.put(f)
-	return nil
+	return false
+}
+
+// pump drains the inbox on the loop goroutine, swapping in the spare
+// buffer so the read goroutine never waits on decode.
+func (m *Mux) pump() {
+	m.wakePending.Store(false)
+	m.inbox.mu.Lock()
+	q := m.inbox.q
+	m.inbox.q = m.spare[:0]
+	m.inbox.mu.Unlock()
+	for i, f := range q {
+		f.wire.deliverFrame(f)
+		q[i] = nil
+	}
+	m.spare = q[:0]
+}
+
+// reclaim is the Sim.OnRelease observer: when the packet whose payload
+// aliases a parked frame dies, the frame returns to the cache.
+func (m *Mux) reclaim(p *simnet.Packet) {
+	if len(m.frameByID) == 0 {
+		return
+	}
+	if f, ok := m.frameByID[p.ID]; ok {
+		delete(m.frameByID, p.ID)
+		m.putFrame(f)
+	}
+}
+
+// getFrame draws a frame from the loop-local cache, refilling half of it
+// from the arena when dry (loop goroutine only).
+func (m *Mux) getFrame() *frame {
+	n := len(m.cache)
+	if n == 0 {
+		m.cache = m.cache[:cacheFrames/2]
+		m.arena.fill(m.cache)
+		n = len(m.cache)
+	}
+	f := m.cache[n-1]
+	m.cache[n-1] = nil
+	m.cache = m.cache[:n-1]
+	return f
+}
+
+// putFrame returns a frame to the loop-local cache, spilling half back to
+// the arena when full (loop goroutine only).
+func (m *Mux) putFrame(f *frame) {
+	if len(m.cache) == cap(m.cache) {
+		half := len(m.cache) / 2
+		m.arena.putAll(m.cache[half:])
+		for i := half; i < len(m.cache); i++ {
+			m.cache[i] = nil
+		}
+		m.cache = m.cache[:half]
+	}
+	m.cache = append(m.cache, f)
 }
 
 // flushLoop is the shared outbound pump: collect queued frames up to the
@@ -463,11 +537,10 @@ func (m *Mux) sendBatch(batch []*frame) {
 // physical path is real. Inbound, it decodes each datagram into a pooled
 // packet and injects it through Ifc.Receive — counters, PFC absorption
 // and the LinkGuardian ingress hooks all run exactly as if the frame had
-// arrived over a simulated link. Decode and injection run on the link's
-// own loop; only the syscalls are shared and batched.
+// arrived over a simulated link. Decode and injection run on the mux's
+// loop, like every other link's; the syscalls are shared and batched.
 type MuxWire struct {
 	mux       *Mux
-	loop      *Loop
 	ifc       *simnet.Ifc
 	linkID    uint16
 	peer      *net.UDPAddr
@@ -487,29 +560,6 @@ type MuxWire struct {
 	sendQFull   atomic.Uint64
 
 	txStage []*frame // groupByLink scratch (flush goroutine only)
-
-	// cache is a loop-owned frame stash between this wire and the shared
-	// arena: carry draws from it and the receive path returns to it, so the
-	// steady state touches the arena mutex once per half-cache refill or
-	// spill instead of once per frame.
-	cache []*frame
-
-	// inbox is the handoff from the shared read goroutine to this link's
-	// loop goroutine; pump drains it with a ping-pong buffer pair so the
-	// steady state appends into warm arrays.
-	inbox struct {
-		mu sync.Mutex
-		q  []*frame
-	}
-	spare       []*frame    // pump-owned second buffer
-	wakePending atomic.Bool // a pump is queued on the loop
-
-	pumpFn func() // pump bound once, so waking the loop never allocates
-
-	// frameByID parks the arena frame whose bytes a decoded packet's
-	// payload aliases, keyed by packet id, until Sim.OnRelease proves the
-	// payload dead. Loop goroutine only.
-	frameByID map[uint64]*frame
 }
 
 // LinkID returns the wire's link id on the shared socket.
@@ -538,56 +588,28 @@ func (w *MuxWire) SendQueueFull() uint64 { return w.sendQFull.Load() }
 // an arena buffer with the link-id prefix and hand it to the flush
 // goroutine. A full send queue sheds the frame as a wire loss.
 func (w *MuxWire) carry(pkt *simnet.Packet, from *simnet.Ifc) {
-	defer w.loop.Release(pkt)
+	m := w.mux
+	defer m.loop.Release(pkt)
 	if from != w.ifc {
 		w.encodeDrops++
 		return
 	}
-	f := w.getFrame()
+	f := m.getFrame()
 	payload, _ := pkt.Payload.([]byte)
 	b, err := simnet.AppendLinkDatagram(f.data[:0], w.linkID, pkt, payload)
 	if err != nil {
 		w.encodeDrops++
-		w.putFrame(f)
+		m.putFrame(f)
 		return
 	}
 	f.n = len(b)
 	f.wire = w
 	select {
-	case w.mux.sendq <- f:
+	case m.sendq <- f:
 	default:
 		w.sendQFull.Add(1)
-		w.putFrame(f)
+		m.putFrame(f)
 	}
-}
-
-// enqueueRx parks a run of received frames in the inbox and wakes the
-// loop if no pump is already pending (read goroutine).
-func (w *MuxWire) enqueueRx(fs []*frame) {
-	w.inbox.mu.Lock()
-	w.inbox.q = append(w.inbox.q, fs...)
-	w.inbox.mu.Unlock()
-	if w.wakePending.CompareAndSwap(false, true) {
-		if !w.loop.Do(w.pumpFn) {
-			// Loop stopped: leave the frame parked; Mux.Close reclaims it.
-			w.wakePending.Store(false)
-		}
-	}
-}
-
-// pump drains the inbox on the loop goroutine, swapping in the spare
-// buffer so the read goroutine never waits on decode.
-func (w *MuxWire) pump() {
-	w.wakePending.Store(false)
-	w.inbox.mu.Lock()
-	q := w.inbox.q
-	w.inbox.q = w.spare[:0]
-	w.inbox.mu.Unlock()
-	for i, f := range q {
-		w.deliverFrame(f)
-		q[i] = nil
-	}
-	w.spare = q[:0]
 }
 
 // deliverFrame decodes one datagram and injects the frame into the
@@ -597,19 +619,20 @@ func (w *MuxWire) pump() {
 // is parked until the packet's release; otherwise the frame goes straight
 // back to the arena.
 func (w *MuxWire) deliverFrame(f *frame) {
-	pkt := w.loop.NewPacket(simnet.KindData, 0, "")
+	m := w.mux
+	pkt := m.loop.NewPacket(simnet.KindData, 0, "")
 	payload, err := simnet.DecodeLGDatagram(f.data[simnet.LinkIDBytes:f.n], pkt)
 	if err != nil {
 		w.decodeDrops++
-		w.loop.Release(pkt)
-		w.putFrame(f)
+		m.loop.Release(pkt)
+		m.putFrame(f)
 		return
 	}
 	if len(payload) > 0 {
 		pkt.Payload = payload
-		w.frameByID[pkt.ID] = f
+		m.frameByID[pkt.ID] = f
 	} else {
-		w.putFrame(f)
+		m.putFrame(f)
 	}
 	if pkt.Kind == simnet.KindData {
 		// An L2 link carries no host routing: the receiving switch half
@@ -618,45 +641,4 @@ func (w *MuxWire) deliverFrame(f *frame) {
 	}
 	w.rxDatagrams++
 	w.ifc.Receive(pkt)
-}
-
-// reclaim is the Sim.OnRelease observer: when the packet whose payload
-// aliases a parked frame dies, the frame returns to the cache.
-func (w *MuxWire) reclaim(p *simnet.Packet) {
-	if len(w.frameByID) == 0 {
-		return
-	}
-	if f, ok := w.frameByID[p.ID]; ok {
-		delete(w.frameByID, p.ID)
-		w.putFrame(f)
-	}
-}
-
-// getFrame draws a frame from the loop-local cache, refilling half of it
-// from the arena when dry (loop goroutine only).
-func (w *MuxWire) getFrame() *frame {
-	n := len(w.cache)
-	if n == 0 {
-		w.cache = w.cache[:wireCacheFrames/2]
-		w.mux.arena.fill(w.cache)
-		n = len(w.cache)
-	}
-	f := w.cache[n-1]
-	w.cache[n-1] = nil
-	w.cache = w.cache[:n-1]
-	return f
-}
-
-// putFrame returns a frame to the loop-local cache, spilling half back to
-// the arena when full (loop goroutine only).
-func (w *MuxWire) putFrame(f *frame) {
-	if len(w.cache) == cap(w.cache) {
-		half := len(w.cache) / 2
-		w.mux.arena.putAll(w.cache[half:])
-		for i := half; i < len(w.cache); i++ {
-			w.cache[i] = nil
-		}
-		w.cache = w.cache[:half]
-	}
-	w.cache = append(w.cache, f)
 }

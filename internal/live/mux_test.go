@@ -3,11 +3,11 @@ package live
 import (
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
-
-	"strings"
 
 	"linkguardian/internal/parallel"
 	"linkguardian/internal/simnet"
@@ -28,19 +28,22 @@ func newTestMux(t *testing.T, batch int) *Mux {
 	return m
 }
 
-// attachTestWire hangs a minimal topology off a fresh loop and attaches it
-// to the mux, without a protocol instance — enough to exercise the
+// testWireIfc builds a minimal topology on the mux's loop — a switch and
+// its wire-facing link, no protocol instance — enough to exercise the
 // transport alone.
-func attachTestWire(t *testing.T, m *Mux, link uint16) (*Loop, *MuxWire) {
+func testWireIfc(m *Mux, name string) *simnet.Ifc {
+	sw := simnet.NewSwitch(m.loop.Sim, name)
+	return simnet.Connect(m.loop.Sim, sw, &portal{loop: m.loop, name: "wire"}, 0, 0).A()
+}
+
+// attachTestWire attaches a minimal topology to link id link of the mux.
+func attachTestWire(t *testing.T, m *Mux, link uint16) *MuxWire {
 	t.Helper()
-	loop := NewLoop(1)
-	sw := simnet.NewSwitch(loop.Sim, "sw")
-	wire := simnet.Connect(loop.Sim, sw, &portal{loop: loop, name: "wire"}, 0, 0)
-	w, err := m.Attach(link, loop, wire.A(), m.conn.LocalAddr().(*net.UDPAddr), "app")
+	w, err := m.Attach(link, testWireIfc(m, "sw"), m.conn.LocalAddr().(*net.UDPAddr), "app")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return loop, w
+	return w
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -58,9 +61,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // must be counted and shed without disturbing the attached links.
 func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 	m := newTestMux(t, 4)
-	loop, w := attachTestWire(t, m, 3)
-	loop.Start()
-	defer loop.Stop()
+	w := attachTestWire(t, m, 3)
 	m.Start()
 
 	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -88,7 +89,7 @@ func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 	waitFor(t, "short-datagram count", func() bool { return m.Stats().ShortDatagrams == 1 })
 	waitFor(t, "decode drop", func() bool {
 		var drops uint64
-		if !loop.Call(func() { drops = w.decodeDrops }) {
+		if !m.loop.Call(func() { drops = w.decodeDrops }) {
 			return false
 		}
 		return drops == 1
@@ -101,15 +102,13 @@ func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 func TestMuxAttachErrors(t *testing.T) {
 	m := newTestMux(t, 4)
 	attachTestWire(t, m, 0)
-	loop := NewLoop(2)
-	sw := simnet.NewSwitch(loop.Sim, "sw2")
-	wire := simnet.Connect(loop.Sim, sw, &portal{loop: loop, name: "wire"}, 0, 0)
+	ifc := testWireIfc(m, "sw2")
 	peer := m.conn.LocalAddr().(*net.UDPAddr)
-	if _, err := m.Attach(0, loop, wire.A(), peer, "app"); err == nil {
+	if _, err := m.Attach(0, ifc, peer, "app"); err == nil {
 		t.Fatal("duplicate link id attach succeeded")
 	}
 	m.Start()
-	if _, err := m.Attach(1, loop, wire.A(), peer, "app"); err == nil {
+	if _, err := m.Attach(1, ifc, peer, "app"); err == nil {
 		t.Fatal("attach after Start succeeded")
 	}
 }
@@ -224,7 +223,7 @@ func TestMultiLinkLoopback(t *testing.T) {
 	links, flows, count, pps := 4, 32, uint64(4000), 20000.0
 	if testing.Short() || raceEnabled {
 		// Race instrumentation costs ~10× on these tight loops; a 1-CPU
-		// runner can't sustain the full rate across 8 loops plus the mux
+		// runner can't sustain the full rate on the two loops plus the mux
 		// and proxy goroutines, so shrink the load, not the link count.
 		links, flows, count, pps = 3, 12, 1200, 6000
 	}
@@ -270,6 +269,60 @@ func TestMultiLinkLoopback(t *testing.T) {
 	}
 	if rep.P999 <= 0 {
 		t.Fatalf("latency quantiles not measured: %s", rep)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for a few samples, so goroutines of an earlier test that are still
+// exiting do not skew a baseline.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
+// runGoroutines runs a small links-link RunMulti and returns how many
+// goroutines it added while running. It fails the test unless the count
+// falls back to the pre-run baseline within a second of RunMulti
+// returning: no loop, mux or proxy goroutine may outlive the run.
+func runGoroutines(t *testing.T, links int) int {
+	t.Helper()
+	base, running := settledGoroutines(), 0
+	rep, err := RunMulti(MultiConfig{
+		Seed: 5, Links: links, Count: uint64(50 * links), PPS: 5000, Size: 128,
+		OnStart: func(_, _ []*Endpoint) { running = runtime.NumGoroutine() },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Check(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d-link run left %d goroutines behind", links, runtime.NumGoroutine()-base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return running - base
+}
+
+// A multi-link run has one event loop per mux socket, not one per link:
+// each extra link costs only its proxy's two goroutines (reader and FIFO
+// forwarder), and nothing outlives the run.
+func TestRunMultiGoroutines(t *testing.T) {
+	one := runGoroutines(t, 1)
+	four := runGoroutines(t, 4)
+	if four-one != 2*3 {
+		t.Fatalf("1 link ran %d goroutines, 4 links %d: want 2 more per extra link (the proxy's)", one, four)
 	}
 }
 

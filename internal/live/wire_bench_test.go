@@ -20,9 +20,12 @@ import (
 // at zero allocations.
 //
 // Both subbenchmarks drive the sender's Carrier hook directly from the
-// bench goroutine (the sender loops are never started, so the loop-owned
-// state has a single toucher) and count deliveries in the receiver's
-// OnIngress hook, after the full decode path. A send window keeps the
+// bench goroutine and count deliveries in the receiver's OnIngress hook,
+// after the full decode path. The sender mux runs its read and flush
+// goroutines but never its loop: the bench goroutine stands in for that
+// loop, so it is the one goroutine touching the sender's loop-owned state
+// (packet pool, frame cache). The receiver mux runs normally, its loop the
+// one goroutine touching the receiver's. A send window keeps the
 // in-flight count far below every queue bound, so no frame is shed and
 // delivery is deterministic; the drain tolerates a shortfall anyway
 // (reporting it) rather than hanging the benchmark on a lost datagram.
@@ -103,33 +106,28 @@ func newMuxRig(tb testing.TB, links int) *muxRig {
 		tb.Fatal(err)
 	}
 	w := &muxRig{smux: smux, rmux: rmux, senders: make([]*Endpoint, links)}
-	receivers := make([]*Endpoint, links)
 	for i := 0; i < links; i++ {
-		sep, err := newEndpoint(EndpointConfig{Seed: int64(10 + i)}, smux, uint16(i), raddr)
+		sep, err := newEndpoint(EndpointConfig{}, smux, uint16(i), raddr)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		rep, err := newEndpoint(EndpointConfig{Seed: int64(100 + i)}, rmux, uint16(i), saddr)
+		rep, err := newEndpoint(EndpointConfig{}, rmux, uint16(i), saddr)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		benchCountIngress(rep, &w.rx)
-		rep.Loop.Start()
-		w.senders[i], receivers[i] = sep, rep
+		w.senders[i] = sep
 	}
-	smux.Start()
+	smux.startIO() // the sender loop stays stopped; see above
 	rmux.Start()
 	tb.Cleanup(func() {
-		for _, rep := range receivers {
-			rep.Loop.Stop() // sender loops never started; see Mux.Close contract
-		}
+		rmux.loop.Stop()
 		smux.Close()
 		rmux.Close()
 	})
 
-	// The warmup must cycle every link: each receiver loop has its own
-	// packet pool, every wire its own inbox buffers, and the arena grows to
-	// the in-flight high-water mark here — after this, a steady-state
+	// The warmup grows the packet pools, the inbox buffers and the arena
+	// to the in-flight high-water mark — after this, a steady-state
 	// datagram allocates nothing anywhere in the pipeline.
 	w.send(4096)
 	w.drain(tb)
@@ -183,8 +181,8 @@ const muxAllocRun = 256
 // link and eight on one mux socket pair: after warmup, carrying a run of
 // datagrams end to end — encode, arena, batched sendmmsg/recvmmsg, demux,
 // decode, ingress — must not allocate. The count covers every goroutine
-// (mux reader and writer, receiver loops), not just the sending one. A
-// fraction of an alloc per run is tolerated for runtime noise.
+// (mux readers and writers, the receiver loop), not just the sending one.
+// A fraction of an alloc per run is tolerated for runtime noise.
 func TestMuxWireZeroAlloc(t *testing.T) {
 	for _, links := range []int{1, 8} {
 		t.Run(fmt.Sprintf("links-%d", links), func(t *testing.T) {
