@@ -183,9 +183,10 @@ func legacy(pods, days int, constraint float64, sample time.Duration, seed int64
 
 // checkInvariance renders the Pareto table at several worker counts and
 // compares the bytes; any divergence is a determinism regression in the
-// sharded engine.
+// sharded engine. It restores the caller's worker count, so the timed run
+// after it keeps the -workers cap.
 func checkInvariance(cfg fleetsim.Config, sols []fleetsim.Solution) error {
-	defer parallel.SetWorkers(0)
+	defer parallel.SetWorkers(parallel.Workers())
 	var want []byte
 	for _, w := range []int{1, 2, 4, 8} {
 		parallel.SetWorkers(w)

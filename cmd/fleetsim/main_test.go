@@ -2,10 +2,26 @@ package main
 
 import (
 	"testing"
+	"time"
 
 	"linkguardian/internal/fleetsim"
 	"linkguardian/internal/obs"
+	"linkguardian/internal/parallel"
 )
+
+// TestCheckInvarianceKeepsWorkers pins that -invariance leaves the
+// -workers cap in force for the timed matrix run after it.
+func TestCheckInvarianceKeepsWorkers(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	parallel.SetWorkers(3)
+	cfg := fleetsim.Config{Links: 800, Horizon: 30 * 24 * time.Hour, Seed: 3, PodsPerShard: 1}
+	if err := checkInvariance(cfg, []fleetsim.Solution{fleetsim.LinkGuardian{}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := parallel.Workers(); got != 3 {
+		t.Fatalf("workers after checkInvariance = %d, want the caller's 3", got)
+	}
+}
 
 func TestRegisterFleet(t *testing.T) {
 	r := obs.NewRegistry()

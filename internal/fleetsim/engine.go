@@ -326,16 +326,18 @@ type shard struct {
 
 	links   []linkState
 	spineUp []int16   // [pod*fabrics + fab] up fabric->spine links
+	paths   []int32   // [pod*tors + tor] see torPaths
 	podCap  []float64 // [pod] sum of effSpeed over up links
 
 	// podPaths caches each pod's least ToR path count; pods touched since
-	// the last sample are marked dirty and recomputed lazily at sample
+	// the last sample are marked dirty and re-read from paths at sample
 	// time (events are sparse: a handful per shard per sample interval).
 	podPaths []int32
 	podDirty []bool
 	dirty    []int32
 
 	corrupting []int32 // sorted, duplicate-free local link IDs
+	candidates []int32 // the optimizer's scratch: one pod's up corrupting links
 	onsets     tlHeap
 	repairs    tlHeap
 
@@ -376,6 +378,10 @@ func newShard(cfg Config, shardIdx int, sol Solution) *shard {
 	s.spineUp = make([]int16, int(s.pods)*int(s.fabrics))
 	for i := range s.spineUp {
 		s.spineUp[i] = int16(s.spines)
+	}
+	s.paths = make([]int32, int(s.pods)*int(s.tors))
+	for i := range s.paths {
+		s.paths[i] = s.maxPaths
 	}
 	s.podCap = make([]float64, s.pods)
 	s.podPaths = make([]int32, s.pods)
@@ -429,17 +435,29 @@ func (s *shard) spineFab(link int32) int32 {
 }
 func (s *shard) torLink(pod, tor, fab int32) int32 { return pod*s.lpp + tor*s.fabrics + fab }
 
-// torPaths counts the valley-free paths from a ToR to the spine layer: for
-// each up ToR-fabric link, the fabric switch contributes its up spine links.
-func (s *shard) torPaths(pod, tor int32) int32 {
-	base := pod*s.lpp + tor*s.fabrics
-	var paths int32
-	for f := int32(0); f < s.fabrics; f++ {
-		if s.links[base+f].up() {
-			paths += int32(s.spineUp[pod*s.fabrics+f])
+// torPaths is the number of valley-free paths from a ToR to the spine
+// layer: for each up ToR-fabric link, the fabric switch's up spine links.
+// adjustPaths keeps it current as links go down and come back.
+func (s *shard) torPaths(pod, tor int32) int32 { return s.paths[pod*s.tors+tor] }
+
+// adjustPaths moves the path counts by delta as a link goes up (+1) or
+// down (-1). A ToR-fabric link carries its fabric switch's up spine links;
+// a fabric-spine link is one path for every ToR whose link to that fabric
+// switch is up. Only the link's own pod changes.
+func (s *shard) adjustPaths(link, delta int32) {
+	pod := s.pod(link)
+	if s.isSpine(link) {
+		fab := s.spineFab(link)
+		s.spineUp[pod*s.fabrics+fab] += int16(delta)
+		for t := int32(0); t < s.tors; t++ {
+			if s.links[s.torLink(pod, t, fab)].up() {
+				s.paths[pod*s.tors+t] += delta
+			}
 		}
+		return
 	}
-	return paths
+	off := s.podOff(link)
+	s.paths[pod*s.tors+off/s.fabrics] += delta * int32(s.spineUp[pod*s.fabrics+off%s.fabrics])
 }
 
 // canDisable is CorrOpt's fast checker: whether taking the link down keeps
@@ -492,8 +510,8 @@ func (s *shard) markDirty(pod int32) {
 	}
 }
 
-// corruptingInsert keeps the tracked set sorted and duplicate-free.
-func (s *shard) corruptingInsert(link int32) {
+// corruptingIndex is the position of the first tracked link >= link.
+func (s *shard) corruptingIndex(link int32) int {
 	lo, hi := 0, len(s.corrupting)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -503,29 +521,26 @@ func (s *shard) corruptingInsert(link int32) {
 			hi = mid
 		}
 	}
-	if lo < len(s.corrupting) && s.corrupting[lo] == link {
+	return lo
+}
+
+// corruptingInsert keeps the tracked set sorted and duplicate-free.
+func (s *shard) corruptingInsert(link int32) {
+	i := s.corruptingIndex(link)
+	if i < len(s.corrupting) && s.corrupting[i] == link {
 		return
 	}
 	s.corrupting = append(s.corrupting, 0)
-	copy(s.corrupting[lo+1:], s.corrupting[lo:])
-	s.corrupting[lo] = link
+	copy(s.corrupting[i+1:], s.corrupting[i:])
+	s.corrupting[i] = link
 	if len(s.corrupting) > s.stats.MaxCorrupting {
 		s.stats.MaxCorrupting = len(s.corrupting)
 	}
 }
 
 func (s *shard) corruptingRemove(link int32) {
-	lo, hi := 0, len(s.corrupting)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.corrupting[mid] < link {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.corrupting) && s.corrupting[lo] == link {
-		s.corrupting = append(s.corrupting[:lo], s.corrupting[lo+1:]...)
+	if i := s.corruptingIndex(link); i < len(s.corrupting) && s.corrupting[i] == link {
+		s.corrupting = append(s.corrupting[:i], s.corrupting[i+1:]...)
 	}
 }
 
@@ -596,9 +611,7 @@ func (s *shard) disableForRepair(now time.Duration, link int32) {
 	}
 	s.podCap[pod] -= float64(st.effSpeed)
 	st.flags &^= flagUp
-	if s.isSpine(link) {
-		s.spineUp[pod*s.fabrics+s.spineFab(link)]--
-	}
+	s.adjustPaths(link, -1)
 	s.markDirty(pod)
 	s.dispatches++
 	s.stats.Disables++
@@ -612,6 +625,13 @@ func (s *shard) disableForRepair(now time.Duration, link int32) {
 // completeRepair returns a link to service and runs CorrOpt's optimizer:
 // freed capacity may let other corrupting links be disabled, worst
 // penalty first (ties broken by link ID).
+//
+// Only the repaired pod's links are candidates. canDisable reads nothing
+// outside the link's pod, only a repair raises a pod's path counts, and
+// every onset and repair leaves no up corrupting link passing canDisable
+// (checkInvariants audits this), so a link in any other pod would fail
+// the check anyway. The pod's links are consecutive IDs, one run of the
+// sorted corrupting set.
 func (s *shard) completeRepair() {
 	ev := s.repairs.pop()
 	st := &s.links[ev.link]
@@ -620,40 +640,41 @@ func (s *shard) completeRepair() {
 	st.lossRate, st.effLoss = 0, 0
 	st.effSpeed = 1
 	s.podCap[pod] += 1
-	if s.isSpine(ev.link) {
-		s.spineUp[pod*s.fabrics+s.spineFab(ev.link)]++
-	}
+	s.adjustPaths(ev.link, +1)
 	s.corruptingRemove(ev.link)
 	s.markDirty(pod)
 	s.stats.Repairs++
 
-	ids := s.activeCorruptingByPenalty()
-	for _, id := range ids {
+	run := s.corrupting[s.corruptingIndex(pod*s.lpp):s.corruptingIndex((pod+1)*s.lpp)]
+	for _, id := range s.sortByPenalty(run) {
 		if s.canDisable(id) {
 			s.disableForRepair(ev.at, id)
 		}
 	}
 }
 
-func (s *shard) activeCorruptingByPenalty() []int32 {
-	ids := make([]int32, 0, len(s.corrupting))
-	for _, id := range s.corrupting {
+// sortByPenalty returns the up links of ids in the reused candidates
+// buffer, by contribution descending and ID ascending on ties.
+func (s *shard) sortByPenalty(ids []int32) []int32 {
+	c := s.candidates[:0]
+	for _, id := range ids {
 		if s.links[id].up() {
-			ids = append(ids, id)
+			c = append(c, id)
 		}
 	}
-	// Insertion sort by contribution desc, ID asc on ties: the set is
-	// small (tens of links per shard) and the order must be exact.
-	for i := 1; i < len(ids); i++ {
+	// Insertion sort: a pod holds a handful of corrupting links and the
+	// order must be exact.
+	for i := 1; i < len(c); i++ {
 		for j := i; j > 0; j-- {
-			pi, pj := s.links[ids[j-1]].contribution(), s.links[ids[j]].contribution()
-			if pi > pj || (pi == pj && ids[j-1] < ids[j]) {
+			pi, pj := s.links[c[j-1]].contribution(), s.links[c[j]].contribution()
+			if pi > pj || (pi == pj && c[j-1] < c[j]) {
 				break
 			}
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+			c[j-1], c[j] = c[j], c[j-1]
 		}
 	}
-	return ids
+	s.candidates = c
+	return c
 }
 
 // pipeLinks is how many consecutive pod-local link IDs share one switch
@@ -684,10 +705,8 @@ func (s *shard) maxProtectedPerPipe() int32 {
 func (s *shard) sample(t time.Duration) shardSample {
 	for _, pod := range s.dirty {
 		minPaths := s.maxPaths
-		for tor := int32(0); tor < s.tors; tor++ {
-			if p := s.torPaths(pod, tor); p < minPaths {
-				minPaths = p
-			}
+		for _, p := range s.paths[pod*s.tors : (pod+1)*s.tors] {
+			minPaths = min(minPaths, p)
 		}
 		s.podPaths[pod] = minPaths
 		s.podDirty[pod] = false

@@ -237,3 +237,26 @@ func TestParetoTableStable(t *testing.T) {
 		t.Fatal("Pareto table not reproducible for identical config")
 	}
 }
+
+// TestRunAllocsFlatInHorizon holds the engine's event loop allocation-free
+// in steady state: one Run allocates about the same at 0.5 and 2 simulated
+// years, so no allocation scales with the number of onsets or repairs. The
+// slack covers what a longer horizon may legitimately add: one more
+// doubling of each shard's repair heap and corrupting set as their peaks
+// rise, and the runtime's own occasional allocations.
+func TestRunAllocsFlatInHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-year allocation gate skipped in -short mode")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	cfg := Config{Links: 20_000, Seed: 1}
+	allocs := func(years float64) float64 {
+		cfg.Horizon = time.Duration(years * 365 * 24 * float64(time.Hour))
+		return testing.AllocsPerRun(1, func() { Run(cfg, LinkGuardian{}) })
+	}
+	short, long := allocs(0.5), allocs(2)
+	if slack := float64(4 * cfg.Shards()); long > short+slack {
+		t.Fatalf("Run allocates %v times over 0.5 years but %v over 2 years (slack %v)", short, long, slack)
+	}
+}

@@ -20,7 +20,11 @@ import (
 //   - every scheduled repair refers to a distinct link that is down and
 //     still marked corrupting (a repair is only ever dispatched for a
 //     corrupting link, and only one repair per link can be in flight);
-//   - spine-link up-counts match the packed link flags.
+//   - spine-link up-counts match the packed link flags;
+//   - every ToR's cached path count matches a count from the link flags;
+//   - the state is settled: no up corrupting link passes canDisable (the
+//     fast checker and the optimizer would have disabled it), which is
+//     what lets completeRepair scan the repaired pod alone.
 func (s *shard) checkInvariants() error {
 	const tol = 1e-6
 	var penalty float64
@@ -75,6 +79,18 @@ func (s *shard) checkInvariants() error {
 			return fmt.Errorf("spineUp[%d] %d != recomputed %d", i, su, spineUp[i])
 		}
 	}
+	for pod := int32(0); pod < s.pods; pod++ {
+		for tor := int32(0); tor < s.tors; tor++ {
+			if got, want := s.torPaths(pod, tor), s.countTorPaths(pod, tor); got != want {
+				return fmt.Errorf("pod %d ToR %d cached paths %d != recomputed %d", pod, tor, got, want)
+			}
+		}
+	}
+	for _, id := range s.corrupting {
+		if s.canDisable(id) {
+			return fmt.Errorf("up corrupting link %d passes canDisable: state not settled", id)
+		}
+	}
 	if len(s.corrupting) != corruptFlagged {
 		return fmt.Errorf("corrupting set size %d != %d flagged links", len(s.corrupting), corruptFlagged)
 	}
@@ -101,4 +117,21 @@ func (s *shard) checkInvariants() error {
 		seen[ev.link] = true
 	}
 	return nil
+}
+
+// countTorPaths counts a ToR's valley-free paths from scratch: for each up
+// ToR-fabric link, the fabric switch's up spine links.
+func (s *shard) countTorPaths(pod, tor int32) int32 {
+	var paths int32
+	for f := int32(0); f < s.fabrics; f++ {
+		if !s.links[s.torLink(pod, tor, f)].up() {
+			continue
+		}
+		for sp := int32(0); sp < s.spines; sp++ {
+			if s.links[pod*s.lpp+s.torLpp+f*s.spines+sp].up() {
+				paths++
+			}
+		}
+	}
+	return paths
 }

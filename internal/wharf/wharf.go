@@ -32,9 +32,10 @@ func (p Params) ResidualFrameLoss(q float64) float64 {
 	}
 	n := p.K + p.R
 	// P(more than R of n frames lost), binomial tail in log space.
+	row, lq, lnq := logChooseRow(n), math.Log(q), math.Log1p(-q)
 	var tail float64
 	for i := p.R + 1; i <= n; i++ {
-		lp := logChoose(n, i) + float64(i)*math.Log(q) + float64(n-i)*math.Log1p(-q)
+		lp := row[i] + float64(i)*lq + float64(n-i)*lnq
 		tail += math.Exp(lp)
 	}
 	if tail > 1 {
@@ -66,6 +67,36 @@ func BestParams(lossRate float64) Params {
 func Goodput(baseline func(loss float64) float64, q float64) float64 {
 	p := BestParams(q)
 	return baseline(p.ResidualFrameLoss(q)) * (1 - p.Overhead())
+}
+
+// logChooseRows holds logChoose's row for each block size K+R that
+// BestParams picks, one loss rate per band. It is filled once at package
+// init and only read afterwards, so concurrent ResidualFrameLoss calls
+// share it.
+var logChooseRows = func() map[int][]float64 {
+	rows := map[int][]float64{}
+	for _, q := range []float64{1e-5, 1e-4, 1e-3, 1e-2} {
+		p := BestParams(q)
+		rows[p.K+p.R] = newLogChooseRow(p.K + p.R)
+	}
+	return rows
+}()
+
+// logChooseRow returns logChoose(n, k) for k = 0..n: the table's row, or a
+// fresh one for a block size the table does not hold.
+func logChooseRow(n int) []float64 {
+	if row, ok := logChooseRows[n]; ok {
+		return row
+	}
+	return newLogChooseRow(n)
+}
+
+func newLogChooseRow(n int) []float64 {
+	row := make([]float64, n+1)
+	for k := range row {
+		row[k] = logChoose(n, k)
+	}
+	return row
 }
 
 func logChoose(n, k int) float64 {

@@ -2,7 +2,10 @@ package wharf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"linkguardian/internal/failtrace"
 )
 
 func TestOverheadMatchesTable3Ratios(t *testing.T) {
@@ -67,5 +70,50 @@ func TestGoodputScaling(t *testing.T) {
 	}
 	if g := Goodput(baseline, 1e-2); math.Abs(g-7.91) > 0.35 {
 		t.Errorf("Wharf goodput at 1e-2 = %.2f, want ~7.91", g)
+	}
+}
+
+// residualPerTerm is the direct form of ResidualFrameLoss, with three
+// Lgamma calls and both logarithms per binomial term: the oracle the
+// table-driven tail must match bit for bit.
+func residualPerTerm(p Params, q float64) float64 {
+	if q <= 0 {
+		return 0
+	}
+	n := p.K + p.R
+	var tail float64
+	for i := p.R + 1; i <= n; i++ {
+		lp := logChoose(n, i) + float64(i)*math.Log(q) + float64(n-i)*math.Log1p(-q)
+		tail += math.Exp(lp)
+	}
+	if tail > 1 {
+		tail = 1
+	}
+	return tail
+}
+
+// TestResidualMatchesPerTermOracle requires ResidualFrameLoss to be
+// bit-identical to the per-term oracle at every BestParams block, over a
+// log-spaced grid from 1e-9 to 0.5 and over the fleet trace's loss-rate
+// draws, plus two block sizes the logChoose table does not hold.
+func TestResidualMatchesPerTermOracle(t *testing.T) {
+	params := []Params{BestParams(1e-5), BestParams(1e-4), BestParams(1e-3), BestParams(1e-2), {K: 10, R: 2}, {K: 200, R: 8}}
+	var qs []float64
+	for e := -9.0; e <= math.Log10(0.5); e += 0.05 {
+		qs = append(qs, math.Pow(10, e))
+	}
+	qs = append(qs, 0.5)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10_000; i++ {
+		qs = append(qs, failtrace.SampleLossRate(rng))
+	}
+	for _, p := range params {
+		for _, q := range qs {
+			got, want := p.ResidualFrameLoss(q), residualPerTerm(p, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v at q=%g: %x (%g), oracle %x (%g)", p, q,
+					math.Float64bits(got), got, math.Float64bits(want), want)
+			}
+		}
 	}
 }
