@@ -95,8 +95,8 @@ chaos:
 		-attrib-min $$(grep -v '^\#' scripts/attrib_baseline.txt)
 
 # Live dataplane smoke tests, race detector on, strict exit codes: first
-# the single-link lglive loopback demo — real UDP sockets, impairment
-# proxy at 1e-3 loss — then the same demo with eight links sharing one
+# the single-link lglive loopback demo — real UDP sockets, 1e-3 loss at
+# the receiver's ingress MAC — then the same demo with eight links sharing one
 # batched mux socket pair and a 1000-flow load generator spread across
 # them. Both must mask every drop (zero app-visible loss, duplicates or
 # reordering on every link) and shut down cleanly within the deadline.

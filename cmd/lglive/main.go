@@ -1,28 +1,29 @@
 // Command lglive runs the LinkGuardian state machines over real UDP
 // sockets: live protected links on localhost (or any reachable path),
-// with an in-path impairment proxy standing in for the testbed's variable
+// with forward-path corruption standing in for the testbed's variable
 // optical attenuator.
 //
 // Four roles compose protected links:
 //
-//	lglive -mode=demo                           # sender + proxy + receiver in one process
+//	lglive -mode=demo                           # sender + receiver in one process
 //	lglive -mode=demo -links=8 -flows=1000      # N links on two shared mux sockets
 //	lglive -mode=receiver -listen A -peer C
 //	lglive -mode=proxy    -listen B -peer A -loss 1e-3
 //	lglive -mode=sender   -listen C -peer B -count 1000000 -pps 100000
 //
-// Data flows sender → proxy → receiver; ACKs, loss notifications and PFC
-// frames return receiver → sender directly (the attenuator corrupts one
-// direction, §4 of the paper). Every endpoint rides a batched mux socket.
-// The demo puts all -links sender halves on one and all receiver halves on
-// another, with a seeded impairment proxy per link and the flow-scale load
-// generator spread across the links. A standalone sender or receiver is
-// link id 0 of its own mux, so its datagrams carry the 2-byte link-id
-// prefix, which the proxy forwards untouched. The demo, sender and
-// receiver serve Prometheus metrics on -http at /metrics, series labeled
-// link="N"/role. Every role shuts down cleanly on SIGINT/SIGTERM — one
-// signal stops every loop before any counter is frozen — and
-// -strict folds the delivery audits into the exit code.
+// Data flows sender → receiver (via the proxy when split across
+// processes); ACKs, loss notifications and PFC frames return lossless
+// (the attenuator corrupts one direction, §4 of the paper). Every endpoint
+// rides a batched mux socket. The demo puts all -links sender halves on
+// one and all receiver halves on another, drops each link's forward-path
+// frames at its receiver's ingress MAC from a seeded per-link stream, and
+// spreads the flow-scale load generator across the links. A standalone
+// sender or receiver is link id 0 of its own mux, so its datagrams carry
+// the 2-byte link-id prefix, which the proxy forwards untouched. The
+// demo, sender and receiver serve Prometheus metrics on -http at /metrics,
+// series labeled link="N"/role. Every role shuts down cleanly on
+// SIGINT/SIGTERM — one signal stops every loop before any counter is
+// frozen — and -strict folds the delivery audits into the exit code.
 package main
 
 import (
@@ -53,11 +54,11 @@ type options struct {
 	pps      float64
 	size     int
 
-	loss     float64
-	burst    bool
-	burstLen float64
-	jitter   time.Duration
-	reorder  float64
+	loss      float64
+	burst     bool
+	meanBurst float64 // -burstlen under -burst, else 0 (i.i.d.)
+	jitter    time.Duration
+	reorder   float64
 
 	links int
 	flows int
@@ -81,21 +82,24 @@ func parseFlags() *options {
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "offered-load duration when -count is 0; receiver auto-exit when set")
 	flag.Float64Var(&o.pps, "pps", 20000, "offered packets per second")
 	flag.IntVar(&o.size, "size", 1000, "app frame size in bytes (at least the 20-byte flow header)")
-	flag.Float64Var(&o.loss, "loss", 1e-3, "forward-path corruption probability at the proxy")
+	flag.Float64Var(&o.loss, "loss", 1e-3, "forward-path corruption probability (demo: at the receiver's ingress; proxy: at the proxy)")
 	flag.BoolVar(&o.burst, "burst", false, "use the Gilbert–Elliott burst-loss model instead of i.i.d.")
-	flag.Float64Var(&o.burstLen, "burstlen", 4, "mean burst length in frames for -burst")
-	flag.DurationVar(&o.jitter, "jitter", 0, "uniform forward-path delay span (order-preserving)")
-	flag.Float64Var(&o.reorder, "reorder", 0, "per-datagram adjacent-swap probability at the proxy")
+	flag.Float64Var(&o.meanBurst, "burstlen", 4, "mean burst length in frames for -burst (0 means i.i.d.)")
+	flag.DurationVar(&o.jitter, "jitter", 0, "uniform forward-path delay span, order-preserving (proxy mode only)")
+	flag.Float64Var(&o.reorder, "reorder", 0, "per-datagram adjacent-swap probability (proxy mode only)")
 	flag.IntVar(&o.links, "links", 1, "protected links per shared mux socket (demo)")
 	flag.IntVar(&o.flows, "flows", 0, "concurrent app flows across all links (demo; 0 means one per link)")
 	flag.IntVar(&o.batch, "batch", 0, "mux syscall batch size (demo; 0 means the default)")
 	flag.Float64Var(&o.rateGbps, "rate", 1, "protected link line rate in Gbit/s")
 	flag.StringVar(&o.lgMode, "lg-mode", "ordered", "protocol mode: ordered | nb")
-	flag.Int64Var(&o.seed, "seed", 1, "impairment RNG seed (proxy and demo only; the endpoints draw no randomness)")
+	flag.Int64Var(&o.seed, "seed", 1, "impairment RNG seed (proxy and demo only; a standalone sender or receiver draws no randomness)")
 	flag.BoolVar(&o.strict, "strict", false, "exit non-zero unless the app-level audit is perfectly clean")
 	flag.BoolVar(&o.jsonOut, "json", false, "dump the final metrics snapshot as JSON to stdout")
 	flag.StringVar(&o.resultsDir, "results-dir", "", "demo: ingest the run's delivery audit and counters into the results store at this directory")
 	flag.Parse()
+	if !o.burst {
+		o.meanBurst = 0
+	}
 	if o.count == 0 {
 		o.count = uint64(o.pps * o.duration.Seconds())
 	}
@@ -158,23 +162,23 @@ func runDemoMode(o *options) error {
 	if err != nil {
 		return err
 	}
+	if o.jitter != 0 || o.reorder != 0 {
+		return fmt.Errorf("-jitter and -reorder apply to -mode=proxy only")
+	}
 	var senders, receivers []*live.Endpoint
 	cfg := live.MultiConfig{
-		Seed:     o.seed,
-		Links:    o.links,
-		Flows:    o.flows,
-		Count:    o.count,
-		Size:     o.size,
-		PPS:      o.pps,
-		LossRate: o.loss,
-		Burst:    o.burst,
-		BurstLen: o.burstLen,
-		Jitter:   o.jitter,
-		Reorder:  o.reorder,
-		LinkRate: o.linkRate(),
-		Mode:     mode,
-		Batch:    o.batch,
-		Cancel:   signalChan(),
+		Seed:      o.seed,
+		Links:     o.links,
+		Flows:     o.flows,
+		Count:     o.count,
+		Size:      o.size,
+		PPS:       o.pps,
+		LossRate:  o.loss,
+		MeanBurst: o.meanBurst,
+		LinkRate:  o.linkRate(),
+		Mode:      mode,
+		Batch:     o.batch,
+		Cancel:    signalChan(),
 		OnStart: func(s, r []*live.Endpoint) {
 			senders, receivers = s, r
 			serveMetrics(o.httpAddr, func() []obs.LabeledSnapshot {
@@ -193,7 +197,7 @@ func runDemoMode(o *options) error {
 		if err := lr.Check(); err != nil {
 			verdict = err.Error()
 		}
-		fmt.Printf("link %d: offered=%d rx=%d lost=%d dup=%d ooo=%d flows=%d p99=%v | proxy dropped=%d | %s\n",
+		fmt.Printf("link %d: offered=%d rx=%d lost=%d dup=%d ooo=%d flows=%d p99=%v | wire dropped=%d | %s\n",
 			lr.Link, lr.Offered, lr.Rx, lr.Lost, lr.Duplicate, lr.OutOfSeq,
 			lr.Flows, lr.P99, lr.ProxyDropped, verdict)
 	}
@@ -204,10 +208,6 @@ func runDemoMode(o *options) error {
 		}
 	}
 	if o.resultsDir != "" {
-		var dropped uint64
-		for i := range report.Links {
-			dropped += report.Links[i].ProxyDropped
-		}
 		run := results.FromSnapshot("lglive", "demo", o.ingestConfig(), registries(senders, receivers))
 		run.Records = append(run.Records,
 			results.Record{Name: "audit.offered", Value: float64(report.Offered), Unit: "count"},
@@ -216,7 +216,7 @@ func runDemoMode(o *options) error {
 			results.Record{Name: "audit.duplicate", Value: float64(report.Duplicate), Unit: "count"},
 			results.Record{Name: "audit.out_of_seq", Value: float64(report.OutOfSeq), Unit: "count"},
 			results.Record{Name: "audit.masked", Value: float64(report.Masked), Unit: "count"},
-			results.Record{Name: "proxy.dropped", Value: float64(dropped), Unit: "count"},
+			results.Record{Name: "wire.dropped", Value: float64(report.Dropped), Unit: "count"},
 			results.Record{Name: "latency.p50_sec", Value: report.P50.Seconds()},
 			results.Record{Name: "latency.p99_sec", Value: report.P99.Seconds()},
 			results.Record{Name: "latency.p999_sec", Value: report.P999.Seconds()},
@@ -389,7 +389,7 @@ func runProxyMode(o *options) error {
 		return fmt.Errorf("-peer is required for this mode")
 	}
 	imp := live.ProxyImpair{
-		Model:       live.NewLossModel(o.loss, o.burst, o.burstLen),
+		Model:       live.NewLossModel(o.loss, o.meanBurst),
 		Jitter:      o.jitter,
 		ReorderProb: o.reorder,
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math/rand"
 	"net"
 
 	"linkguardian/internal/core"
@@ -18,8 +19,8 @@ type EndpointConfig struct {
 	// protocol's queues are designed around. Default 1Gbps.
 	LinkRate simtime.Rate
 
-	// LossRate is the measured corruption rate of the path (the proxy's
-	// configured drop rate), feeding Equation 2 via ProtocolConfig.
+	// LossRate is the measured corruption rate of the path (the configured
+	// forward-path drop rate), feeding Equation 2 via ProtocolConfig.
 	LossRate float64
 
 	// Mode selects ordered LinkGuardian (default) or LinkGuardianNB.
@@ -151,6 +152,29 @@ func (ep *Endpoint) protect() {
 	r.CounterFunc("live.wire.send_drops", func() uint64 { return w.Counters().SendDrops })
 	r.CounterFunc("live.wire.decode_drops", func() uint64 { return w.Counters().DecodeDrops })
 	r.CounterFunc("live.wire.encode_drops", func() uint64 { return w.Counters().EncodeDrops })
+}
+
+// NewLossModel builds a forward-path loss model: lossless at a
+// non-positive rate, otherwise i.i.d. Bernoulli at rate, or — with a
+// positive meanBurst — Gilbert–Elliott with that mean burst length.
+func NewLossModel(rate, meanBurst float64) simnet.LossModel {
+	switch {
+	case rate <= 0:
+		return simnet.NoLoss{}
+	case meanBurst > 0:
+		return simnet.NewGilbertElliott(rate, meanBurst)
+	}
+	return simnet.IIDLoss{P: rate}
+}
+
+// corruptIngress drops frames from the wire's peer at the ingress MAC
+// (Ifc.Receive runs the link's DropFn), as m decides from its own stream.
+func (ep *Endpoint) corruptIngress(m simnet.LossModel, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	peer := ep.wifc.Peer()
+	ep.wifc.Link().DropFn = func(_ *simnet.Packet, from *simnet.Ifc) bool {
+		return from == peer && m.Drops(rng)
+	}
 }
 
 // Snapshot captures the endpoint's registry from off the loop goroutine.

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,16 +51,16 @@ func TestLoopbackCleanLink(t *testing.T) {
 	rep, _, recv := oneLink(t, MultiConfig{Seed: 1, Count: 3000, PPS: 30000, Size: 512})
 	checked(t, rep)
 	if rep.Links[0].ProxyDropped != 0 {
-		t.Fatalf("lossless proxy dropped %d datagrams", rep.Links[0].ProxyDropped)
+		t.Fatalf("lossless wire dropped %d frames", rep.Links[0].ProxyDropped)
 	}
 	if got := counter(t, recv, "live.flow.rx"); got != 3000 {
 		t.Fatalf("registry rx = %d, want 3000", got)
 	}
 }
 
-// i.i.d. corruption on the forward path must be fully masked: the proxy
-// visibly drops frames, the sender visibly retransmits, and the app sees
-// nothing.
+// i.i.d. corruption on the forward path must be fully masked: the
+// receiver's ingress MAC visibly drops frames, the sender visibly
+// retransmits, and the app sees nothing.
 func TestLoopbackMasksIIDLoss(t *testing.T) {
 	count, pps := uint64(10000), 10000.0
 	if testing.Short() || raceEnabled {
@@ -71,7 +73,7 @@ func TestLoopbackMasksIIDLoss(t *testing.T) {
 	rep, send, _ := oneLink(t, MultiConfig{Seed: 2, Count: count, PPS: pps, Size: 256, LossRate: 2e-3})
 	checked(t, rep)
 	if rep.Links[0].ProxyDropped == 0 {
-		t.Fatal("proxy dropped nothing; loss model not exercised")
+		t.Fatal("ingress dropped nothing; loss model not exercised")
 	}
 	if retx := counter(t, send, "lg.retransmits"); retx == 0 {
 		t.Fatal("sender retransmitted nothing despite forward-path drops")
@@ -81,42 +83,70 @@ func TestLoopbackMasksIIDLoss(t *testing.T) {
 	}
 }
 
-// impairedLink is the shared impairment of the jitter/reorder and burst
-// tests: 2e-3 corruption plus order-preserving jitter plus occasional
-// adjacent swaps (the reordering a real multi-lane path can produce).
-func impairedLink(seed int64, burst bool) MultiConfig {
-	count, pps := uint64(15000), 10000.0
+// impairedLoad is the offered load of the jitter/reorder and burst tests.
+func impairedLoad() (count uint64, pps float64) {
 	if testing.Short() || raceEnabled {
-		count, pps = 6000, 4000 // see TestLoopbackMasksIIDLoss
+		return 6000, 4000 // see TestLoopbackMasksIIDLoss
 	}
-	return MultiConfig{
-		Seed: seed, Count: count, PPS: pps, Size: 256,
-		LossRate: 2e-3, Burst: burst, BurstLen: 3,
-		Jitter:  100 * time.Microsecond,
-		Reorder: 0.01,
-	}
+	return 15000, 10000
 }
 
-// checkImpaired asserts that every impairment the proxy was configured
-// with actually bit.
-func checkImpaired(t *testing.T, lr *LinkReport) {
-	t.Helper()
+// The three-terminal composition of lglive -mode=sender|proxy|receiver, in
+// one process: sender mux → impairment proxy → receiver mux, with 2e-3
+// corruption plus order-preserving jitter plus occasional adjacent swaps
+// (the reordering a real multi-lane path can produce). Every impairment
+// must bite, and delivery must still come out exactly-once and in order.
+func TestLoopbackMasksJitterAndReorder(t *testing.T) {
+	count, pps := impairedLoad()
+	smux, rmux := newTestMux(t, 0), newTestMux(t, 0)
+	imp := ProxyImpair{Model: NewLossModel(2e-3, 0), Jitter: 100 * time.Microsecond, ReorderProb: 0.01}
+	p, err := NewProxy("127.0.0.1:0", rmux.conn.LocalAddr().String(), imp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	epc := EndpointConfig{LossRate: 2e-3, AppHost: "sender-app"}
+	s, err := NewSender(epc, smux, 0, p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	epc.AppHost = "receiver-app"
+	r, err := NewReceiver(epc, rmux, 0, smux.conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rmux.Start()
+	smux.Start()
+	done, err := s.StartLoadgen(0, 1, count, 256, pps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(time.Duration(float64(count)/pps*float64(time.Second)) + 15*time.Second):
+		t.Fatal("loadgen did not finish")
+	}
+	waitFor(t, "the receiver's audit to account for every packet", func() bool {
+		var rx uint64
+		rmux.loop.Call(func() { rx = r.Flow.Rx + r.Flow.Lost })
+		return rx >= count
+	})
+	smux.Close()
+	rmux.Close()
+	p.Close()
+	a := r.Flow
+	lr := LinkReport{Offered: s.App.Tx, Rx: a.Rx, Lost: a.Lost, Duplicate: a.Duplicate, OutOfSeq: a.OutOfSeq, Gaps: a.Gaps}
+	if err := lr.Check(); err != nil || lr.Offered != count {
+		t.Fatalf("audit: %v (offered %d of %d)", err, lr.Offered, count)
+	}
 	switch {
-	case lr.ProxyDropped == 0:
+	case p.Dropped() == 0:
 		t.Fatal("loss model dropped nothing")
-	case lr.ProxyDelayed == 0:
+	case p.Delayed() == 0:
 		t.Fatal("jitter delayed nothing")
-	case lr.ProxySwapped == 0:
+	case p.Swapped() == 0:
 		t.Fatal("reorder injection swapped nothing")
 	}
-}
-
-// i.i.d. corruption plus jitter plus adjacent swaps must still come out
-// exactly-once and in order.
-func TestLoopbackMasksJitterAndReorder(t *testing.T) {
-	rep, _, _ := oneLink(t, impairedLink(3, false))
-	checked(t, rep)
-	checkImpaired(t, &rep.Links[0])
 }
 
 // Gilbert–Elliott bursts draw loss runs longer than MaxConsecutiveLoss;
@@ -125,8 +155,11 @@ func TestLoopbackMasksJitterAndReorder(t *testing.T) {
 // loss is one the receiver declared unrecovered, every offered packet is
 // delivered or lost, and nothing is duplicated or reordered.
 func TestLoopbackBurstLossAccounting(t *testing.T) {
-	rep, _, recv := oneLink(t, impairedLink(3, true))
-	checkImpaired(t, &rep.Links[0])
+	count, pps := impairedLoad()
+	rep, _, recv := oneLink(t, MultiConfig{Seed: 3, Count: count, PPS: pps, Size: 256, LossRate: 2e-3, MeanBurst: 3})
+	if rep.Links[0].ProxyDropped == 0 {
+		t.Fatal("loss model dropped nothing")
+	}
 	if unrec := counter(t, recv, "lg.unrecovered"); rep.Lost != unrec {
 		t.Fatalf("app-visible lost %d, receiver unrecovered %d", rep.Lost, unrec)
 	}
@@ -135,6 +168,37 @@ func TestLoopbackBurstLossAccounting(t *testing.T) {
 	}
 	if rep.Duplicate != 0 || rep.OutOfSeq != 0 {
 		t.Fatalf("%d duplicates, %d out-of-order deliveries", rep.Duplicate, rep.OutOfSeq)
+	}
+}
+
+// The strict verdicts behind lglive -strict: each way a link can fail its
+// audit is named, and a run that did not drain fails whatever its links say.
+func TestReportCheckVerdicts(t *testing.T) {
+	ok := LinkReport{Link: 2, Offered: 10, Rx: 10}
+	if err := ok.Check(); err != nil {
+		t.Fatalf("clean link: %v", err)
+	}
+	for _, c := range []struct {
+		bad  LinkReport
+		want string
+	}{
+		{LinkReport{Offered: 10, Rx: 9}, "delivered 9 of 10"},
+		{LinkReport{Offered: 10, Rx: 10, Lost: 1}, "lost"},
+		{LinkReport{Offered: 10, Rx: 10, Duplicate: 1}, "duplicate"},
+		{LinkReport{Offered: 10, Rx: 10, OutOfSeq: 1}, "out-of-order"},
+		{LinkReport{Offered: 10, Rx: 10, Gaps: 1}, "gap"},
+	} {
+		if err := c.bad.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want an error naming %q", c.bad, err, c.want)
+		}
+	}
+	rep := MultiReport{Links: []LinkReport{ok, {Link: 3, Offered: 10, Rx: 10, Duplicate: 2}}, Drained: true}
+	if err := rep.Check(); err == nil || !strings.Contains(err.Error(), "1 of 2 links") {
+		t.Errorf("one bad link: got %v", err)
+	}
+	rep.Links, rep.Drained = rep.Links[:1], false
+	if err := rep.Check(); err == nil || !strings.Contains(err.Error(), "did not drain") {
+		t.Errorf("undrained run: got %v", err)
 	}
 }
 

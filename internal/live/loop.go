@@ -13,10 +13,10 @@
 // the sender/receiver state machines differs between sim and live — the
 // property the runtime-seam regression tests in internal/core pin down.
 //
-// An impairment proxy (Proxy) stands in for the testbed's variable optical
-// attenuator: it drops, delays and reorders datagrams between the sender
-// and receiver endpoints with the same seeded loss models the simulator
-// uses on its links.
+// In-process runs (RunMulti) drop corrupted frames where the testbed does,
+// at the receiver's ingress MAC: Ifc.Receive runs the wire link's own
+// simnet fault layer with the simulator's seeded loss models. Three-
+// terminal runs put an impairment proxy (Proxy) between the processes.
 package live
 
 import (
@@ -56,8 +56,8 @@ type Loop struct {
 var _ core.Runtime = (*Loop)(nil)
 
 // NewLoop returns a stopped real-time loop around a fresh simulator. The
-// simulator's RNG is never drawn: the protocol uses no randomness, and the
-// Carrier that replaces each wire bypasses the simulated loss models.
+// simulator's RNG is never drawn: the protocol uses no randomness, and a
+// live link's loss model draws from its own stream (corruptIngress).
 func NewLoop() *Loop {
 	return &Loop{
 		Sim:  simnet.NewSim(0),

@@ -13,14 +13,14 @@ import (
 )
 
 // MultiConfig parameterizes a self-contained loopback run: N protected
-// links, each sender → per-link proxy → receiver, with every sender
-// sharing one mux socket and event loop and every receiver sharing another
-// (the reverse ACK path runs receiver → sender directly, like the paper's
-// testbed where the attenuator corrupts one direction). Whatever N, the
-// run has two loops, one per side. A single protected link is Links=1.
-// The load generator spreads Flows concurrent app flows across the links;
-// each flow sticks to its link (flow-to-link affinity, like a real
-// fabric's per-flow ECMP), so per-flow ordering audits compose per link.
+// links, each sender → receiver, with every sender sharing one mux socket
+// and event loop and every receiver sharing another (the reverse ACK path
+// is lossless, like the paper's testbed where the attenuator corrupts one
+// direction). Whatever N, the run has two sockets and two loops, one per
+// side. A single protected link is Links=1. The load generator spreads
+// Flows concurrent app flows across the links; each flow sticks to its
+// link (flow-to-link affinity, like a real fabric's per-flow ECMP), so
+// per-flow ordering audits compose per link.
 type MultiConfig struct {
 	Seed  int64
 	Links int     // protected links sharing each mux socket (default 1)
@@ -29,18 +29,13 @@ type MultiConfig struct {
 	Size  int     // app frame size in bytes (default 1000)
 	PPS   float64 // aggregate offered rate across all links (default 20000)
 
-	// Per-link impairment on the forward (data) path: LossRate is the
-	// proxy's corruption probability, and Burst switches the model from
-	// i.i.d. Bernoulli to Gilbert–Elliott with BurstLen mean consecutive
-	// losses (default 4). Jitter is a uniform order-preserving delay span,
-	// Reorder a per-datagram adjacent-swap probability. Each link's proxy
-	// draws its fault stream from parallel.SeedFor(Seed, link): the run is
-	// reproducible and the links' loss processes are decorrelated.
-	LossRate float64
-	Burst    bool
-	BurstLen float64
-	Jitter   time.Duration
-	Reorder  float64
+	// Per-link corruption of the forward (data) path, dropped at the
+	// receiver's ingress MAC: NewLossModel(LossRate, MeanBurst), MeanBurst 0
+	// meaning i.i.d. Each link draws its fault stream from
+	// parallel.SeedFor(Seed, link): the run is reproducible and the links'
+	// loss processes are decorrelated.
+	LossRate  float64
+	MeanBurst float64
 
 	LinkRate simtime.Rate // per-link line rate (default 1Gbps)
 	Mode     core.Mode
@@ -82,9 +77,6 @@ func (c *MultiConfig) defaults() error {
 	if c.PPS <= 0 {
 		c.PPS = 20000
 	}
-	if c.BurstLen < 1 {
-		c.BurstLen = 4
-	}
 	if c.LinkRate == 0 {
 		c.LinkRate = simtime.Gbps
 	}
@@ -115,8 +107,8 @@ func share(total uint64, n, i int) uint64 {
 }
 
 // LinkReport is one protected link's outcome: the flow-level delivery
-// audit, the transport counters of both halves, and the proxy's ground
-// truth of what the "wire" did to the traffic.
+// audit, the transport counters of both halves, and the receiving MAC's
+// ground truth of what the wire did to the traffic.
 type LinkReport struct {
 	Link    int
 	Offered uint64 // packets the link's sending app offered
@@ -133,10 +125,10 @@ type LinkReport struct {
 	SenderWire   WireStats
 	ReceiverWire WireStats
 
-	ProxyForwarded uint64
-	ProxyDropped   uint64
-	ProxyDelayed   uint64
-	ProxySwapped   uint64
+	// ProxyDropped is the receiver wire interface's In.RxBad: forward-path
+	// frames its ingress MAC dropped as corrupted. The name outlived the
+	// per-link proxy that once dropped them; the repository benchmark reads it.
+	ProxyDropped uint64
 }
 
 // Check is the per-link strict verdict: every offered packet delivered
@@ -166,7 +158,8 @@ type MultiReport struct {
 	Lost      uint64
 	Duplicate uint64
 	OutOfSeq  uint64
-	Masked    uint64 // proxy drops the apps never saw (only when Lost == 0)
+	Dropped   uint64 // forward-path frames dropped at the receivers' ingress MACs
+	Masked    uint64 // drops the apps never saw (Dropped, only when Lost == 0)
 
 	P50, P99, P999 time.Duration // aggregate delivery latency across links
 
@@ -200,16 +193,11 @@ func (r *MultiReport) Check() error {
 
 // String renders the one-screen summary lglive prints at exit.
 func (r *MultiReport) String() string {
-	dropped, fwd := uint64(0), uint64(0)
-	for i := range r.Links {
-		dropped += r.Links[i].ProxyDropped
-		fwd += r.Links[i].ProxyForwarded
-	}
 	return fmt.Sprintf(
-		"links=%d offered=%d delivered=%d lost=%d dup=%d ooo=%d | proxy: fwd=%d dropped=%d (masked %d) | "+
+		"links=%d offered=%d delivered=%d lost=%d dup=%d ooo=%d | wire: dropped=%d (masked %d) | "+
 			"latency p50=%v p99=%v p99.9=%v | mux: rx_batches=%d rx=%d tx_batches=%d tx=%d batched=%v | %.2fs",
 		len(r.Links), r.Offered, r.Delivered, r.Lost, r.Duplicate, r.OutOfSeq,
-		fwd, dropped, r.Masked,
+		r.Dropped, r.Masked,
 		r.P50, r.P99, r.P999,
 		r.SenderMux.RxBatches+r.ReceiverMux.RxBatches, r.SenderMux.RxDatagrams+r.ReceiverMux.RxDatagrams,
 		r.SenderMux.TxBatches+r.ReceiverMux.TxBatches, r.SenderMux.TxDatagrams+r.ReceiverMux.TxDatagrams,
@@ -242,10 +230,10 @@ func LabeledSnapshots(senders, receivers []*Endpoint) []obs.LabeledSnapshot {
 }
 
 // RunMulti wires N protected links — every sender half on one shared mux
-// socket, every receiver half on another, a seeded impairment proxy per
-// link — drives the flow-scale load generator across them, waits for all
-// links to drain, and reports per-link and aggregate outcomes. Blocks
-// until done, canceled or Timeout.
+// socket, every receiver half on another, each link's forward path
+// corrupted at its receiver's ingress MAC — drives the flow-scale load
+// generator across them, waits for all links to drain, and reports
+// per-link and aggregate outcomes. Blocks until done, canceled or Timeout.
 func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -272,46 +260,31 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		_ = rconn.Close()
 		return nil, err
 	}
-	// Shutdown ordering: both loops halt before any mux or proxy is torn
-	// down and before any counter is read — so the counters are frozen,
+	// Shutdown ordering: both loops halt before either mux is torn down
+	// and before any counter is read — so the counters are frozen,
 	// consistent, and safely readable off-loop.
 	stopLoops := func() {
 		smux.loop.Stop()
 		rmux.loop.Stop()
 	}
-	proxies := make([]*Proxy, cfg.Links)
 	defer func() {
 		stopLoops()
 		smux.Close()
 		rmux.Close()
-		for _, p := range proxies {
-			if p != nil {
-				p.Close()
-			}
-		}
 	}()
 
 	senders := make([]*Endpoint, cfg.Links)
 	receivers := make([]*Endpoint, cfg.Links)
 	for i := 0; i < cfg.Links; i++ {
-		imp := ProxyImpair{
-			Model:       NewLossModel(cfg.LossRate, cfg.Burst, cfg.BurstLen),
-			Jitter:      cfg.Jitter,
-			ReorderProb: cfg.Reorder,
-		}
-		p, err := NewProxy("127.0.0.1:0", rconn.LocalAddr().String(), imp, parallel.SeedFor(cfg.Seed, i))
-		if err != nil {
-			return nil, err
-		}
-		proxies[i] = p
 		epc := EndpointConfig{LinkRate: cfg.LinkRate, LossRate: cfg.LossRate, Mode: cfg.Mode, AppHost: "sender-app"}
-		if senders[i], err = NewSender(epc, smux, uint16(i), p.Addr()); err != nil {
+		if senders[i], err = NewSender(epc, smux, uint16(i), rconn.LocalAddr().(*net.UDPAddr)); err != nil {
 			return nil, err
 		}
 		epc.AppHost = "receiver-app"
 		if receivers[i], err = NewReceiver(epc, rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr)); err != nil {
 			return nil, err
 		}
+		receivers[i].corruptIngress(NewLossModel(cfg.LossRate, cfg.MeanBurst), parallel.SeedFor(cfg.Seed, i))
 	}
 
 	start := time.Now()
@@ -399,43 +372,39 @@ poll:
 	report.Links = make([]LinkReport, cfg.Links)
 	latAgg := make([]uint64, len(latencyBounds)+1)
 	latN := uint64(0)
-	var proxyDropped uint64
 	for i := 0; i < cfg.Links; i++ {
-		s, r, p := senders[i], receivers[i], proxies[i]
+		s, r := senders[i], receivers[i]
 		a := r.Flow
 		lr := &report.Links[i]
 		*lr = LinkReport{
-			Link:           i,
-			Offered:        s.App.Tx,
-			Flows:          a.Flows(),
-			Rx:             a.Rx,
-			Lost:           a.Lost,
-			Duplicate:      a.Duplicate,
-			OutOfSeq:       a.OutOfSeq,
-			Gaps:           a.Gaps,
-			P50:            a.Quantile(0.50),
-			P99:            a.Quantile(0.99),
-			P999:           a.Quantile(0.999),
-			SenderWire:     s.Wire.Counters(),
-			ReceiverWire:   r.Wire.Counters(),
-			ProxyForwarded: p.Forwarded(),
-			ProxyDropped:   p.Dropped(),
-			ProxyDelayed:   p.Delayed(),
-			ProxySwapped:   p.Swapped(),
+			Link:         i,
+			Offered:      s.App.Tx,
+			Flows:        a.Flows(),
+			Rx:           a.Rx,
+			Lost:         a.Lost,
+			Duplicate:    a.Duplicate,
+			OutOfSeq:     a.OutOfSeq,
+			Gaps:         a.Gaps,
+			P50:          a.Quantile(0.50),
+			P99:          a.Quantile(0.99),
+			P999:         a.Quantile(0.999),
+			SenderWire:   s.Wire.Counters(),
+			ReceiverWire: r.Wire.Counters(),
+			ProxyDropped: r.wifc.In.RxBad,
 		}
 		report.Offered += lr.Offered
 		report.Delivered += lr.Rx
 		report.Lost += lr.Lost
 		report.Duplicate += lr.Duplicate
 		report.OutOfSeq += lr.OutOfSeq
-		proxyDropped += lr.ProxyDropped
+		report.Dropped += lr.ProxyDropped
 		for j, c := range a.Latency.Counts() {
 			latAgg[j] += c
 		}
 		latN += a.Latency.N()
 	}
 	if report.Lost == 0 {
-		report.Masked = proxyDropped
+		report.Masked = report.Dropped
 	}
 	hp := obs.HistPoint{Bounds: latencyBounds, Counts: latAgg, N: latN}
 	report.P50 = time.Duration(HistQuantile(hp, 0.50) * float64(time.Second))

@@ -532,11 +532,11 @@ func (m *Mux) sendBatch(batch []*frame) {
 // MuxWire binds one protected link's wire-facing interface to the shared
 // mux socket: the live half of a protected link. Outbound, it is the
 // Link.Carrier — every frame the interface's port finishes serializing is
-// framed by the simnet datagram codec and queued for the socket; the
-// simulated wire (loss models, propagation) is bypassed because the
-// physical path is real. Inbound, it decodes each datagram into a pooled
-// packet and injects it through Ifc.Receive — counters, PFC absorption
-// and the LinkGuardian ingress hooks all run exactly as if the frame had
+// framed by the simnet datagram codec and queued for the socket; simulated
+// propagation is bypassed because the physical path is real. Inbound, it
+// decodes each datagram into a pooled packet and injects it through
+// Ifc.Receive — the link's fault verdict, counters, PFC absorption and
+// the LinkGuardian ingress hooks all run exactly as if the frame had
 // arrived over a simulated link. Decode and injection run on the mux's
 // loop, like every other link's; the syscalls are shared and batched.
 type MuxWire struct {

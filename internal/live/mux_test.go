@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"math/rand"
 	"net"
 	"runtime"
 	"strings"
@@ -215,8 +216,9 @@ func TestMuxSendBatchTransientRetry(t *testing.T) {
 }
 
 // The full multi-link stack under loss: N protected links on two shared
-// mux sockets, per-link seeded proxies, the flow-scale load generator —
-// and zero app-visible loss, duplication or reordering on every link.
+// mux sockets, per-link seeded corruption at each receiver's ingress MAC,
+// the flow-scale load generator — and zero app-visible loss, duplication
+// or reordering on every link.
 // Run under -race by the race CI job, this is also the multi-link
 // concurrency test for the mux's three-goroutine handoffs.
 func TestMultiLinkLoopback(t *testing.T) {
@@ -224,17 +226,20 @@ func TestMultiLinkLoopback(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		// Race instrumentation costs ~10× on these tight loops; a 1-CPU
 		// runner can't sustain the full rate on the two loops plus the mux
-		// and proxy goroutines, so shrink the load, not the link count.
+		// goroutines, so shrink the load, not the link count.
 		links, flows, count, pps = 3, 12, 1200, 6000
 	}
+	const seed, loss = 7, 1e-3
+	var receivers []*Endpoint
 	rep, err := RunMulti(MultiConfig{
-		Seed:     7,
+		Seed:     seed,
 		Links:    links,
 		Flows:    flows,
 		Count:    count,
 		Size:     512,
 		PPS:      pps,
-		LossRate: 1e-3,
+		LossRate: loss,
+		OnStart:  func(_, r []*Endpoint) { receivers = r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,15 +250,36 @@ func TestMultiLinkLoopback(t *testing.T) {
 	if rep.Delivered != count {
 		t.Fatalf("delivered %d, want %d", rep.Delivered, count)
 	}
-	var fwd uint64
+	var dropped uint64
 	for i := range rep.Links {
-		if rep.Links[i].Flows == 0 {
+		lr := &rep.Links[i]
+		if lr.Flows == 0 {
 			t.Fatalf("link %d saw no flows", i)
 		}
-		fwd += rep.Links[i].ProxyForwarded
+		if lr.ReceiverWire.RxDatagrams == 0 {
+			t.Fatalf("link %d: receiver wire decoded no datagrams", i)
+		}
+		// The drop count is the receiving MAC's own corruption counter,
+		// and it replays exactly from the link's seeded stream: one draw
+		// per frame the receiver's wire took in, none from the loop's Sim.
+		in := &receivers[i].wifc.In
+		if lr.ProxyDropped != in.RxBad {
+			t.Fatalf("link %d: ProxyDropped %d, receiver wire RxBad %d", i, lr.ProxyDropped, in.RxBad)
+		}
+		m, rng := NewLossModel(loss, 0), rand.New(rand.NewSource(parallel.SeedFor(seed, i)))
+		want := uint64(0)
+		for n := uint64(0); n < in.RxAll; n++ {
+			if m.Drops(rng) {
+				want++
+			}
+		}
+		if in.RxBad != want {
+			t.Fatalf("link %d: %d drops over %d frames, its seeded stream draws %d", i, in.RxBad, in.RxAll, want)
+		}
+		dropped += lr.ProxyDropped
 	}
-	if fwd == 0 {
-		t.Fatal("proxies forwarded nothing: traffic did not take the proxied path")
+	if dropped == 0 || rep.Dropped != dropped || rep.Masked != dropped {
+		t.Fatalf("report: dropped %d, masked %d; links dropped %d", rep.Dropped, rep.Masked, dropped)
 	}
 	s, r := rep.SenderMux, rep.ReceiverMux
 	if s.RxDatagrams == 0 || s.TxDatagrams == 0 || r.RxDatagrams == 0 || r.TxDatagrams == 0 {
@@ -288,15 +314,15 @@ func settledGoroutines() int {
 	return n
 }
 
-// runGoroutines runs a small links-link RunMulti and returns how many
-// goroutines it added while running. It fails the test unless the count
-// falls back to the pre-run baseline within a second of RunMulti
-// returning: no loop, mux or proxy goroutine may outlive the run.
+// runGoroutines runs a small, lossy links-link RunMulti and returns how
+// many goroutines it added while running. It fails the test unless the
+// count falls back to the pre-run baseline within a second of RunMulti
+// returning: no loop or mux goroutine may outlive the run.
 func runGoroutines(t *testing.T, links int) int {
 	t.Helper()
 	base, running := settledGoroutines(), 0
 	rep, err := RunMulti(MultiConfig{
-		Seed: 5, Links: links, Count: uint64(50 * links), PPS: 5000, Size: 128,
+		Seed: 5, Links: links, Count: uint64(50 * links), PPS: 5000, Size: 128, LossRate: 1e-3,
 		OnStart: func(_, _ []*Endpoint) { running = runtime.NumGoroutine() },
 	})
 	if err != nil {
@@ -315,14 +341,15 @@ func runGoroutines(t *testing.T, links int) int {
 	return running - base
 }
 
-// A multi-link run has one event loop per mux socket, not one per link:
-// each extra link costs only its proxy's two goroutines (reader and FIFO
-// forwarder), and nothing outlives the run.
+// A multi-link run has one event loop per mux socket, not one per link,
+// and corrupts the forward path inside the receiver's topology rather than
+// in a relay: an extra link costs no goroutine, and nothing outlives the
+// run.
 func TestRunMultiGoroutines(t *testing.T) {
 	one := runGoroutines(t, 1)
 	four := runGoroutines(t, 4)
-	if four-one != 2*3 {
-		t.Fatalf("1 link ran %d goroutines, 4 links %d: want 2 more per extra link (the proxy's)", one, four)
+	if four != one {
+		t.Fatalf("1 link ran %d goroutines, 4 links %d: want the same count whatever N", one, four)
 	}
 }
 

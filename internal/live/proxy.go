@@ -9,8 +9,11 @@ import (
 	"linkguardian/internal/simnet"
 )
 
-// Proxy is the in-path impairment relay: the live stand-in for the
-// testbed's variable optical attenuator (§4 of the paper). It forwards
+// Proxy is the in-path impairment relay of a three-terminal deployment
+// (lglive -mode=sender|proxy|receiver): the live stand-in for the
+// testbed's variable optical attenuator (§4 of the paper) between two
+// processes. In-process runs (RunMulti) need no relay; they corrupt at the
+// receiver's ingress MAC instead. It forwards
 // datagrams from its listen socket to a target address, dropping each with
 // a seeded loss model (i.i.d. Bernoulli or bursty Gilbert–Elliott — the
 // same simnet.LossModel implementations the simulated links use), delaying
@@ -61,20 +64,6 @@ type ProxyImpair struct {
 	// ReorderProb is the per-datagram probability of being held back and
 	// emitted after its successor (one adjacent swap).
 	ReorderProb float64
-}
-
-// NewLossModel builds a proxy's forward-path loss model: lossless at a
-// non-positive rate, otherwise i.i.d. Bernoulli at rate, or — with burst
-// set — Gilbert–Elliott at the same mean rate with burstLen mean
-// consecutive losses.
-func NewLossModel(rate float64, burst bool, burstLen float64) simnet.LossModel {
-	switch {
-	case rate <= 0:
-		return simnet.NoLoss{}
-	case burst:
-		return simnet.NewGilbertElliott(rate, burstLen)
-	}
-	return simnet.IIDLoss{P: rate}
 }
 
 // NewProxy starts an impairment relay on listen, forwarding to target.

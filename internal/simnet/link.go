@@ -81,12 +81,23 @@ func (i *Ifc) Send(pkt *Packet) bool {
 func (i *Ifc) EnqueueDirect(pkt *Packet) bool { return i.Port.Enqueue(pkt) }
 
 // Receive injects a frame into this interface's ingress MAC exactly as if
-// it had arrived over the attached link: counters, PFC absorption, the
-// OnIngress hook, then normal node processing. It is the inbound half of a
-// live transport (internal/live): a datagram decoded off a real socket
-// enters the dataplane here. The caller transfers ownership of pkt; it must
-// be called on the goroutine driving this topology's event loop.
-func (i *Ifc) Receive(pkt *Packet) { i.receive(pkt, false) }
+// it had arrived over the attached link — the link's verdict for the
+// peer→this direction and its taps, then receive — so the inbound half of
+// a live transport (internal/live), a datagram decoded off a real socket,
+// meets the same fault layer as simulated propagation. The caller
+// transfers ownership of pkt; call on the topology's event-loop goroutine.
+func (i *Ifc) Receive(pkt *Packet) {
+	l, from := i.link, i.peer
+	model := l.lossAB
+	if from == l.b {
+		model = l.lossBA
+	}
+	corrupted := l.verdict(pkt, from, model)
+	for _, tap := range l.taps {
+		tap(pkt, from, corrupted)
+	}
+	i.receive(pkt, corrupted)
+}
 
 // receive runs the ingress MAC: counters, corruption drop, PFC absorption,
 // hook dispatch, then normal node processing. Corruption drops and absorbed
@@ -164,12 +175,11 @@ type Link struct {
 
 	// Carrier, if set, replaces in-sim propagation: every frame a Port
 	// finishes serializing on this link is handed to the carrier instead of
-	// the loss models and the peer interface. This is the outbound half of a
+	// the verdict and the peer interface. This is the outbound half of a
 	// live transport (internal/live) — the carrier encodes the frame into a
-	// datagram, puts it on a real socket, and owns the packet from then on
-	// (corruption, delay and reordering happen in the physical network, or
-	// in an impairment proxy standing in for the VOA). Loss models, FaultFn,
-	// flap state and taps are all bypassed: the wire is no longer simulated.
+	// datagram, puts it on a real socket, and owns the packet from then on.
+	// The verdict (flap state, FaultFn, DropFn, loss models) and the taps
+	// run where the frame re-enters a topology: the peer's Receive.
 	Carrier func(pkt *Packet, from *Ifc)
 
 	// xab/xba, set only by Engine.Connect for a cross-shard link, carry

@@ -275,6 +275,80 @@ func TestCorruptionCountersAndRate(t *testing.T) {
 	}
 }
 
+// Ifc.Receive, the live transport's ingress, runs the same fault layer as
+// simulated propagation — flap state, FaultFn, DropFn and the loss model
+// of the peer→ifc direction only — drops condemned frames at this MAC
+// (RxAll/RxBad), and shows each frame to the link's taps with its verdict.
+func TestIfcReceiveRunsLinkVerdict(t *testing.T) {
+	s := NewSim(1)
+	h1, h2 := NewHost(s, "h1"), NewHost(s, "h2")
+	h1.StackDelay, h2.StackDelay = 0, 0
+	l := Connect(s, h1, h2, simtime.Rate100G, 0)
+	delivered := map[*Host]int{}
+	h1.OnReceive = func(*Packet) { delivered[h1]++ }
+	h2.OnReceive = func(*Packet) { delivered[h2]++ }
+	h1.Recycle, h2.Recycle = true, true
+	type tapped struct {
+		from      *Ifc
+		corrupted bool
+	}
+	var taps []tapped
+	l.TapDeliver(func(_ *Packet, from *Ifc, corrupted bool) { taps = append(taps, tapped{from, corrupted}) })
+
+	// inject hands one frame to ifc's ingress and reports whether its node
+	// got it; the tap must have seen it from the peer with that verdict.
+	inject := func(ifc *Ifc, to *Host) bool {
+		t.Helper()
+		before, all, bad := delivered[to], ifc.In.RxAll, ifc.In.RxBad
+		taps = taps[:0]
+		ifc.Receive(s.NewPacket(KindData, 100, to.NodeName()))
+		s.RunFor(simtime.Microsecond)
+		ok := delivered[to] == before+1
+		switch {
+		case ifc.In.RxAll != all+1:
+			t.Fatalf("RxAll moved %d, want 1", ifc.In.RxAll-all)
+		case ok == (ifc.In.RxBad != bad):
+			t.Fatalf("delivered=%v but RxBad moved %d", ok, ifc.In.RxBad-bad)
+		case len(taps) != 1 || taps[0].from != ifc.Peer() || taps[0].corrupted == ok:
+			t.Fatalf("taps saw %+v for a frame from %s (delivered=%v)", taps, ifc.Peer().Name, ok)
+		}
+		return ok
+	}
+	ab, ba := l.B(), l.A() // ingress of the a→b and of the b→a direction
+
+	if !inject(ab, h2) || !inject(ba, h1) {
+		t.Fatal("clean link dropped a frame")
+	}
+	l.SetDown(true)
+	if inject(ab, h2) || inject(ba, h1) {
+		t.Fatal("a downed link delivered a frame")
+	}
+	l.SetDown(false)
+
+	l.SetLoss(l.A(), IIDLoss{P: 1})
+	if inject(ab, h2) {
+		t.Fatal("the a→b loss model did not drop at b's ingress")
+	}
+	if !inject(ba, h1) {
+		t.Fatal("the a→b loss model dropped a b→a frame")
+	}
+	l.SetLoss(l.A(), nil)
+
+	l.DropFn = func(_ *Packet, from *Ifc) bool { return from == l.B() }
+	if !inject(ab, h2) || inject(ba, h1) {
+		t.Fatal("DropFn not honoured per direction")
+	}
+	l.FaultFn = func(_ *Packet, from *Ifc) Verdict {
+		if from == l.B() {
+			return VerdictDeliver
+		}
+		return VerdictDrop
+	}
+	if inject(ab, h2) || !inject(ba, h1) {
+		t.Fatal("FaultFn does not take precedence over DropFn")
+	}
+}
+
 func TestGilbertElliottBursts(t *testing.T) {
 	s := NewSim(7)
 	ge := NewGilbertElliott(0.01, 3)

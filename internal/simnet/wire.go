@@ -395,9 +395,9 @@ func DecodeLGDatagram(b []byte, p *Packet) ([]byte, error) {
 // dataplane (live.Mux) carries many protected links over one UDP socket,
 // so each datagram is prefixed with the 16-bit id of the link it belongs
 // to. The prefix is deliberately outside the LG datagram proper — the
-// receiving mux routes on it without touching the inner codec, and an
-// impairment proxy picks its per-link fault stream from it without
-// parsing (or trusting) anything else.
+// receiving mux routes on it without touching the inner codec, and hands
+// the frame to that link's topology, whose own fault layer (Ifc.Receive)
+// rules on it — nothing else is parsed or trusted to route.
 //
 //	bytes 0–1  link id, uint16 LE
 //	bytes 2…   one LG datagram in the AppendLGDatagram layout
