@@ -256,7 +256,7 @@ func RunScenarioOpts(sc Scenario, opts RunOpts) *Report {
 		return e.Kind == simnet.KindData && e.HasLG && !e.Dummy
 	})
 	reg := obs.NewRegistry()
-	tb.LG.M.Register(reg, "lg")
+	tb.LG.Register(reg, "lg")
 	obs.RegisterLink(reg, "link", tb.Link)
 	fr := &obs.FlightRecorder{
 		Dir:      opts.ArtifactDir,

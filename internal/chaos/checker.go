@@ -284,6 +284,7 @@ func (c *Checker) onForward(pkt *simnet.Packet) {
 // checkOccupancy asserts both recirculation buffers stay within bounds.
 func (c *Checker) checkOccupancy() {
 	cap := c.g.Config().RecircBufBytes
+	c.g.Settle()
 	if tx := c.g.M.TxBufBytes; tx < 0 || tx > cap {
 		c.flag(RuleOccupancyTx, "Tx buffer at %d bytes, bounds [0, %d]", tx, cap)
 	}

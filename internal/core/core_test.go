@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"linkguardian/internal/seqnum"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
 )
@@ -424,6 +425,35 @@ func TestDisableDrains(t *testing.T) {
 		if sz != 1400 {
 			t.Fatalf("size %d after disable, want 1400", sz)
 		}
+	}
+}
+
+// A drop still pending across Disable and Enable retires the entry the
+// re-enable cleared. The restarted sequence stamps seq 1 again; the stale
+// drop must not take the new entry with it, or its bytes stay in
+// TxBufBytes for good and a loss of it could not be retransmitted.
+func TestStaleRetireKeepsNewEntry(t *testing.T) {
+	tb := newTestbed(t, simtime.Rate25G, NewConfig(simtime.Rate25G, 1e-4))
+	tb.lg.Enable()
+	tb.sendBurst(0, 1, 1000)
+	for tb.lg.senderLatestRx != (seqnum.Seq{N: 1}) {
+		if !tb.sim.Q.Step() {
+			t.Fatal("queue ran dry before seq 1 was acked")
+		}
+	}
+	// Seq 1 is claimed and its drop waits for the loop boundary.
+	tb.lg.Disable()
+	tb.lg.Enable()
+	p := tb.sim.NewPacket(simnet.KindData, 1000, "h2")
+	p.FlowID = 1
+	tb.link.A().Send(p)
+	tb.runFor(simtime.Millisecond)
+	tb.lg.Settle()
+	if len(tb.recvSeqs) != 2 {
+		t.Fatalf("delivered %d, want 2", len(tb.recvSeqs))
+	}
+	if out, bytes := tb.lg.OutstandingTx(), tb.lg.M.TxBufBytes; out != 0 || bytes != 0 {
+		t.Fatalf("after drain: %d entries, %d bytes in the Tx buffer, want 0 and 0", out, bytes)
 	}
 }
 

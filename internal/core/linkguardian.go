@@ -1,6 +1,7 @@
 package core
 
 import (
+	"linkguardian/internal/eventq"
 	"linkguardian/internal/seqnum"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
@@ -30,8 +31,15 @@ type Instance struct {
 	nextSeq        seqnum.Seq
 	lastTx         seqnum.Seq // last protected seqNo put on the wire
 	senderLatestRx seqnum.Seq // sender's copy of latestRxSeqNo
-	txBuf          map[seqnum.Seq]*txEntry
-	copies         int // N from Equation 2
+	// txTab is the Tx buffer, indexed by seq.N modulo its power-of-two
+	// length like the hardware's per-seqNo register arrays (txGet checks
+	// the stored seq, era included); txCount counts its entries.
+	txTab   []*txEntry
+	txCount int
+	// txRetire holds each entry handleAck claimed under a ticket for its
+	// loop boundary; settleTx retires the due ones.
+	txRetire pending[*txEntry]
+	copies   int // N from Equation 2
 
 	// Receiver state.
 	latestRx seqnum.Seq // highest seqNo seen
@@ -40,8 +48,12 @@ type Instance struct {
 	// the loss-notification mirror. This matters for correctness — an ACK
 	// covering a lost seqNo must never overtake the loss notification, or
 	// the sender would flush the buffered copy before learning it has to
-	// retransmit it.
+	// retransmit it. The traversal holds no event: setLatestRx queues each
+	// observation in ackPend under a ticket one pipeline latency ahead, and
+	// both ACK stampers read the view through settleAckView, which applies
+	// the due ones in order.
 	ackView    seqnum.Seq
+	ackPend    pending[seqnum.Seq]
 	ackNo      seqnum.Seq // next seqNo to forward (Ordered mode)
 	missing    map[seqnum.Seq]lossRecord
 	notified   seqnum.Seq // highest seqNo ever included in a loss notification
@@ -71,16 +83,17 @@ type Instance struct {
 // recirculation-based Tx buffer (Appendix A.2). The recirculation itself is
 // modeled analytically: the entry can be acted upon (retransmitted or
 // dropped) only at loop-completion boundaries. Entries recycle through a
-// per-Instance free list; seq and pendLoops let the loop-boundary events be
-// scheduled in the typed (Instance, entry) form without a closure.
+// per-Instance free list; seq and pendLoops let the loop-boundary
+// retransmission be scheduled in the typed (Instance, entry) form without a
+// closure.
 type txEntry struct {
 	pkt       *simnet.Packet
 	seq       seqnum.Seq
 	insertAt  simtime.Time
 	loop      simtime.Duration
-	released  bool     // claimed: a flush/retransmit event owns this entry
+	released  bool     // claimed: a pending drop or retransmission owns it
 	retxReq   bool     // reTxReqs bit set for this seqNo
-	pendLoops uint64   // loops to account when the pending event fires
+	pendLoops uint64   // loops to account when the entry retires
 	next      *txEntry // free-list link
 }
 
@@ -89,6 +102,50 @@ type txEntry struct {
 // loss path never allocates for bookkeeping.
 type lossRecord struct {
 	detectedAt simtime.Time
+}
+
+// pending is a queue of delayed values, each held until its ticket is due:
+// q[head:] wait in firing order. The consumed prefix is dropped when the
+// queue empties or once it dominates, so one backing array is recycled.
+type pending[T any] struct {
+	q    []pendingItem[T]
+	head int
+}
+
+type pendingItem[T any] struct {
+	t eventq.Ticket
+	v T
+}
+
+// add holds v until t is due. A fresh ticket is almost always the latest,
+// so the scan from the tail for its place in firing order is short.
+func (p *pending[T]) add(t eventq.Ticket, v T) {
+	p.q = append(p.q, pendingItem[T]{})
+	i := len(p.q) - 1
+	for i > p.head && t.Less(p.q[i-1].t) {
+		p.q[i] = p.q[i-1]
+		i--
+	}
+	p.q[i] = pendingItem[T]{t, v}
+}
+
+// pop removes and returns the earliest value if its ticket is due on rt.
+func (p *pending[T]) pop(rt Runtime) (v T, ok bool) {
+	if p.head == len(p.q) || !rt.Due(p.q[p.head].t) {
+		return v, false
+	}
+	v = p.q[p.head].v
+	p.q[p.head] = pendingItem[T]{}
+	p.head++
+	switch {
+	case p.head == len(p.q):
+		p.q, p.head = p.q[:0], 0
+	case p.head > 64 && p.head*2 > len(p.q):
+		n := copy(p.q, p.q[p.head:])
+		clear(p.q[n:])
+		p.q, p.head = p.q[:n], 0
+	}
+	return v, true
 }
 
 // seqCell carries one sequence number into a typed event (boxing a seqnum
@@ -162,7 +219,7 @@ func protect(rt Runtime, sendIfc, recvIfc *simnet.Ifc, cfg Config, role Role) *I
 		cfg:     cfg,
 		sendIfc: sendIfc,
 		recvIfc: recvIfc,
-		txBuf:   map[seqnum.Seq]*txEntry{},
+		txTab:   make([]*txEntry, txTabMin),
 		missing: map[seqnum.Seq]lossRecord{},
 		copies:  cfg.Copies(),
 		ring:    ring{rate: cfg.RecircRate * simtime.Rate(cfg.RecircPorts), loop: cfg.RecircLoopLatency},
@@ -199,9 +256,13 @@ func (g *Instance) Enable() {
 	}
 	g.replayRing(false)
 	defer g.armRing()
+	// Apply what is due before the reset: a later read must see the state
+	// the reset left, not a delay that had elapsed before it.
+	g.Settle()
 	g.enabled = true
 	g.draining = false
-	clear(g.txBuf)
+	clear(g.txTab)
+	g.txCount = 0
 	clear(g.missing)
 	g.stallArmed = false
 	start := seqnum.Seq{N: 1}
@@ -234,8 +295,11 @@ func (g *Instance) Disable() {
 	defer g.armRing()
 	g.enabled = false
 	g.draining = true
-	for _, e := range g.txBuf {
-		g.releaseEntry(e, g.rt.Now())
+	g.settleTx()
+	for _, e := range g.txTab {
+		if e != nil {
+			g.releaseEntry(e, g.rt.Now())
+		}
 	}
 	if g.paused {
 		g.sendPFC(simnet.KindResume)
@@ -271,6 +335,7 @@ func (g *Instance) installHooks() {
 			// explicit-ACK stream.
 			return
 		}
+		g.settleAckView()
 		pkt.LGAck = simnet.LGAck{Present: true, Valid: true, LatestRx: g.ackView, Chan: g.cfg.Channel}
 		pkt.Size += simnet.LGHeaderBytes
 		g.M.AcksPiggybacked++
@@ -334,6 +399,7 @@ func (g *Instance) OnForward(fn func(*simnet.Packet)) {
 func (g *Instance) SeedSequence(n uint16, era uint8) {
 	g.replayRing(false)
 	defer g.armRing()
+	g.settleAckView()
 	start := seqnum.Seq{N: n, Era: era & 1}
 	g.nextSeq = start
 	g.lastTx = start.Add(-1)
@@ -348,7 +414,21 @@ func (g *Instance) SeedSequence(n uint16, era uint8) {
 func (g *Instance) RxHeldBytes() int { return g.rxHeld }
 
 // OutstandingTx returns the number of packets held in the Tx buffer.
-func (g *Instance) OutstandingTx() int { return len(g.txBuf) }
+func (g *Instance) OutstandingTx() int {
+	g.settleTx()
+	return g.txCount
+}
+
+// Settle applies every protocol delay that has elapsed by now: acked
+// Tx-buffer copies past their loop boundary retire, and the ACK-stamping
+// view catches up with latestRx. Until then M.TxBufBytes and M.SenderLoops
+// lag by the retirements still pending. The instance settles before its own
+// reads, OutstandingTx and Register's Tx metrics included; a caller that
+// reads those two fields directly mid-run calls Settle first.
+func (g *Instance) Settle() {
+	g.settleTx()
+	g.settleAckView()
+}
 
 // MissingCount returns the number of open loss records at the receiver.
 func (g *Instance) MissingCount() int { return len(g.missing) }

@@ -62,10 +62,13 @@ func (m *Metrics) RecircOverhead(window simtime.Duration, capacityPps float64) (
 		float64(m.ReceiverLoops) / secs / capacityPps
 }
 
-// Register exposes every metric under the given prefix in an obs registry.
-// Counters and gauges are function-backed (read at snapshot time, zero
-// hot-path cost); the retransmission-delay histogram is adopted directly.
-func (m *Metrics) Register(r *obs.Registry, prefix string) {
+// Register exposes every metric of M under the given prefix in an obs
+// registry. Counters and gauges are function-backed (read at snapshot time,
+// zero hot-path cost); tx_buf_bytes and sender_loops settle the instance
+// first, since Tx-buffer retirements are applied lazily. The
+// retransmission-delay histogram is adopted directly.
+func (g *Instance) Register(r *obs.Registry, prefix string) {
+	m := &g.M
 	p := func(name string) string { return prefix + "." + name }
 	counters := []struct {
 		name string
@@ -76,7 +79,6 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 		{"retx_copies", &m.RetxCopies},
 		{"dummies_sent", &m.DummiesSent},
 		{"tx_buf_drops", &m.TxBufDrops},
-		{"sender_loops", &m.SenderLoops},
 		{"acks_received", &m.AcksReceived},
 		{"acks_stale", &m.AcksStale},
 		{"delivered", &m.Delivered},
@@ -98,7 +100,8 @@ func (m *Metrics) Register(r *obs.Registry, prefix string) {
 		v := c.v
 		r.CounterFunc(p(c.name), func() uint64 { return *v })
 	}
-	r.GaugeFunc(p("tx_buf_bytes"), func() float64 { return float64(m.TxBufBytes) })
+	r.CounterFunc(p("sender_loops"), func() uint64 { g.settleTx(); return m.SenderLoops })
+	r.GaugeFunc(p("tx_buf_bytes"), func() float64 { g.settleTx(); return float64(m.TxBufBytes) })
 	r.GaugeFunc(p("tx_buf_peak"), func() float64 { return float64(m.TxBufPeak) })
 	r.GaugeFunc(p("rx_buf_bytes"), func() float64 { return float64(m.RxBufBytes) })
 	r.GaugeFunc(p("rx_buf_peak"), func() float64 { return float64(m.RxBufPeak) })

@@ -57,9 +57,10 @@ func TestRetxDelaysBoundedMemory(t *testing.T) {
 }
 
 func TestMetricsRegisterExposesCounters(t *testing.T) {
-	m := &Metrics{Protected: 11, Retransmits: 3, Timeouts: 2, TxBufBytes: 100, TxBufPeak: 500}
+	g := &Instance{M: Metrics{Protected: 11, Retransmits: 3, Timeouts: 2, TxBufBytes: 100, TxBufPeak: 500}}
+	m := &g.M
 	r := obs.NewRegistry()
-	m.Register(r, "lg")
+	g.Register(r, "lg")
 	s := r.Snapshot()
 	if s.Counter("lg.protected") != 11 || s.Counter("lg.retransmits") != 3 || s.Counter("lg.timeouts") != 2 {
 		t.Fatalf("counters not exposed: %+v", s.Counters)

@@ -9,9 +9,9 @@ import (
 // Runtime is the seam between the LinkGuardian state machines and the
 // engine that drives them. The protocol code schedules its timers (loss
 // sweeps, the ackNoTimeout, pause refreshes, ACK/dummy pacing, reordering-
-// buffer wakeups), and draws and releases pooled packets exclusively
-// through this interface, so the same sender/receiver logic compiles
-// against two backends:
+// buffer wakeups), reserves tickets for its two pure delays, and draws and
+// releases pooled packets exclusively through this interface, so the same
+// sender/receiver logic compiles against two backends:
 //
 //   - *simnet.Sim — the discrete-event scheduler. Time is logical, a run is
 //     single-threaded and bit-for-bit reproducible from its seed. This is
@@ -26,6 +26,14 @@ import (
 // (static func plus two pointer-shaped args); both backends preserve the
 // eventq guarantee that events scheduled for the same instant fire in
 // scheduling order.
+//
+// A delay that only makes a value visible later — the ACK-stamping view
+// trailing latestRx by one pipeline traversal, and an acked Tx-buffer copy
+// dropped at its next loop boundary — costs no event: TicketAt reserves
+// the firing-order place such an event would take, and the instance applies
+// the value at its next read once Due says that place has passed. Both
+// backends answer from the one eventq.Queue: on the live backend a ticket
+// falls due as the loop's RunUntil passes the wall clock over it.
 type Runtime interface {
 	// Now returns the current protocol time: simulated time on the sim
 	// backend, wall-clock time since loop start on the live backend.
@@ -40,6 +48,15 @@ type Runtime interface {
 
 	// AfterCall schedules fn(a0, a1) d after Now.
 	AfterCall(d simtime.Duration, fn func(a0, a1 any), a0, a1 any) eventq.Timer
+
+	// TicketAt reserves the firing-order place of an event at t without
+	// scheduling one; it draws the same tie-breaking number such an event
+	// would, so every other event keeps its order.
+	TicketAt(t simtime.Time) eventq.Ticket
+
+	// Due reports whether an event in the ticket's place would have fired
+	// by now.
+	Due(t eventq.Ticket) bool
 
 	// NewPacket draws a packet from the runtime's pool.
 	NewPacket(kind simnet.Kind, size int, toHost string) *simnet.Packet

@@ -25,6 +25,8 @@ func (w wrappedRuntime) AfterCall(d simtime.Duration, fn func(a0, a1 any), a0, a
 func (w wrappedRuntime) NewPacket(kind simnet.Kind, size int, toHost string) *simnet.Packet {
 	return w.s.NewPacket(kind, size, toHost)
 }
+func (w wrappedRuntime) TicketAt(t simtime.Time) eventq.Ticket       { return w.s.TicketAt(t) }
+func (w wrappedRuntime) Due(t eventq.Ticket) bool                    { return w.s.Due(t) }
 func (w wrappedRuntime) ClonePacket(p *simnet.Packet) *simnet.Packet { return w.s.ClonePacket(p) }
 func (w wrappedRuntime) Release(p *simnet.Packet)                    { w.s.Release(p) }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"linkguardian/internal/seqnum"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
@@ -56,6 +58,7 @@ func (g *Instance) freeTxEntry(e *txEntry) {
 // buffer (egress mirroring, Appendix A.2). If the recirculation buffer cap
 // is reached the copy is not stored; the packet is then unprotected.
 func (g *Instance) buffer(pkt *simnet.Packet, seq seqnum.Seq) {
+	g.settleTx()
 	if g.M.TxBufBytes+pkt.Size > g.cfg.RecircBufBytes {
 		g.M.TxBufDrops++
 		return
@@ -65,7 +68,7 @@ func (g *Instance) buffer(pkt *simnet.Packet, seq seqnum.Seq) {
 	e.seq = seq
 	e.insertAt = g.rt.Now()
 	e.loop = g.loopTime(pkt.Size)
-	g.txBuf[seq] = e
+	g.txPut(e)
 	g.M.TxBufBytes += pkt.Size
 	if g.M.TxBufBytes > g.M.TxBufPeak {
 		g.M.TxBufPeak = g.M.TxBufBytes
@@ -100,20 +103,88 @@ func (e *txEntry) nextLoopBoundary(t simtime.Time) (simtime.Time, uint64) {
 	return e.insertAt.Add(simtime.Duration(k * int64(e.loop))), uint64(k)
 }
 
+// Tx buffer table sizes; at txTabMax every seq.N has its own slot.
+const (
+	txTabMin = 64
+	txTabMax = 1 << 16
+)
+
+// txGet returns the buffered entry for seq, or nil.
+func (g *Instance) txGet(seq seqnum.Seq) *txEntry {
+	e := g.txTab[int(seq.N)&(len(g.txTab)-1)]
+	if e == nil || e.seq != seq {
+		return nil
+	}
+	return e
+}
+
+// txPut stores e in its seq's slot, replacing an entry with the same seq as
+// a map would. A slot held by another seq doubles the table until the two
+// part. At txTabMax only two eras of one seq.N could still meet, and the
+// era scheme keeps them from being outstanding together.
+func (g *Instance) txPut(e *txEntry) {
+	for {
+		slot := &g.txTab[int(e.seq.N)&(len(g.txTab)-1)]
+		switch {
+		case *slot == nil:
+			g.txCount++
+			*slot = e
+			return
+		case (*slot).seq == e.seq:
+			*slot = e
+			return
+		}
+		if len(g.txTab) == txTabMax {
+			panic(fmt.Sprintf("core: Tx buffer holds seqNos %v and %v at once", (*slot).seq, e.seq))
+		}
+		tab := make([]*txEntry, 2*len(g.txTab))
+		for _, o := range g.txTab {
+			if o != nil {
+				tab[int(o.seq.N)&(len(tab)-1)] = o
+			}
+		}
+		g.txTab = tab
+	}
+}
+
+// txDel removes e from the Tx buffer if e itself still holds its slot. A
+// drop or retransmission pending across Disable and Enable retires an
+// entry the re-enable already cleared, while the restarted sequence may
+// have put a new entry with the same seq there.
+func (g *Instance) txDel(e *txEntry) {
+	slot := &g.txTab[int(e.seq.N)&(len(g.txTab)-1)]
+	if *slot == e {
+		*slot = nil
+		g.txCount--
+	}
+}
+
 // retire accounts a claimed entry at its loop boundary, drops it from the
 // Tx buffer and returns both the buffered packet and the entry itself to
 // their free lists.
 func (g *Instance) retire(e *txEntry) {
 	g.M.SenderLoops += e.pendLoops
 	g.M.TxBufBytes -= e.pkt.Size
-	delete(g.txBuf, e.seq)
+	g.txDel(e)
 	g.rt.Release(e.pkt)
 	g.freeTxEntry(e)
 }
 
-// releaseEntry immediately retires a buffered packet that no scheduled
-// event has claimed — the Disable drain path. Claimed entries (released
-// already set) are left to their pending flush/retransmit event.
+// settleTx retires, in firing order, every entry handleAck claimed whose
+// loop boundary has passed.
+func (g *Instance) settleTx() {
+	for {
+		e, ok := g.txRetire.pop(g.rt)
+		if !ok {
+			return
+		}
+		g.retire(e)
+	}
+}
+
+// releaseEntry immediately retires a buffered packet that nothing has
+// claimed — the Disable drain path. Claimed entries (released already set)
+// are left to their pending drop or retransmission.
 func (g *Instance) releaseEntry(e *txEntry, at simtime.Time) {
 	if e.released {
 		return
@@ -159,20 +230,17 @@ func (g *Instance) onReverse(pkt *simnet.Packet) bool {
 	return false
 }
 
-// txFlushFire is the typed loop-boundary drop event for an acknowledged
-// buffered packet: a0 is the Instance, a1 the claimed txEntry.
-func txFlushFire(a0, a1 any) {
-	a0.(*Instance).retire(a1.(*txEntry))
-}
-
-// handleAck advances the sender's copy of latestRxSeqNo and schedules the
-// drop of successfully delivered buffered packets at their next loop
+// handleAck advances the sender's copy of latestRxSeqNo and claims the
+// successfully delivered buffered packets for a drop at their next loop
 // boundary (Figure 18: seqNo <= latestRxSeqNo and no retransmission
 // requested → drop). Sequence numbers are stamped in increasing order and
 // the ACK is cumulative, so only the newly covered range (senderLatestRx,
 // latestRx] can hold droppable entries — the walk is per acked seqNo (the
-// hardware's per-seqNo register lookup), not per outstanding entry.
+// hardware's per-seqNo register lookup), not per outstanding entry. The
+// drop only lets time pass, so it waits in txRetire under a ticket for the
+// boundary instead of an event.
 func (g *Instance) handleAck(latestRx seqnum.Seq) {
+	g.settleTx()
 	g.M.AcksReceived++
 	if seqnum.LessEq(latestRx, g.senderLatestRx) {
 		return
@@ -192,14 +260,14 @@ func (g *Instance) handleAck(latestRx seqnum.Seq) {
 	now := g.rt.Now()
 	n := seqnum.Distance(prev, latestRx)
 	for i := 1; i <= n; i++ {
-		e, ok := g.txBuf[prev.Add(i)]
-		if !ok || e.released || e.retxReq {
+		e := g.txGet(prev.Add(i))
+		if e == nil || e.released || e.retxReq {
 			continue
 		}
 		e.released = true // claim now; account at the loop boundary
 		at, loops := g.releaseBoundary(e, now)
 		e.pendLoops = loops
-		g.rt.AtCall(at, txFlushFire, g, e)
+		g.txRetire.add(g.rt.TicketAt(at), e)
 	}
 }
 
@@ -226,10 +294,11 @@ func txRetxFire(a0, a1 any) {
 // (§3.4, Appendix A.2). The notification header is read synchronously; the
 // caller may release the carrying packet as soon as this returns.
 func (g *Instance) handleNotif(n *simnet.LossNotif) {
+	g.settleTx()
 	now := g.rt.Now()
 	for _, seq := range n.MissingSeqs() {
-		e, ok := g.txBuf[seq]
-		if !ok || e.released {
+		e := g.txGet(seq)
+		if e == nil || e.released {
 			continue
 		}
 		e.released = true // claimed by the retransmission event

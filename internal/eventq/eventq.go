@@ -35,13 +35,23 @@
 // event struct — so hot paths (one event per frame transmission, one per
 // link delivery) schedule bound work with zero allocations, provided the
 // arguments are pointers (interface conversion of a pointer does not
-// allocate).
+// allocate). A lane is keyed by the handler's code pointer, read straight
+// from the func value (the word reflect.Value.Pointer returns, without
+// reflect).
+//
+// A pure delay — a value that only becomes visible some time later, with
+// nothing to do at that instant — needs no event at all. TicketAt reserves
+// the place in the firing order that such an event would take: it draws the
+// tie-breaking sequence number exactly as a Schedule would, so every other
+// event keeps its order. Due then reports whether an event in that place
+// would already have fired, and the owner applies the delayed value lazily
+// at its next read.
 package eventq
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
+	"unsafe"
 )
 
 // event is one queue entry. Instances are owned by the queue and recycled
@@ -132,6 +142,11 @@ type Queue struct {
 	nexts  uint64
 	nfired uint64
 	live   int // scheduled and neither canceled nor fired
+	// bound is the firing-order boundary at now: a ticket for now is due
+	// when its seq is below it. Firing an event sets it to that event's
+	// seq; a RunUntil that reaches its deadline sets it to nexts, and a
+	// RunBefore that reaches its limit to 0.
+	bound uint64
 
 	// shard is the owning shard's id plus one when the queue belongs to a
 	// parallel-engine shard (SetShard), zero for a standalone global queue.
@@ -218,6 +233,44 @@ func (q *Queue) AfterCall(d int64, fn func(a0, a1 any), a0, a1 any) Timer {
 	return q.ScheduleCall(q.now+d, fn, a0, a1)
 }
 
+// Ticket is a place in the firing order, reserved by TicketAt without
+// scheduling an event.
+type Ticket struct {
+	at  int64
+	seq uint64
+}
+
+// Less reports whether t comes before u in the firing order: earlier time
+// first, then earlier reservation.
+func (t Ticket) Less(u Ticket) bool {
+	if t.at != u.at {
+		return t.at < u.at
+	}
+	return t.seq < u.seq
+}
+
+// TicketAt reserves the place an event scheduled at absolute time at (ns)
+// would take, drawing its tie-breaking sequence number exactly as Schedule
+// does, so every later event keeps the seq it would have had. Reserving in
+// the past panics, as scheduling there does.
+func (q *Queue) TicketAt(at int64) Ticket {
+	if at < q.now {
+		panic("eventq: ticket into the past")
+	}
+	t := Ticket{at: at, seq: q.nexts}
+	q.nexts++
+	return t
+}
+
+// Due reports whether an event scheduled in t's place would have fired by
+// now. Inside a callback that means t lies before the dispatched event;
+// between Steps, before the last fired one; after RunUntil(d), at or before
+// d for any ticket reserved before the call; after RunBefore(l), strictly
+// before l.
+func (q *Queue) Due(t Ticket) bool {
+	return t.at < q.now || t.at == q.now && t.seq < q.bound
+}
+
 // alloc pops a recycled event (or allocates one) for time at and stamps it
 // with the next tie-breaking sequence number; the caller enters it into a
 // lane or the heap.
@@ -239,12 +292,19 @@ func (q *Queue) alloc(at int64) *event {
 	return e
 }
 
+// laneKey returns fn's code pointer: a func value points at a closure
+// record whose first word is the code address. It is the value
+// reflect.ValueOf(fn).Pointer() returns, without reflect's cost.
+func laneKey(fn func(a0, a1 any)) uintptr {
+	return **(**uintptr)(unsafe.Pointer(&fn))
+}
+
 // laneFor returns fn's lane, claiming a free slot on first use, or nil when
 // the table has no room for it. The key is the handler's code pointer, so
 // closures sharing one body share a lane; that is only a performance hint,
 // since an event joins a lane solely on the tail check in ScheduleCall.
 func (q *Queue) laneFor(fn func(a0, a1 any)) *lane {
-	key := reflect.ValueOf(fn).Pointer()
+	key := laneKey(fn)
 	i := uint64(key) * 0x9E3779B97F4A7C15 >> (64 - laneBits)
 	for range laneSlots {
 		l := &q.lanes[i]
@@ -294,8 +354,9 @@ func (q *Queue) RunUntil(deadline int64) {
 	for e := q.peek(); e != nil && e.at <= deadline; e = q.peek() {
 		q.fire(e)
 	}
-	if q.now < deadline {
+	if q.now <= deadline {
 		q.now = deadline
+		q.bound = q.nexts
 	}
 }
 
@@ -314,6 +375,7 @@ func (q *Queue) RunBefore(limit int64) int {
 	}
 	if q.now < limit {
 		q.now = limit
+		q.bound = 0
 	}
 	return fired
 }
@@ -410,6 +472,7 @@ func (q *Queue) peek() *event {
 func (q *Queue) fire(e *event) {
 	q.popRoot()
 	q.now = e.at
+	q.bound = e.seq
 	fn, fn2, a0, a1 := e.fn, e.fn2, e.a0, e.a1
 	e.fn = nil
 	e.fn2 = nil

@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -676,5 +677,107 @@ func TestDiagnosticsShardLabel(t *testing.T) {
 	}
 	if !strings.Contains(d, "[40]") {
 		t.Fatalf("sharded diagnostics lost the deadlines: %q", d)
+	}
+}
+
+// A ticket is due exactly when an event in its place would have fired: at
+// its own instant that depends on its place against the dispatched event,
+// on where RunUntil or RunBefore stopped, and on the last Step.
+func TestTicketDue(t *testing.T) {
+	var q Queue
+	var inA, inB [2]bool
+	var before, same Ticket
+	q.Schedule(10, func() { inA = [2]bool{q.Due(before), q.Due(same)} })
+	before = q.TicketAt(5)
+	same = q.TicketAt(10) // after A, before B
+	q.Schedule(10, func() { inB = [2]bool{q.Due(before), q.Due(same)} })
+	q.Step()
+	if inA != [2]bool{true, false} {
+		t.Fatalf("inside A: Due(before, same) = %v, want [true false]", inA)
+	}
+	if q.Due(same) {
+		t.Fatal("between Steps: a ticket behind the last fired event is due")
+	}
+	q.Step()
+	if inB != [2]bool{true, true} {
+		t.Fatalf("inside B: Due(before, same) = %v, want [true true]", inB)
+	}
+
+	// After RunUntil(d), every ticket reserved before the call with at <= d
+	// is due; one reserved afterwards for d is not, until the next run.
+	early, atD := q.TicketAt(15), q.TicketAt(20)
+	q.RunUntil(20)
+	if !q.Due(early) || !q.Due(atD) {
+		t.Fatal("RunUntil(20) left a ticket at or before 20 not due")
+	}
+	late := q.TicketAt(20)
+	if q.Due(late) {
+		t.Fatal("a ticket reserved after RunUntil(20) for 20 is already due")
+	}
+	q.RunUntil(20)
+	if !q.Due(late) {
+		t.Fatal("a second RunUntil(20) did not pass the ticket reserved for 20")
+	}
+
+	// After RunBefore(l), a ticket at l is not due; one before l is.
+	edge, inside := q.TicketAt(30), q.TicketAt(29)
+	q.RunBefore(30)
+	if q.Due(edge) || !q.Due(inside) {
+		t.Fatalf("after RunBefore(30): Due(30) = %v, Due(29) = %v, want false, true", q.Due(edge), q.Due(inside))
+	}
+	q.Schedule(30, func() {})
+	q.Step()
+	if !q.Due(edge) {
+		t.Fatal("the ticket at 30 is not due after an event scheduled behind it fired")
+	}
+}
+
+// Reserving a ticket draws the tie-breaking seq a Schedule would: events
+// scheduled around it fire in the order they would around a real event.
+func TestTicketKeepsTieOrder(t *testing.T) {
+	var q Queue
+	var got []int
+	for i := range 4 {
+		if i == 2 {
+			q.TicketAt(7)
+		}
+		q.Schedule(7, func() { got = append(got, i) })
+	}
+	q.Drain(0)
+	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) || q.Fired() != 4 || q.Len() != 0 {
+		t.Fatalf("got %v, fired %d, len %d", got, q.Fired(), q.Len())
+	}
+}
+
+func TestTicketAtPastPanics(t *testing.T) {
+	var q Queue
+	q.Schedule(10, func() {})
+	q.Step()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a ticket into the past did not panic")
+		}
+	}()
+	q.TicketAt(9)
+}
+
+type laneKeyRecv struct{ n int }
+
+func (r *laneKeyRecv) handle(a0, a1 any) { r.n++ }
+
+// The lane key is the code pointer reflect reports, for every form a typed
+// handler can take.
+func TestLaneKeyMatchesReflect(t *testing.T) {
+	k := 3
+	closure := func(a0, a1 any) { k++ }
+	fns := map[string]func(a0, a1 any){
+		"static":  func(a0, a1 any) {},
+		"closure": closure,
+		"method":  (&laneKeyRecv{}).handle,
+	}
+	for name, fn := range fns {
+		if got, want := laneKey(fn), reflect.ValueOf(fn).Pointer(); got != want {
+			t.Errorf("%s: laneKey = %#x, reflect = %#x", name, got, want)
+		}
 	}
 }

@@ -20,6 +20,11 @@ import (
 // heads and of events deep inside a lane, and Step, RunUntil, RunBefore and
 // NextAt windows.
 //
+// Tickets ride along: the model treats each TicketAt as a no-op event in
+// the same order, fired with the real events around it. After every op,
+// and inside every callback, Due must hold for exactly the tickets the
+// model has fired. Handlers also reserve tickets for their own instant.
+//
 // Each op is two bytes: an opcode and an argument. The seed corpus is
 // checked in under testdata/fuzz/FuzzQueueOrder.
 func FuzzQueueOrder(f *testing.F) {
@@ -27,7 +32,7 @@ func FuzzQueueOrder(f *testing.F) {
 		r := &orderRig{}
 		m := &orderModel{}
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, arg := prog[pc]%9, int(prog[pc+1])
+			op, arg := prog[pc]%10, int(prog[pc+1])
 			err := r.exec(m, op, arg)
 			if err == nil {
 				err = r.check(m)
@@ -52,10 +57,12 @@ func FuzzQueueOrder(f *testing.F) {
 // the re-arms handlers make from their callbacks.
 const orderMaxEvents = 256
 
-// firing is one dispatched event: its scheduling index and the time it ran.
+// firing is one dispatched event: its scheduling index, the time it ran
+// and a fingerprint of the tickets due as it ran.
 type firing struct {
-	id int
-	at int64
+	id  int
+	at  int64
+	due uint64
 }
 
 // orderHandlers are the static typed handlers of FuzzQueueOrder. Each has
@@ -72,15 +79,48 @@ func orderH3(a0, a1 any) { a0.(*orderRig).fired(3, orderH3, a1.(int)) }
 
 func rearms(id int) bool { return id%3 == 0 }
 
+// reservesTicket reports whether a typed handler firing event id reserves a
+// ticket for its own instant: one that must not be due until a later event
+// at that instant fires.
+func reservesTicket(id int) bool { return id%5 == 1 }
+
+// ticketH marks a ticket in the model's id space.
+const ticketH = -2
+
+// dueHash fingerprints a set of ticket ids, visited in increasing order.
+func dueHash(h uint64, id int) uint64 { return h*1000003 + uint64(id) + 1 }
+
 // orderRig is the Queue under test with the handles and firings of its run.
 type orderRig struct {
-	q      Queue
-	timers []Timer // by id
-	got    []firing
+	q       Queue
+	timers  []Timer // by id; the zero Timer for a ticket's id
+	tickets []Ticket
+	tids    []int // id of each ticket
+	got     []firing
+}
+
+// record logs the dispatch of event id.
+func (r *orderRig) record(id int) {
+	var due uint64
+	for i, t := range r.tickets {
+		if r.q.Due(t) {
+			due = dueHash(due, r.tids[i])
+		}
+	}
+	r.got = append(r.got, firing{id, r.q.Now(), due})
+}
+
+func (r *orderRig) ticketAt(at int64) {
+	r.tids = append(r.tids, len(r.timers))
+	r.tickets = append(r.tickets, r.q.TicketAt(at))
+	r.timers = append(r.timers, Timer{})
 }
 
 func (r *orderRig) fired(h int, fn func(a0, a1 any), id int) {
-	r.got = append(r.got, firing{id, r.q.Now()})
+	r.record(id)
+	if reservesTicket(id) && len(r.timers) < orderMaxEvents {
+		r.ticketAt(r.q.Now())
+	}
 	if rearms(id) && len(r.timers) < orderMaxEvents {
 		r.timers = append(r.timers, r.q.AfterCall(orderDelays[h], fn, r, len(r.timers)))
 	}
@@ -121,9 +161,7 @@ func (r *orderRig) exec(m *orderModel, op byte, arg int) error {
 		if !full {
 			at := m.now + int64(arg>>2)%8
 			id := len(r.timers)
-			r.timers = append(r.timers, r.q.Schedule(at, func() {
-				r.got = append(r.got, firing{id, r.q.Now()})
-			}))
+			r.timers = append(r.timers, r.q.Schedule(at, func() { r.record(id) }))
 			m.schedule(at, -1)
 		}
 	case 4: // Cancel the k-th pending event of handler h (k = 0: its earliest)
@@ -155,6 +193,12 @@ func (r *orderRig) exec(m *orderModel, op byte, arg int) error {
 		if at != wantAt || ok != wantOK {
 			return fmt.Errorf("NextAt = (%d, %v), model (%d, %v)", at, ok, wantAt, wantOK)
 		}
+	case 9: // TicketAt at or after Now
+		if !full {
+			at := m.now + int64(arg>>2)%8
+			r.ticketAt(at)
+			m.schedule(at, ticketH)
+		}
 	}
 	return nil
 }
@@ -170,12 +214,20 @@ func (r *orderRig) check(m *orderModel) error {
 	if r.q.Len() != m.pending() {
 		return fmt.Errorf("Len = %d, model %d", r.q.Len(), m.pending())
 	}
+	for i, t := range r.tickets {
+		id := r.tids[i]
+		if got, want := r.q.Due(t), !m.evs[id].pending; got != want {
+			return fmt.Errorf("Due(ticket %d at %d) = %v, model %v", id, m.evs[id].at, got, want)
+		}
+	}
 	return nil
 }
 
 // orderModel is the reference queue: every event ever scheduled, by id,
 // fired by a linear scan for the (at, seq) minimum. An event's id is its
-// seq.
+// seq. A ticket is an event of handler ticketH that does nothing: it fires
+// just before the first real event that follows it, and Len, Step and
+// NextAt never see it.
 type orderModel struct {
 	evs []modelEvent
 	now int64
@@ -184,7 +236,7 @@ type orderModel struct {
 
 type modelEvent struct {
 	at      int64
-	h       int // handler index, -1 for a closure
+	h       int // handler index, -1 for a closure, ticketH for a ticket
 	pending bool
 }
 
@@ -192,27 +244,42 @@ func (m *orderModel) schedule(at int64, h int) {
 	m.evs = append(m.evs, modelEvent{at: at, h: h, pending: true})
 }
 
-func (m *orderModel) cancel(id int) { m.evs[id].pending = false }
+func (m *orderModel) cancel(id int) {
+	if m.evs[id].h != ticketH {
+		m.evs[id].pending = false
+	}
+}
 
 func (m *orderModel) pending() int {
 	n := 0
 	for _, e := range m.evs {
-		if e.pending {
+		if e.pending && e.h != ticketH {
 			n++
 		}
 	}
 	return n
 }
 
-// next returns the id of the earliest pending event by (at, seq), or -1.
+// next returns the id of the earliest pending real event by (at, seq), or
+// -1.
 func (m *orderModel) next() int {
 	best := -1
 	for id, e := range m.evs {
-		if e.pending && (best < 0 || e.at < m.evs[best].at) {
+		if e.pending && e.h != ticketH && (best < 0 || e.at < m.evs[best].at) {
 			best = id
 		}
 	}
 	return best
+}
+
+// fireTickets fires every pending ticket before (at, seq) in firing order.
+func (m *orderModel) fireTickets(at int64, seq int) {
+	for id := range m.evs {
+		e := &m.evs[id]
+		if e.pending && e.h == ticketH && (e.at < at || e.at == at && id < seq) {
+			e.pending = false
+		}
+	}
 }
 
 // tail returns the latest time of handler h's pending events, or -1.
@@ -244,10 +311,23 @@ func (m *orderModel) pendingOf(h, k int) (int, bool) {
 
 func (m *orderModel) fire(id int) {
 	e := &m.evs[id]
+	m.fireTickets(e.at, id)
 	e.pending = false
 	m.now = e.at
-	m.got = append(m.got, firing{id, e.at})
-	if e.h >= 0 && rearms(id) && len(m.evs) < orderMaxEvents {
+	var due uint64
+	for tid, t := range m.evs {
+		if t.h == ticketH && !t.pending {
+			due = dueHash(due, tid)
+		}
+	}
+	m.got = append(m.got, firing{id, e.at, due})
+	if e.h < 0 {
+		return
+	}
+	if reservesTicket(id) && len(m.evs) < orderMaxEvents {
+		m.schedule(m.now, ticketH)
+	}
+	if rearms(id) && len(m.evs) < orderMaxEvents {
 		m.schedule(m.now+orderDelays[e.h], e.h)
 	}
 }
@@ -265,6 +345,7 @@ func (m *orderModel) runUntil(deadline int64) {
 	for id := m.next(); id >= 0 && m.evs[id].at <= deadline; id = m.next() {
 		m.fire(id)
 	}
+	m.fireTickets(deadline+1, 0)
 	m.now = max(m.now, deadline)
 }
 
@@ -274,6 +355,7 @@ func (m *orderModel) runBefore(limit int64) int {
 		m.fire(id)
 		n++
 	}
+	m.fireTickets(limit, 0)
 	m.now = max(m.now, limit)
 	return n
 }

@@ -146,7 +146,9 @@ func rbMetrics(m core.Metrics) string {
 	return fmt.Sprintf("%+v retx_delays_n=%d retx_delays_sum=%d", m, n, sum)
 }
 
-func runRBCell(c rbCell) string {
+// runRBCell runs cell c and renders its golden lines. probe, if non-nil,
+// sees the testbed and the enabled instances just before the run starts.
+func runRBCell(c rbCell, probe func(tb *Testbed, insts []*core.Instance)) string {
 	cfg := core.NewConfig(c.rate, 1e-2)
 	tb := NewTestbed(1, c.rate, cfg)
 	tb.Link.SetLoss(tb.Link.A(), c.loss())
@@ -182,6 +184,9 @@ func runRBCell(c rbCell) string {
 		rev := &rbInjector{sim: tb.Sim, ifc: tb.Link.B(), dst: tb.H1.NodeName(), rate: c.rate, sizes: c.sizes}
 		tb.Sim.After(0, rev.tick)
 	}
+	if probe != nil {
+		probe(tb, insts)
+	}
 	tb.Sim.Run(simtime.Time(rbDrain))
 
 	var b bytes.Buffer
@@ -196,7 +201,7 @@ func runRBCell(c rbCell) string {
 func TestReorderBufferGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, c := range rbCells() {
-		buf.WriteString(runRBCell(c))
+		buf.WriteString(runRBCell(c, nil))
 	}
 	golden := filepath.Join("testdata", "reorder_buffer.golden")
 	if *update {

@@ -131,7 +131,7 @@ func (f *Segmented) CountReceivedAll() (pkts []*uint64, bytes []*uint64) {
 func (f *Segmented) Register(reg *obs.Registry) {
 	for i, tb := range f.Segs {
 		p := fmt.Sprintf("s%d", i)
-		tb.LG.M.Register(reg, p+".lg")
+		tb.LG.Register(reg, p+".lg")
 		obs.RegisterLink(reg, p+".link", tb.Link)
 	}
 	obs.RegisterEngine(reg, "engine", f.Eng)

@@ -85,7 +85,7 @@ func RunStressConfig(cfg core.Config, rate simtime.Rate, lossRate float64, opts 
 	tb.LG.Enable()
 
 	reg := obs.NewRegistry()
-	tb.LG.M.Register(reg, "lg")
+	tb.LG.Register(reg, "lg")
 	obs.RegisterLink(reg, "link", tb.Link)
 	var tracer *simnet.Tracer
 	if opts.TraceCap > 0 {
@@ -107,6 +107,7 @@ func RunStressConfig(cfg core.Config, rate simtime.Rate, lossRate float64, opts 
 		sampleEvery = simtime.Millisecond / 10
 	}
 	tb.Sim.Every(sampleEvery, func() bool {
+		tb.LG.Settle()
 		txSamples = append(txSamples, float64(tb.LG.M.TxBufBytes))
 		rxSamples = append(rxSamples, float64(tb.LG.M.RxBufBytes))
 		reg.Sample()
@@ -120,6 +121,7 @@ func RunStressConfig(cfg core.Config, rate simtime.Rate, lossRate float64, opts 
 	gen.Stop()
 	tb.Sim.RunFor(opts.Duration/2 + 10*simtime.Millisecond)
 
+	tb.LG.Settle()
 	m := &tb.LG.M
 	sent := gen.Sent()
 	lost := int64(sent) - int64(*rxPkts)

@@ -141,7 +141,7 @@ func NewReceiver(cfg EndpointConfig, m *Mux, linkID uint16, peer *net.UDPAddr) (
 // obs registry.
 func (ep *Endpoint) protect() {
 	ep.LG.Enable()
-	ep.LG.M.Register(ep.Reg, "lg")
+	ep.LG.Register(ep.Reg, "lg")
 	r := ep.Reg
 	w := ep.Wire
 	r.CounterFunc("live.app.tx", func() uint64 { return ep.App.Tx })

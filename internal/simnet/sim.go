@@ -79,6 +79,14 @@ func (s *Sim) AfterCall(d simtime.Duration, fn func(a0, a1 any), a0, a1 any) eve
 	return s.Q.AfterCall(int64(d), fn, a0, a1)
 }
 
+// TicketAt reserves the firing-order place of an event at t without
+// scheduling one; see eventq.Queue.TicketAt.
+func (s *Sim) TicketAt(t simtime.Time) eventq.Ticket { return s.Q.TicketAt(int64(t)) }
+
+// Due reports whether an event in the ticket's place would have fired by
+// now; see eventq.Queue.Due.
+func (s *Sim) Due(t eventq.Ticket) bool { return s.Q.Due(t) }
+
 // Cancel removes a pending event; safe on zero/fired timers.
 func (s *Sim) Cancel(t eventq.Timer) { s.Q.Cancel(t) }
 
