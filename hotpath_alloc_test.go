@@ -4,8 +4,8 @@ package bench
 // are plain tests, so `go test ./...` (tier 1) catches an allocation
 // regression: after warmup, advancing the simulation must not allocate on
 // the port→link→receive path, on the loss-notification→Tx-buffer→
-// retransmission path, nor across the sharded engine's cross-shard
-// handoffs.
+// retransmission path, across the sharded engine's cross-shard handoffs,
+// nor on the simulated transports' segment, ACK and timer path.
 
 import (
 	"fmt"
@@ -13,8 +13,10 @@ import (
 
 	"linkguardian/internal/core"
 	"linkguardian/internal/experiments"
+	"linkguardian/internal/parallel"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
+	"linkguardian/internal/transport"
 )
 
 // allocSlice is sized so one measured run carries ~800 packets — large
@@ -105,5 +107,103 @@ func TestFabricHotPathZeroAlloc(t *testing.T) {
 				t.Fatalf("fabric hot path allocates: %.2f allocs per 1ms slice at workers=%d", avg, workers)
 			}
 		})
+	}
+}
+
+// transportRig is the FCT testbed at 1e-3 loss with LinkGuardian enabled
+// and one long flow started by start. It returns the testbed and the
+// number of packets the flow's hosts have received so far.
+func transportRig(start func(tb *experiments.Testbed)) (*experiments.Testbed, *uint64) {
+	cfg := core.NewConfig(simtime.Rate100G, 1e-3)
+	tb := experiments.NewTestbed(1, simtime.Rate100G, cfg)
+	tb.SetLoss(1e-3)
+	tb.LG.Enable()
+	var rx uint64
+	for _, h := range []*simnet.Host{tb.H1, tb.H2} {
+		deliver := h.OnReceive
+		h.OnReceive = func(p *simnet.Packet) { rx++; deliver(p) }
+	}
+	start(tb)
+	return tb, &rx
+}
+
+// ackSlabAllowance is the one steady-state allocation a long TCP flow may
+// still pay: a new chunk of its receiving endpoint's ACK-payload slab every
+// 256 ACKs, about 0.004 per packet, amortized over the slice. A
+// per-packet allocation reads as 1 or more.
+const ackSlabAllowance = 0.05
+
+// TestTransportPacketPathZeroAlloc extends the hot-path gate to the
+// simulated transports: a long RDMA write and a long DCTCP flow cross the
+// LinkGuardian-protected testbed at 1e-3 loss. Once the flow is in steady
+// state, its data segments, ACKs, timers and released packets must cost
+// nothing per packet: the RDMA write allocates nothing at all, and DCTCP
+// only its amortized ACK slab, at most ackSlabAllowance per packet.
+func TestTransportPacketPathZeroAlloc(t *testing.T) {
+	const size = 128 << 20 // ~11 ms at line rate: never completes inside the measured window
+	for _, c := range []struct {
+		name      string
+		start     func(tb *experiments.Testbed)
+		allowance float64 // allocations per packet
+	}{
+		{"rdma", func(tb *experiments.Testbed) {
+			transport.StartRDMAWrite(tb.Sim, tb.EP1, tb.EP2, 1, size, transport.DefaultRDMAOpts(), nil)
+		}, 0},
+		{"dctcp", func(tb *experiments.Testbed) {
+			transport.StartTCPFlow(tb.Sim, tb.EP1, tb.EP2, 1, size, transport.DefaultTCPOpts(transport.DCTCP), nil)
+		}, ackSlabAllowance},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tb, rx := transportRig(c.start)
+			for i := 0; i < 4; i++ {
+				tb.Sim.RunFor(simtime.Millisecond)
+			}
+			const runs = 20
+			before := *rx
+			avg := testing.AllocsPerRun(runs, func() { tb.Sim.RunFor(allocSlice) })
+			pkts := float64(*rx-before) / (runs + 1) // AllocsPerRun adds a warm-up run
+			if pkts < 100 {
+				t.Fatalf("flow stalled: %.0f packets per %v slice", pkts, allocSlice)
+			}
+			if avg/pkts > c.allowance {
+				t.Fatalf("%s packet path allocates: %.2f allocs per %v slice of %.0f packets (%.4f per packet, allowance %.2f)",
+					c.name, avg, allocSlice, pkts, avg/pkts, c.allowance)
+			}
+		})
+	}
+}
+
+// fctAllocBudget caps allocations per completed flow in the sim_fct cells:
+// the flow's own state (endpoint conns, per-flow payload tables, the
+// congestion controller) plus the testbed amortized over its block.
+const fctAllocBudget = 10
+
+// TestFCTAllocsPerFlow holds the four sim_fct cells — 143 B DCTCP and
+// 24,387 B RDMA flows at 1e-3 loss, without and with LinkGuardian — to
+// fctAllocBudget allocations per flow at one worker.
+func TestFCTAllocsPerFlow(t *testing.T) {
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	const trials = 500
+	for _, c := range []struct {
+		tr   experiments.Transport
+		size int
+		prot experiments.Protection
+	}{
+		{experiments.TransDCTCP, 143, experiments.LossOnly},
+		{experiments.TransDCTCP, 143, experiments.LG},
+		{experiments.TransRDMA, 24387, experiments.LossOnly},
+		{experiments.TransRDMA, 24387, experiments.LG},
+	} {
+		opts := experiments.DefaultFCTOpts(c.size)
+		opts.Trials = trials
+		var res experiments.FCTResult
+		avg := testing.AllocsPerRun(1, func() { res = experiments.RunFCT(c.tr, c.prot, opts) })
+		if res.Trials != trials {
+			t.Fatalf("%v/%v: %d of %d trials completed", c.tr, c.prot, res.Trials, trials)
+		}
+		if perFlow := avg / trials; perFlow > fctAllocBudget {
+			t.Errorf("%v/%v/%d: %.1f allocs per flow, budget %d", c.tr, c.prot, c.size, perFlow, fctAllocBudget)
+		}
 	}
 }

@@ -205,7 +205,8 @@ func (c *fctChain) pending() bool { return len(c.fcts) < c.trials }
 // without a segment payload (fabric cross traffic) are never logged. Each
 // completion records the flow and starts the next one opts.Gap later.
 func startChain(tb *Testbed, prot Protection, opts FCTOpts, start flowStarter) *fctChain {
-	c := &fctChain{trials: opts.Trials, fcts: make([]float64, 0, opts.Trials)}
+	c := &fctChain{trials: opts.Trials, fcts: make([]float64, 0, opts.Trials),
+		flows: make([]transport.FlowStats, 0, opts.Trials)}
 	if prot == LG || prot == LGNB {
 		tb.LG.Enable()
 	}
@@ -282,7 +283,7 @@ func runBlocks(opts FCTOpts, block func(FCTOpts) *fctChain) *fctChain {
 		o.Trials, o.Seed = hi-lo, parallel.SeedFor(opts.Seed, b)
 		return block(o)
 	})
-	all := &fctChain{fcts: make([]float64, 0, opts.Trials)}
+	all := &fctChain{fcts: make([]float64, 0, opts.Trials), flows: make([]transport.FlowStats, 0, opts.Trials)}
 	for _, c := range blocks {
 		all.fcts = append(all.fcts, c.fcts...)
 		all.flows = append(all.flows, c.flows...)

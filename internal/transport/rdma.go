@@ -44,7 +44,12 @@ func StartRDMAWrite(sim *simnet.Sim, src, dst *Endpoint, flow, size int, opts RD
 		opts.WindowPkts = 128
 	}
 	npkt := (size + opts.MTU - 1) / opts.MTU
-	r := &rdmaReceiver{ep: dst, peerHost: src.host.NodeName(), flow: flow, npkt: npkt, opts: opts}
+	r := &rdmaReceiver{ep: dst, peerHost: src.host.NodeName(), flow: flow, npkt: npkt, opts: opts,
+		acks: make([]rdmaAck, 2*(npkt+1))}
+	for epsn := 0; epsn <= npkt; epsn++ {
+		r.acks[2*epsn] = rdmaAck{epsn: epsn}
+		r.acks[2*epsn+1] = rdmaAck{epsn: epsn, nak: true}
+	}
 	if opts.SelectiveRepeat {
 		r.rcvd = make([]bool, npkt)
 	}
@@ -57,7 +62,11 @@ func StartRDMAWrite(sim *simnet.Sim, src, dst *Endpoint, flow, size int, opts RD
 		opts:     opts,
 		size:     size,
 		npkt:     npkt,
+		data:     make([]rdmaData, npkt),
 		done:     done,
+	}
+	for psn := range s.data {
+		s.data[psn] = rdmaData{psn: psn, bytes: s.pktBytes(psn)}
 	}
 	src.register(flow, s)
 	s.start()
@@ -76,7 +85,8 @@ type rdmaSender struct {
 	una  int // lowest unacknowledged PSN
 	nxt  int // next PSN to transmit
 
-	retxQueue []int // selective-repeat retransmissions pending
+	data      []rdmaData // payload of each PSN
+	retxQueue []int      // selective-repeat retransmissions pending
 
 	rtoTimer eventq.Timer
 	startAt  simtime.Time
@@ -107,14 +117,12 @@ func (s *rdmaSender) pump() {
 	if s.finished {
 		return
 	}
-	for len(s.retxQueue) > 0 {
-		psn := s.retxQueue[0]
-		s.retxQueue = s.retxQueue[1:]
-		if psn < s.una {
-			continue
+	for _, psn := range s.retxQueue {
+		if psn >= s.una {
+			s.sendPkt(psn, true)
 		}
-		s.sendPkt(psn, true)
 	}
+	s.retxQueue = s.retxQueue[:0]
 	for s.nxt < s.npkt && s.nxt-s.una < s.opts.WindowPkts {
 		s.sendPkt(s.nxt, false)
 		s.nxt++
@@ -128,13 +136,20 @@ func (s *rdmaSender) sendPkt(psn int, retx bool) {
 	}
 	pkt := s.sim.NewPacket(simnet.KindData, rdmaHeaderBytes+s.pktBytes(psn), s.peerHost)
 	pkt.FlowID = s.flow
-	pkt.Payload = &rdmaData{psn: psn, bytes: s.pktBytes(psn)}
+	pkt.Payload = &s.data[psn]
 	s.ep.host.Send(pkt)
 }
 
 func (s *rdmaSender) receive(pkt *simnet.Packet) {
-	a, ok := pkt.Payload.(*rdmaAck)
-	if !ok || s.finished {
+	var a *rdmaAck
+	var missing []int
+	switch p := pkt.Payload.(type) {
+	case *rdmaAck:
+		a = p
+	case *rdmaSRNak:
+		a, missing = &p.rdmaAck, p.missing
+	}
+	if a == nil || s.finished {
 		return
 	}
 	if a.epsn > s.una {
@@ -146,7 +161,7 @@ func (s *rdmaSender) receive(pkt *simnet.Packet) {
 	}
 	switch {
 	case a.nak && s.opts.SelectiveRepeat:
-		s.retxQueue = append(s.retxQueue, a.missing...)
+		s.retxQueue = append(s.retxQueue, missing...)
 	case a.nak:
 		// Go-back-N: rewind and retransmit everything from ePSN.
 		if a.epsn < s.nxt {
@@ -164,8 +179,11 @@ func (s *rdmaSender) armRTO() {
 	if s.una >= s.npkt {
 		return
 	}
-	s.rtoTimer = s.sim.After(s.opts.RTO, s.fireRTO)
+	s.rtoTimer = s.sim.AfterCall(s.opts.RTO, rdmaRTOFire, s, nil)
 }
+
+// rdmaRTOFire is the typed RTO event: a0 is the *rdmaSender.
+func rdmaRTOFire(a0, _ any) { a0.(*rdmaSender).fireRTO() }
 
 // fireRTO is the NIC's transport timer: retransmit from the first
 // unacknowledged PSN (go-back-N semantics).
@@ -204,6 +222,7 @@ type rdmaReceiver struct {
 	npkt     int
 	opts     RDMAOpts
 
+	acks      []rdmaAck // acks[2*epsn+nak]: the payload of every plain ACK/NAK
 	epsn      int
 	nakArmed  bool // go-back-N: one NAK per OOO episode
 	rcvd      []bool
@@ -262,9 +281,18 @@ func (r *rdmaReceiver) receiveSR(d *rdmaData) {
 	r.sendAck(false, nil)
 }
 
+// sendAck acknowledges up to ePSN. A NAK naming missing PSNs (selective
+// repeat only) carries a payload of its own; every other ACK or NAK is
+// the table slot for its (ePSN, nak).
 func (r *rdmaReceiver) sendAck(nak bool, missing []int) {
 	ack := ackPacket(r.ep.sim, r.peerHost, r.flow)
-	ack.Payload = &rdmaAck{epsn: r.epsn, nak: nak, missing: missing}
+	if missing != nil {
+		ack.Payload = &rdmaSRNak{rdmaAck{epsn: r.epsn, nak: true}, missing}
+	} else if nak {
+		ack.Payload = &r.acks[2*r.epsn+1]
+	} else {
+		ack.Payload = &r.acks[2*r.epsn]
+	}
 	r.ep.host.Send(ack)
 	if r.epsn >= r.npkt {
 		r.ep.unregister(r.flow)

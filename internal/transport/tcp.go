@@ -99,12 +99,16 @@ func StartTCPFlow(sim *simnet.Sim, src, dst *Endpoint, flow, size int, opts TCPO
 		s.rttvar = opts.InitialSRTT / 2
 		s.haveRTT = true
 	}
+	for i := range s.segState {
+		s.segState[i].data = tcpData{seg: i, bytes: s.segBytes(i)}
+	}
 	src.register(flow, s)
 	s.start()
 	return &TCPFlow{s: s}
 }
 
 type segState struct {
+	data     tcpData      // the segment's payload, shared by every copy sent
 	sentAt   simtime.Time // most recent transmission
 	everSent bool
 	sacked   bool
@@ -221,7 +225,7 @@ func (s *tcpSender) trySend() {
 				// every ACK would add a self-re-arming event and the
 				// queue would melt down.
 				if s.paceTimer.Canceled() {
-					s.paceTimer = s.sim.After(s.pacedNext.Sub(now), s.trySend)
+					s.paceTimer = s.sim.AfterCall(s.pacedNext.Sub(now), tcpPaceFire, s, nil)
 				}
 				break
 			}
@@ -248,7 +252,7 @@ func (s *tcpSender) sendSeg(seg int) {
 		pkt := s.sim.NewPacket(simnet.KindData, tcpHeaderBytes+s.segBytes(seg), s.peerHost)
 		pkt.FlowID = s.flow
 		pkt.ECNCapable = s.opts.ECN
-		pkt.Payload = &tcpData{seg: seg, bytes: s.segBytes(seg)}
+		pkt.Payload = &st.data
 		s.ep.host.Send(pkt)
 	}
 }
@@ -281,7 +285,7 @@ func (s *tcpSender) receive(pkt *simnet.Packet) {
 	if a.cum > s.cumSeg {
 		s.cumSeg = a.cum
 	}
-	for _, b := range a.sacks {
+	for _, b := range a.sack[:a.nsack] {
 		for i := max(b.start, s.cumSeg); i < min(b.end, s.nseg); i++ {
 			st := &s.segState[i]
 			if !st.sacked {
@@ -306,7 +310,7 @@ func (s *tcpSender) receive(pkt *simnet.Packet) {
 			}
 		}
 	}
-	if len(a.sacks) > 0 {
+	if a.nsack > 0 {
 		s.stats.EverSACKed = true
 		if sb := s.sackedBytes(); sb > s.stats.MaxSackedBytes {
 			s.stats.MaxSackedBytes = sb
@@ -485,12 +489,18 @@ func (s *tcpSender) armTimers() {
 		}
 		if p < pto {
 			pto = p
-			s.tlpTimer = s.sim.After(pto, s.fireTLP)
+			s.tlpTimer = s.sim.AfterCall(pto, tcpTLPFire, s, nil)
 			return
 		}
 	}
-	s.rtoTimer = s.sim.After(rto, s.fireRTO)
+	s.rtoTimer = s.sim.AfterCall(rto, tcpRTOFire, s, nil)
 }
+
+// The sender's typed timer events; a0 is the *tcpSender.
+func tcpRTOFire(a0, _ any)  { a0.(*tcpSender).fireRTO() }
+func tcpTLPFire(a0, _ any)  { a0.(*tcpSender).fireTLP() }
+func tcpPaceFire(a0, _ any) { a0.(*tcpSender).trySend() }
+func tcpRackFire(a0, _ any) { a0.(*tcpSender).fireRack() }
 
 func (s *tcpSender) inflightSegs() int {
 	n := 0
@@ -522,7 +532,7 @@ func (s *tcpSender) fireTLP() {
 		}
 	}
 	// After a probe, only the RTO backstop remains until new ACKs arrive.
-	s.rtoTimer = s.sim.After(s.rto(), s.fireRTO)
+	s.rtoTimer = s.sim.AfterCall(s.rto(), tcpRTOFire, s, nil)
 }
 
 // fireRTO collapses the window and go-back-N's from the first hole.
@@ -548,13 +558,16 @@ func (s *tcpSender) armRackTimer(d simtime.Duration) {
 	if !s.rackTimer.Canceled() {
 		return
 	}
-	s.rackTimer = s.sim.After(d, func() {
-		if s.finished {
-			return
-		}
-		s.rackMark()
-		s.trySend()
-	})
+	s.rackTimer = s.sim.AfterCall(d, tcpRackFire, s, nil)
+}
+
+// fireRack re-checks the holes still inside the reordering window.
+func (s *tcpSender) fireRack() {
+	if s.finished {
+		return
+	}
+	s.rackMark()
+	s.trySend()
 }
 
 func (s *tcpSender) complete() {
@@ -596,21 +609,23 @@ func (r *tcpReceiver) receive(pkt *simnet.Packet) {
 	for r.cum < len(r.rcvd) && r.rcvd[r.cum] {
 		r.cum++
 	}
+	a := r.ep.tcpAcks.next()
+	a.cum, a.ece = r.cum, pkt.CE
+	r.fillSACK(a)
 	ack := ackPacket(r.ep.sim, r.peerHost, r.flow)
-	ack.Payload = &tcpAck{cum: r.cum, sacks: r.sackBlocks(), ece: pkt.CE}
+	ack.Payload = a
 	r.ep.host.Send(ack)
 	if r.cum == len(r.rcvd) {
 		r.ep.unregister(r.flow)
 	}
 }
 
-// sackBlocks reports up to three received ranges above the cumulative ACK.
-// The scan is bounded by the highest received segment, so it never walks
-// the flow's unreceived tail.
-func (r *tcpReceiver) sackBlocks() []sackBlock {
-	var blocks []sackBlock
+// fillSACK writes up to three received ranges above the cumulative ACK
+// into a fresh ACK. The scan is bounded by the highest received segment,
+// so it never walks the flow's unreceived tail.
+func (r *tcpReceiver) fillSACK(a *tcpAck) {
 	i := r.cum
-	for i <= r.maxRcvd && len(blocks) < 3 {
+	for i <= r.maxRcvd && a.nsack < maxSACKBlocks {
 		for i <= r.maxRcvd && !r.rcvd[i] {
 			i++
 		}
@@ -621,9 +636,9 @@ func (r *tcpReceiver) sackBlocks() []sackBlock {
 		for i <= r.maxRcvd && r.rcvd[i] {
 			i++
 		}
-		blocks = append(blocks, sackBlock{start: start, end: i})
+		a.sack[a.nsack] = sackBlock{start: start, end: i}
+		a.nsack++
 	}
-	return blocks
 }
 
 // ackPacket builds a minimum-size acknowledgment frame.

@@ -20,20 +20,27 @@ import (
 // Endpoint attaches transport connections to a simulated host and
 // demultiplexes received packets to them by flow ID.
 type Endpoint struct {
-	sim   *simnet.Sim
-	host  *simnet.Host
-	conns map[int]conn
+	sim     *simnet.Sim
+	host    *simnet.Host
+	conns   map[int]conn
+	tcpAcks ackSlab // payloads of the ACKs this endpoint's TCP receivers send
 }
 
-// conn is one side of a transport connection.
+// conn is one side of a transport connection. receive must not keep pkt:
+// the endpoint's host releases it to the Sim's free list as soon as
+// receive returns. Keeping pkt.Payload is safe, since the pool never
+// touches it.
 type conn interface {
 	receive(pkt *simnet.Packet)
 }
 
-// NewEndpoint wraps a host, taking over its OnReceive handler.
+// NewEndpoint wraps a host, taking over its OnReceive handler. The host
+// becomes a terminal point of the packet pool (simnet.Host.Recycle): every
+// delivered packet is released after its conn has read it.
 func NewEndpoint(sim *simnet.Sim, host *simnet.Host) *Endpoint {
 	e := &Endpoint{sim: sim, host: host, conns: map[int]conn{}}
 	host.OnReceive = e.dispatch
+	host.Recycle = true
 	return e
 }
 
@@ -90,6 +97,14 @@ type SegmentInfo interface {
 	Index() int
 }
 
+// Payloads are not allocated per packet. Every payload a flow can send is
+// a slot of a table the flow allocates once (a data segment's slot lives in
+// its segState; RDMA has data[psn] and acks[2*epsn+nak]), or, for TCP ACKs,
+// a fresh slot of the endpoint's ackSlab. A slot is written before its
+// first packet leaves and never rewritten, so every copy of a packet — a
+// duplicate, a LinkGuardian retransmission — may share it. Only a
+// selective-repeat NAK naming missing PSNs is allocated on its own.
+
 // tcpData is the payload of a TCP data segment.
 type tcpData struct {
 	seg   int // segment index within the flow
@@ -99,15 +114,38 @@ type tcpData struct {
 // Index implements SegmentInfo.
 func (d *tcpData) Index() int { return d.seg }
 
+// maxSACKBlocks is the number of SACK blocks an ACK carries (the TCP option
+// space holds three alongside timestamps).
+const maxSACKBlocks = 3
+
 // tcpAck is the payload of a TCP ACK.
 type tcpAck struct {
-	cum   int         // next expected segment index (all below received)
-	sacks []sackBlock // out-of-order ranges above cum
-	ece   bool        // ECN echo for the packet that triggered this ACK
+	cum   int                      // next expected segment index (all below received)
+	sack  [maxSACKBlocks]sackBlock // out-of-order ranges above cum: sack[:nsack]
+	nsack int
+	ece   bool // ECN echo for the packet that triggered this ACK
 }
 
 // sackBlock is a half-open range of received segment indices.
 type sackBlock struct{ start, end int }
+
+// ackSlabSize is the number of TCP ACK payloads one slab allocation holds.
+const ackSlabSize = 256
+
+// ackSlab hands out TCP ACK payloads. A TCP ACK's content has no small
+// per-flow index, so each ACK takes a fresh slot, carved from a chunk
+// allocated ackSlabSize slots at a time. Slots are never reused: a chunk
+// is collected once no in-flight packet refers to any of its slots.
+type ackSlab []tcpAck
+
+func (s *ackSlab) next() *tcpAck {
+	if len(*s) == 0 {
+		*s = make(ackSlab, ackSlabSize)
+	}
+	a := &(*s)[0]
+	*s = (*s)[1:]
+	return a
+}
 
 // rdmaData is the payload of an RoCEv2 RC data packet.
 type rdmaData struct {
@@ -120,7 +158,12 @@ func (d *rdmaData) Index() int { return d.psn }
 
 // rdmaAck is the payload of an RC ACK or NAK.
 type rdmaAck struct {
-	epsn    int   // next expected PSN (cumulative)
-	nak     bool  // out-of-sequence NAK: retransmit from epsn (go-back-N)
-	missing []int // selective-repeat: specific PSNs to retransmit
+	epsn int  // next expected PSN (cumulative)
+	nak  bool // out-of-sequence NAK: retransmit from epsn (go-back-N)
+}
+
+// rdmaSRNak is a selective-repeat NAK: it names the PSNs to retransmit.
+type rdmaSRNak struct {
+	rdmaAck
+	missing []int
 }
