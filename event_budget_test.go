@@ -3,11 +3,15 @@ package bench
 import (
 	"testing"
 
+	"linkguardian/internal/core"
+	"linkguardian/internal/experiments"
+	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
 )
 
 // eventsPerPkt runs the sim rig through a 10 ms warm-up and then reports
-// the events fired per packet delivered to h2 over the next 20 ms.
+// the events fired per packet delivered to h2 over the next 20 ms. The
+// loaded link never idles, so no control-stream event may be replayed.
 func eventsPerPkt(t *testing.T, loss float64) float64 {
 	t.Helper()
 	tb, rx, gen := newRig(loss)
@@ -18,6 +22,9 @@ func eventsPerPkt(t *testing.T, loss float64) float64 {
 	pkts, events := *rx-p0, tb.Sim.Q.Fired()-e0
 	if pkts == 0 {
 		t.Fatalf("loss %g: no packets delivered", loss)
+	}
+	if n := tb.Sim.Q.Replayed(); n != 0 {
+		t.Fatalf("loss %g: the loaded rig replayed %d events", loss, n)
 	}
 	return float64(events) / float64(pkts)
 }
@@ -43,5 +50,44 @@ func TestLossyRigEventBudget(t *testing.T) {
 	}
 	if lossy > clean+1.0 {
 		t.Fatalf("lossy rig fires %.2f events/pkt, over the clean rig's %.2f + 1.0", lossy, clean)
+	}
+}
+
+// Pinned for TestIdleLinkEventBudget: one millisecond of an idle protected
+// 100G link paces 5001 frames per control stream (one at Enable, then one
+// every 200 ns), 5000 of which are delivered; every frame costs three
+// events on the event path.
+const (
+	idleFramesSent      = 5001
+	idleFramesDelivered = 5000
+	idleEvents          = 30000
+	idleEventCeiling    = 1500
+)
+
+// TestIdleLinkEventBudget runs a LinkGuardian-enabled testbed with no
+// traffic for 1 ms. The dummy and explicit-ACK streams are replayed in
+// closed form, so almost none of their events is dispatched, yet every
+// count they leave behind is the event path's.
+func TestIdleLinkEventBudget(t *testing.T) {
+	tb := experiments.NewTestbed(1, simtime.Rate100G, core.NewConfig(simtime.Rate100G, 0))
+	tb.LG.Enable()
+	tb.Sim.RunFor(simtime.Millisecond)
+	q, m := &tb.Sim.Q, &tb.LG.M
+	t.Logf("fired %d, replayed %d", q.Fired(), q.Replayed())
+	if q.Fired() > idleEventCeiling {
+		t.Errorf("idle link dispatched %d events, over the ceiling of %d", q.Fired(), idleEventCeiling)
+	}
+	if n := q.Fired() + q.Replayed(); n != idleEvents {
+		t.Errorf("fired+replayed = %d, want %d", n, idleEvents)
+	}
+	if m.DummiesSent != idleFramesSent || m.AcksSent != idleFramesSent || m.AcksReceived != idleFramesDelivered {
+		t.Errorf("dummies %d, ACKs sent %d, received %d; want %d, %d, %d",
+			m.DummiesSent, m.AcksSent, m.AcksReceived, idleFramesSent, idleFramesSent, idleFramesDelivered)
+	}
+	for _, ifc := range []*simnet.Ifc{tb.Link.A(), tb.Link.B()} {
+		if ifc.Port.TxFrames != idleFramesDelivered || ifc.Peer().In.RxOk != idleFramesDelivered {
+			t.Errorf("%s: %d frames sent, %d received; want %d each",
+				ifc.Name, ifc.Port.TxFrames, ifc.Peer().In.RxOk, idleFramesDelivered)
+		}
 	}
 }

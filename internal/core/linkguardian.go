@@ -65,8 +65,14 @@ type Instance struct {
 
 	pauseRefreshArmed bool // a PauseRefresh tick is pending
 
-	dummySeeded, ackSeeded bool
-	dummyOut, ackOut       int // our packets pending in the shared low-prio queues
+	dummyOut, ackOut int // our packets pending in the shared low-prio queues
+
+	// The two self-replenishing control streams, and the ingress hooks
+	// installHooks attached; replay.go replays both streams in closed form
+	// while the link idles at a fixed point.
+	dummy, ack ctrlStream
+	revHook    func(*simnet.Packet) bool // onReverse, on sendIfc
+	protHook   func(*simnet.Packet) bool // onProtected, on recvIfc
 
 	// Free lists for the hot-path bookkeeping objects: Tx-buffer entries and
 	// the seqNo cells that carry a sequence number into a typed event.
@@ -309,10 +315,12 @@ func (g *Instance) Disable() {
 
 func (g *Instance) installHooks() {
 	if g.role != RoleReceiver {
-		chainIngress(g.sendIfc, g.onReverse)
+		g.revHook = g.onReverse
+		chainIngress(g.sendIfc, g.revHook)
 	}
 	if g.role != RoleSender {
-		chainIngress(g.recvIfc, g.onProtected)
+		g.protHook = g.onProtected
+		chainIngress(g.recvIfc, g.protHook)
 	}
 	if g.role != RoleReceiver {
 		// Protected packets are stamped and mirrored in the egress pipeline,

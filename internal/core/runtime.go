@@ -34,6 +34,12 @@ import (
 // the value at its next read once Due says that place has passed. Both
 // backends answer from the one eventq.Queue: on the live backend a ticket
 // falls due as the loop's RunUntil passes the wall clock over it.
+//
+// An idle link's control streams are replayed in closed form (replay.go):
+// Horizon bounds the replay, AddReplayed accounts its events and their
+// tie-breaking numbers, and ScheduleCallAt re-enters each stream's next
+// replenish at a reserved ticket. Only a RoleBoth instance replays, so the
+// live backend, whose instances hold one role each, never does.
 type Runtime interface {
 	// Now returns the current protocol time: simulated time on the sim
 	// backend, wall-clock time since loop start on the live backend.
@@ -57,6 +63,21 @@ type Runtime interface {
 	// Due reports whether an event in the ticket's place would have fired
 	// by now.
 	Due(t eventq.Ticket) bool
+
+	// Cancel removes a pending event; a fired or canceled one is a no-op.
+	Cancel(t eventq.Timer)
+
+	// ScheduleCallAt schedules fn(a0, a1) in the place a TicketAt reserved.
+	ScheduleCallAt(t eventq.Ticket, fn func(a0, a1 any), a0, a1 any) eventq.Timer
+
+	// Horizon reports the earliest pending event other than skip's,
+	// capped by the end of the running window; ok is false when no window
+	// bounds a replay (a bare Step or Drain).
+	Horizon(skip eventq.Timer) (t simtime.Time, ok bool)
+
+	// AddReplayed counts events replayed in closed form and consumes the
+	// tie-breaking numbers their schedulings drew.
+	AddReplayed(events, draws int)
 
 	// NewPacket draws a packet from the runtime's pool.
 	NewPacket(kind simnet.Kind, size int, toHost string) *simnet.Packet

@@ -25,10 +25,16 @@ func (w wrappedRuntime) AfterCall(d simtime.Duration, fn func(a0, a1 any), a0, a
 func (w wrappedRuntime) NewPacket(kind simnet.Kind, size int, toHost string) *simnet.Packet {
 	return w.s.NewPacket(kind, size, toHost)
 }
-func (w wrappedRuntime) TicketAt(t simtime.Time) eventq.Ticket       { return w.s.TicketAt(t) }
-func (w wrappedRuntime) Due(t eventq.Ticket) bool                    { return w.s.Due(t) }
-func (w wrappedRuntime) ClonePacket(p *simnet.Packet) *simnet.Packet { return w.s.ClonePacket(p) }
-func (w wrappedRuntime) Release(p *simnet.Packet)                    { w.s.Release(p) }
+func (w wrappedRuntime) TicketAt(t simtime.Time) eventq.Ticket { return w.s.TicketAt(t) }
+func (w wrappedRuntime) Due(t eventq.Ticket) bool              { return w.s.Due(t) }
+func (w wrappedRuntime) Cancel(t eventq.Timer)                 { w.s.Cancel(t) }
+func (w wrappedRuntime) ScheduleCallAt(t eventq.Ticket, fn func(a0, a1 any), a0, a1 any) eventq.Timer {
+	return w.s.ScheduleCallAt(t, fn, a0, a1)
+}
+func (w wrappedRuntime) Horizon(skip eventq.Timer) (simtime.Time, bool) { return w.s.Horizon(skip) }
+func (w wrappedRuntime) AddReplayed(events, draws int)                  { w.s.AddReplayed(events, draws) }
+func (w wrappedRuntime) ClonePacket(p *simnet.Packet) *simnet.Packet    { return w.s.ClonePacket(p) }
+func (w wrappedRuntime) Release(p *simnet.Packet)                       { w.s.Release(p) }
 
 // seamTally is the comparable subset of protocol activity the equivalence
 // tests assert on, summed across however many instances a scenario builds.

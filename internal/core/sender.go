@@ -311,8 +311,14 @@ func (g *Instance) handleNotif(n *simnet.LossNotif) {
 	g.handleAck(n.LatestRx)
 }
 
-// replenishDummiesFire is the typed dummy-pacing event.
-func replenishDummiesFire(a0, _ any) { a0.(*Instance).replenishDummies() }
+// replenishDummiesFire is the typed dummy-pacing event. On an idle link it
+// replays both control streams in closed form instead (replay.go).
+func replenishDummiesFire(a0, _ any) {
+	g := a0.(*Instance)
+	if !g.atFixedPoint() || !g.replayStreams(&g.dummy) {
+		g.replenishDummies()
+	}
+}
 
 // seedDummies bootstraps the self-replenishing dummy-packet queue (§3.2):
 // a strictly lowest-priority queue whose packets carry the last transmitted
@@ -321,9 +327,8 @@ func replenishDummiesFire(a0, _ any) { a0.(*Instance).replenishDummies() }
 // round survive bursty loss of the dummy itself (§5).
 func (g *Instance) seedDummies() {
 	q := g.sendIfc.Port.Q(simnet.PrioLow)
-	if !g.dummySeeded {
-		g.dummySeeded = true
-		chainDequeue(q, func(pkt *simnet.Packet) {
+	if g.dummy.hook == nil {
+		g.dummy.hook = func(pkt *simnet.Packet) {
 			if !pkt.LG.Present || !pkt.LG.Dummy || pkt.LG.Chan != g.cfg.Channel {
 				return // another channel's dummy on the shared queue
 			}
@@ -331,8 +336,9 @@ func (g *Instance) seedDummies() {
 			pkt.LG.LastTx = g.lastTx
 			g.dummyOut--
 			g.M.DummiesSent++
-			g.rt.AfterCall(g.cfg.DummyInterval, replenishDummiesFire, g, nil)
-		})
+			g.dummy.next = g.rt.AfterCall(g.cfg.DummyInterval, replenishDummiesFire, g, nil)
+		}
+		chainDequeue(q, g.dummy.hook)
 	}
 	g.replenishDummies()
 }

@@ -46,10 +46,20 @@
 // event keeps its order. Due then reports whether an event in that place
 // would already have fired, and the owner applies the delayed value lazily
 // at its next read.
+//
+// A run of events whose effects an owner can compute in closed form — a
+// periodic stream on an otherwise idle link — need not be dispatched one at
+// a time either. Inside a RunUntil or RunBefore window, Horizon reports how
+// far the queue holds nothing but the owner's own events; the owner draws
+// as many tie-breaking numbers as the replayed events would have
+// (AddReplayed), and re-enters the stream's next event at a ticket of its
+// own with ScheduleCallAt. Fired counts only dispatched events; Fired plus
+// Replayed is the count a run without the replay would have dispatched.
 package eventq
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"unsafe"
 )
@@ -160,6 +170,15 @@ type Queue struct {
 	// a run dump its trace ring and metrics snapshot before dying.
 	OnBudgetExceeded func(diag string)
 
+	// stop is the end of the active RunUntil or RunBefore window,
+	// exclusive: no event at or after it fires before the run returns.
+	// inRun is false under a bare Step or Drain.
+	stop  int64
+	inRun bool
+	// hz is Horizon's reusable search frontier.
+	hz        []hzNode
+	nreplayed uint64 // events replayed in closed form (AddReplayed)
+
 	// lanes is the per-handler lane table (see laneFor), open-addressed by
 	// code pointer. It sits last so the hot fields above share cache lines.
 	lanes [laneSlots]lane
@@ -180,8 +199,26 @@ func (q *Queue) Now() int64 { return q.now }
 // Len returns the number of pending (live) events.
 func (q *Queue) Len() int { return q.live }
 
-// Fired returns the total number of events dispatched so far.
+// Fired returns the total number of events dispatched so far. Events an
+// owner replayed in closed form are not dispatched; Replayed counts them.
 func (q *Queue) Fired() uint64 { return q.nfired }
+
+// Replayed returns the number of events owners reported as replayed in
+// closed form instead of dispatched (AddReplayed).
+func (q *Queue) Replayed() uint64 { return q.nreplayed }
+
+// AddReplayed records events whose effects the caller applied in closed
+// form, and consumes draws tie-breaking numbers as that many TicketAt calls
+// would: the numbers the replayed events' own schedulings drew. The numbers
+// of the events the caller re-enters with ScheduleCallAt it draws itself
+// with TicketAt, after this call, in the order their schedulings would
+// have drawn them. Which of the replay's numbers each re-entered event
+// holds cannot change the firing order: every event scheduled before the
+// replay precedes them all, every one scheduled after follows them all.
+func (q *Queue) AddReplayed(events, draws int) {
+	q.nreplayed += uint64(events)
+	q.nexts += uint64(draws)
+}
 
 // Schedule enqueues fn to run at absolute time at (ns). Scheduling in the
 // past (before Now) panics: it always indicates a logic error in the caller,
@@ -271,6 +308,23 @@ func (q *Queue) Due(t Ticket) bool {
 	return t.at < q.now || t.at == q.now && t.seq < q.bound
 }
 
+// ScheduleCallAt enqueues fn(a0, a1) in the place t reserved: the event
+// fires exactly where one scheduled by the TicketAt call that drew t would
+// have. Its seq is older than any lane tail, so it always takes the heap.
+// Each ticket may be used once; one already due panics, since its place in
+// the firing order has passed.
+func (q *Queue) ScheduleCallAt(t Ticket, fn func(a0, a1 any), a0, a1 any) Timer {
+	if q.Due(t) {
+		panic("eventq: scheduling at a ticket already due")
+	}
+	e := q.get()
+	e.at, e.seq = t.at, t.seq
+	e.fn2 = fn
+	e.a0, e.a1 = a0, a1
+	q.push(e)
+	return Timer{e: e, gen: e.gen}
+}
+
 // alloc pops a recycled event (or allocates one) for time at and stamps it
 // with the next tie-breaking sequence number; the caller enters it into a
 // lane or the heap.
@@ -278,6 +332,15 @@ func (q *Queue) alloc(at int64) *event {
 	if at < q.now {
 		panic("eventq: scheduling into the past")
 	}
+	e := q.get()
+	e.at = at
+	e.seq = q.nexts
+	q.nexts++
+	return e
+}
+
+// get pops a recycled event, or allocates one, and counts it live.
+func (q *Queue) get() *event {
 	e := q.free
 	if e != nil {
 		q.free = e.next
@@ -285,9 +348,6 @@ func (q *Queue) alloc(at int64) *event {
 	} else {
 		e = &event{}
 	}
-	e.at = at
-	e.seq = q.nexts
-	q.nexts++
 	q.live++
 	return e
 }
@@ -351,9 +411,15 @@ func (q *Queue) Step() bool {
 // deadline. Time advances to deadline if the queue drains earlier events
 // first; Now never exceeds deadline on return unless it already did.
 func (q *Queue) RunUntil(deadline int64) {
+	stop, inRun := q.stop, q.inRun
+	q.stop, q.inRun = deadline, true
+	if deadline < math.MaxInt64 {
+		q.stop++
+	}
 	for e := q.peek(); e != nil && e.at <= deadline; e = q.peek() {
 		q.fire(e)
 	}
+	q.stop, q.inRun = stop, inRun
 	if q.now <= deadline {
 		q.now = deadline
 		q.bound = q.nexts
@@ -368,11 +434,14 @@ func (q *Queue) RunUntil(deadline int64) {
 // or after limit by the lookahead guarantee, can be scheduled without time
 // running backwards. It returns the number of events fired.
 func (q *Queue) RunBefore(limit int64) int {
+	stop, inRun := q.stop, q.inRun
+	q.stop, q.inRun = limit, true
 	fired := 0
 	for e := q.peek(); e != nil && e.at < limit; e = q.peek() {
 		q.fire(e)
 		fired++
 	}
+	q.stop, q.inRun = stop, inRun
 	if q.now < limit {
 		q.now = limit
 		q.bound = 0
@@ -390,6 +459,78 @@ func (q *Queue) NextAt() (at int64, ok bool) {
 		return 0, false
 	}
 	return e.at, true
+}
+
+// hzNode is one entry of Horizon's search frontier: heap slot i, or index i
+// of lane l's events when l is set.
+type hzNode struct {
+	e *event
+	i int
+	l *lane
+}
+
+// Horizon reports how far the active run may be replayed past the events in
+// skip: the firing time of the earliest live event not in skip, capped by
+// the end of the RunUntil or RunBefore window (exclusive: deadline+1 for
+// RunUntil, the limit for RunBefore). ok is false outside such a window —
+// under a bare Step or Drain — where nothing bounds a replay. The search
+// is best-first from the heap root: an entry is expanded into its heap
+// children and lane successor only while it is dead or skipped and earlier
+// than the best answer so far.
+func (q *Queue) Horizon(skip ...Timer) (at int64, ok bool) {
+	if !q.inRun {
+		return 0, false
+	}
+	best := q.stop
+	e := q.peek()
+	if e == nil {
+		return best, true
+	}
+	fr := append(q.hz[:0], hzNode{e: e})
+	for len(fr) > 0 {
+		m := 0
+		for k := 1; k < len(fr); k++ {
+			if less(fr[k].e, fr[m].e) {
+				m = k
+			}
+		}
+		n := fr[m]
+		fr[m] = fr[len(fr)-1]
+		fr = fr[:len(fr)-1]
+		if n.e.at >= best {
+			break
+		}
+		if !n.e.dead() && !skipped(n.e, skip) {
+			best = n.e.at
+			break
+		}
+		if l := n.l; l != nil {
+			if n.i+1 < len(l.evs) {
+				fr = append(fr, hzNode{e: l.evs[n.i+1], i: n.i + 1, l: l})
+			}
+			continue
+		}
+		for c := 4*n.i + 1; c < min(4*n.i+5, len(q.h)); c++ {
+			fr = append(fr, hzNode{e: q.h[c], i: c})
+		}
+		if l := n.e.lane; l != nil && l.head+1 < len(l.evs) {
+			// A heap entry in a lane is its head; the rest wait behind it.
+			fr = append(fr, hzNode{e: l.evs[l.head+1], i: l.head + 1, l: l})
+		}
+	}
+	clear(fr)
+	q.hz = fr[:0]
+	return best, true
+}
+
+// skipped reports whether e is the pending event of one of the timers.
+func skipped(e *event, skip []Timer) bool {
+	for _, t := range skip {
+		if t.e == e && t.gen == e.gen {
+			return true
+		}
+	}
+	return false
 }
 
 // Drain fires events until none remain. maxEvents bounds runaway

@@ -781,3 +781,76 @@ func TestLaneKeyMatchesReflect(t *testing.T) {
 		}
 	}
 }
+
+// An event entered at a reserved ticket fires in the ticket's place, ahead
+// of events scheduled for its instant after the reservation; a ticket whose
+// place has passed is refused.
+func TestScheduleCallAtKeepsTicketPlace(t *testing.T) {
+	var q Queue
+	var got []int
+	rec := func(a0, _ any) { got = append(got, a0.(int)) }
+	q.ScheduleCall(5, rec, 0, nil)
+	tk := q.TicketAt(5)
+	q.ScheduleCall(5, rec, 2, nil)
+	q.ScheduleCallAt(tk, rec, 1, nil)
+	q.Drain(0)
+	if !reflect.DeepEqual(got, []int{0, 1, 2}) || q.Len() != 0 {
+		t.Fatalf("fired %v, len %d; want [0 1 2], 0", got, q.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling at a ticket already due did not panic")
+		}
+	}()
+	q.ScheduleCallAt(tk, rec, 3, nil)
+}
+
+// AddReplayed counts replayed events apart from dispatched ones, and its
+// draws advance the tie-breaking sequence as TicketAt calls would.
+func TestAddReplayedDrawsTieBreaks(t *testing.T) {
+	var q, ref Queue
+	q.AddReplayed(5, 3)
+	for range 3 {
+		ref.TicketAt(0)
+	}
+	if q.Replayed() != 5 || q.Fired() != 0 || q.TicketAt(0) != ref.TicketAt(0) {
+		t.Fatalf("replayed %d, fired %d, next ticket %v; want 5, 0, %v",
+			q.Replayed(), q.Fired(), q.TicketAt(0), ref.TicketAt(0))
+	}
+}
+
+// Horizon answers only inside a run window: the earliest live event other
+// than the skipped ones, or the window's end.
+func TestHorizonWindow(t *testing.T) {
+	var q Queue
+	if _, ok := q.Horizon(); ok {
+		t.Fatal("Horizon outside a run reported ok")
+	}
+	type probe struct {
+		at int64
+		ok bool
+	}
+	var got []probe
+	var skip Timer
+	q.Schedule(1, func() {
+		at, ok := q.Horizon(skip)
+		got = append(got, probe{at, ok})
+	})
+	skip = q.Schedule(4, func() {})
+	dead := q.Schedule(5, func() {})
+	q.Schedule(7, func() {})
+	q.Cancel(dead)
+	q.RunUntil(10)
+	for _, at := range []int64{20, 22} {
+		q.Schedule(at, func() {
+			at, ok := q.Horizon()
+			got = append(got, probe{at, ok})
+		})
+	}
+	q.RunUntil(20)
+	q.RunBefore(30)
+	want := []probe{{7, true}, {21, true}, {30, true}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("horizons %v, want %v", got, want)
+	}
+}

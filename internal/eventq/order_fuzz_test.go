@@ -24,6 +24,10 @@ import (
 // the same order, fired with the real events around it. After every op,
 // and inside every callback, Due must hold for exactly the tickets the
 // model has fired. Handlers also reserve tickets for their own instant.
+// ScheduleCallAt turns a ticket not yet due into a real event in its
+// place, and every callback asks Horizon for the earliest pending event
+// other than the two scheduled just before it, capped by the running
+// window; outside a window Horizon must decline.
 //
 // Each op is two bytes: an opcode and an argument. The seed corpus is
 // checked in under testdata/fuzz/FuzzQueueOrder.
@@ -32,7 +36,7 @@ func FuzzQueueOrder(f *testing.F) {
 		r := &orderRig{}
 		m := &orderModel{}
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, arg := prog[pc]%10, int(prog[pc+1])
+			op, arg := prog[pc]%12, int(prog[pc+1])
 			err := r.exec(m, op, arg)
 			if err == nil {
 				err = r.check(m)
@@ -57,12 +61,14 @@ func FuzzQueueOrder(f *testing.F) {
 // the re-arms handlers make from their callbacks.
 const orderMaxEvents = 256
 
-// firing is one dispatched event: its scheduling index, the time it ran
-// and a fingerprint of the tickets due as it ran.
+// firing is one dispatched event: its scheduling index, the time it ran,
+// a fingerprint of the tickets due as it ran, and the Horizon it saw.
 type firing struct {
-	id  int
-	at  int64
-	due uint64
+	id   int
+	at   int64
+	due  uint64
+	hz   int64
+	hzOK bool
 }
 
 // orderHandlers are the static typed handlers of FuzzQueueOrder. Each has
@@ -107,7 +113,17 @@ func (r *orderRig) record(id int) {
 			due = dueHash(due, r.tids[i])
 		}
 	}
-	r.got = append(r.got, firing{id, r.q.Now(), due})
+	hz, ok := r.q.Horizon(r.timer(id-1), r.timer(id-2))
+	r.got = append(r.got, firing{id, r.q.Now(), due, hz, ok})
+}
+
+// timer returns the handle of scheduling id, the zero Timer for a ticket or
+// an id out of range.
+func (r *orderRig) timer(id int) Timer {
+	if id < 0 || id >= len(r.timers) {
+		return Timer{}
+	}
+	return r.timers[id]
 }
 
 func (r *orderRig) ticketAt(at int64) {
@@ -199,6 +215,25 @@ func (r *orderRig) exec(m *orderModel, op byte, arg int) error {
 			r.ticketAt(at)
 			m.schedule(at, ticketH)
 		}
+	case 10: // ScheduleCallAt on a reserved ticket not yet due
+		var open []int // indexes into r.tickets
+		for i, t := range r.tickets {
+			if !r.q.Due(t) {
+				open = append(open, i)
+			}
+		}
+		if len(open) > 0 {
+			i := open[(arg>>2)%len(open)]
+			id := r.tids[i]
+			r.timers[id] = r.q.ScheduleCallAt(r.tickets[i], orderHandlers[h], r, id)
+			r.tickets = slices.Delete(r.tickets, i, i+1)
+			r.tids = slices.Delete(r.tids, i, i+1)
+			m.evs[id].h = h
+		}
+	case 11: // Horizon outside a run window declines
+		if _, ok := r.q.Horizon(r.timer(arg % max(len(r.timers), 1))); ok {
+			return fmt.Errorf("Horizon outside a run window reported ok")
+		}
 	}
 	return nil
 }
@@ -232,6 +267,9 @@ type orderModel struct {
 	evs []modelEvent
 	now int64
 	got []firing
+	// stop is the running window's exclusive end while inRun.
+	stop  int64
+	inRun bool
 }
 
 type modelEvent struct {
@@ -320,7 +358,8 @@ func (m *orderModel) fire(id int) {
 			due = dueHash(due, tid)
 		}
 	}
-	m.got = append(m.got, firing{id, e.at, due})
+	hz, ok := m.horizon(id-1, id-2)
+	m.got = append(m.got, firing{id, e.at, due, hz, ok})
 	if e.h < 0 {
 		return
 	}
@@ -341,7 +380,24 @@ func (m *orderModel) step() bool {
 	return true
 }
 
+// horizon is Queue.Horizon skipping the events with the given ids: the
+// earliest pending real event's time, capped by the window's end.
+func (m *orderModel) horizon(skip ...int) (int64, bool) {
+	if !m.inRun {
+		return 0, false
+	}
+	best := m.stop
+	for id, e := range m.evs {
+		if e.pending && e.h != ticketH && !slices.Contains(skip, id) {
+			best = min(best, e.at)
+		}
+	}
+	return best, true
+}
+
 func (m *orderModel) runUntil(deadline int64) {
+	m.stop, m.inRun = deadline+1, true
+	defer func() { m.inRun = false }()
 	for id := m.next(); id >= 0 && m.evs[id].at <= deadline; id = m.next() {
 		m.fire(id)
 	}
@@ -350,6 +406,8 @@ func (m *orderModel) runUntil(deadline int64) {
 }
 
 func (m *orderModel) runBefore(limit int64) int {
+	m.stop, m.inRun = limit, true
+	defer func() { m.inRun = false }()
 	n := 0
 	for id := m.next(); id >= 0 && m.evs[id].at < limit; id = m.next() {
 		m.fire(id)

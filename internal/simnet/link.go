@@ -166,7 +166,10 @@ type Link struct {
 
 	// DropFn, if set, decides corruption per packet instead of the loss
 	// models — deterministic fault injection for tests and experiments
-	// that must target specific packets.
+	// that must target specific packets. It must decide from the frame and
+	// its own state, not the clock, and leave the frame as it is: Replay
+	// runs the verdict on the frames of a closed-form replay ahead of their
+	// simulated transmission, on one scratch frame per stream.
 	DropFn func(pkt *Packet, from *Ifc) bool
 
 	// taps observe every frame at its delivery decision point (after the
@@ -273,6 +276,46 @@ func (l *Link) deliver(pkt *Packet, from *Ifc) {
 	} else {
 		l.sim.AfterCall(l.Delay, deliverOK, to, pkt)
 	}
+}
+
+// Replayable reports whether Replay may stand in for carrying frames on the
+// link: nothing observes or intercepts a frame beyond the verdict — no taps,
+// no FaultFn, no Carrier, no cross-shard outbox — and the Sim has no
+// OnRelease hook.
+func (l *Link) Replayable() bool {
+	return len(l.taps) == 0 && l.FaultFn == nil && l.Carrier == nil &&
+		l.xab == nil && l.sim.OnRelease == nil
+}
+
+// Replay accounts one frame exactly as drawing it from the pool, from's
+// idle port serializing it and the link carrying it to the peer would: it
+// stamps pkt with the next packet ID, then moves the port's tx counters,
+// runs the verdict with the draws it makes (flap state, DropFn or loss
+// model) and moves the peer MAC's rx counters. It reports the verdict and
+// schedules nothing. pkt stays the caller's: a scratch frame carrying the
+// fields the real one would, it never enters the pool. Replayed frames
+// draw their IDs in transmission order, so a caller replays them in the
+// order they were drawn. Only for a link that is Replayable.
+func (l *Link) Replay(from *Ifc, pkt *Packet) (corrupted bool) {
+	pkt.ID = from.sim().pktID()
+	p := from.Port
+	p.TxFrames++
+	p.TxBytes += uint64(pkt.Size)
+	p.BusyTime += p.Rate.Serialize(simtime.WireBytes(pkt.Size))
+	model := l.lossAB
+	if from == l.b {
+		model = l.lossBA
+	}
+	corrupted = l.verdict(pkt, from, model)
+	in := &from.peer.In
+	in.RxAll++
+	if corrupted {
+		in.RxBad++
+	} else {
+		in.RxOk++
+		in.RxBytesOk += uint64(pkt.Size)
+	}
+	return corrupted
 }
 
 // verdict decides whether the frame is corrupted: flap state first, then

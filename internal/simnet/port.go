@@ -35,12 +35,6 @@ type Queue struct {
 	// instantaneous marking).
 	ECNThreshold int
 
-	// Replenish, if set, makes the queue self-replenishing: each time a
-	// packet is dequeued for transmission, Replenish() is enqueued back —
-	// the egress-mirroring trick behind the dummy and explicit-ACK queues
-	// (§3.1, §3.2). Returning nil skips a replenish.
-	Replenish func() *Packet
-
 	// OnDequeue, if set, is called just before a packet is transmitted,
 	// letting protocol code stamp fresh state (e.g. the latest cumulative
 	// ACK) at wire time rather than enqueue time.
@@ -136,6 +130,20 @@ type Port struct {
 
 // Q returns the queue for a priority class.
 func (p *Port) Q(prio int) *Queue { return &p.qs[prio] }
+
+// Idle reports whether the port is neither serializing a frame nor holding
+// one in any class.
+func (p *Port) Idle() bool {
+	if p.busy {
+		return false
+	}
+	for i := range p.qs {
+		if p.qs[i].Len() > 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // QueuedBytes returns the total bytes across all classes.
 func (p *Port) QueuedBytes() int {
@@ -242,13 +250,6 @@ func (p *Port) transmitNext() {
 	pkt := q.pop()
 	if q.OnDequeue != nil {
 		q.OnDequeue(pkt)
-	}
-	if q.Replenish != nil {
-		if r := q.Replenish(); r != nil {
-			if !q.push(r) {
-				p.sim.Release(r)
-			}
-		}
 	}
 	p.busy = true
 	p.txPkt = pkt

@@ -104,35 +104,6 @@ func TestQueueCompaction(t *testing.T) {
 	}
 }
 
-func TestReplenishOnEveryDequeue(t *testing.T) {
-	s := NewSim(1)
-	h1 := NewHost(s, "h1")
-	h2 := NewHost(s, "h2")
-	h1.StackDelay = 0
-	l := Connect(s, h1, h2, simtime.Rate100G, 0)
-	q := l.A().Port.Q(PrioLow)
-	made := 0
-	q.Replenish = func() *Packet {
-		if made >= 10 {
-			return nil // a Replenish that declines
-		}
-		made++
-		p := s.NewPacket(KindDummy, 64, "h2")
-		p.Prio = PrioLow
-		return p
-	}
-	seed := s.NewPacket(KindDummy, 64, "h2")
-	seed.Prio = PrioLow
-	l.A().Send(seed)
-	s.RunFor(simtime.Millisecond)
-	if made != 10 {
-		t.Fatalf("replenished %d times, want 10", made)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue should drain after Replenish declines: %d", q.Len())
-	}
-}
-
 func TestPauseUnknownClassIgnored(t *testing.T) {
 	s := NewSim(1)
 	h1 := NewHost(s, "h1")

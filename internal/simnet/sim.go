@@ -5,8 +5,6 @@
 // It models exactly the dataplane features LinkGuardian relies on:
 //
 //   - egress ports with strict-priority queues and per-queue PFC pause,
-//   - self-replenishing queues (the paper's egress-mirroring trick, §3.1
-//     and §3.2),
 //   - links with per-direction corruption models (i.i.d. and bursty
 //     Gilbert–Elliott losses dropped at the receiving MAC),
 //   - switches with a fixed pipeline latency, per-port frame counters
@@ -86,6 +84,24 @@ func (s *Sim) TicketAt(t simtime.Time) eventq.Ticket { return s.Q.TicketAt(int64
 // Due reports whether an event in the ticket's place would have fired by
 // now; see eventq.Queue.Due.
 func (s *Sim) Due(t eventq.Ticket) bool { return s.Q.Due(t) }
+
+// ScheduleCallAt schedules fn(a0, a1) in the place the ticket reserved; see
+// eventq.Queue.ScheduleCallAt.
+func (s *Sim) ScheduleCallAt(t eventq.Ticket, fn func(a0, a1 any), a0, a1 any) eventq.Timer {
+	return s.Q.ScheduleCallAt(t, fn, a0, a1)
+}
+
+// Horizon reports the earliest live event other than skip's, capped by
+// the active run's end; ok is false outside RunUntil/RunBefore. See
+// eventq.Queue.Horizon.
+func (s *Sim) Horizon(skip eventq.Timer) (t simtime.Time, ok bool) {
+	at, ok := s.Q.Horizon(skip)
+	return simtime.Time(at), ok
+}
+
+// AddReplayed records events replayed in closed form and the tie-breaking
+// numbers they drew; see eventq.Queue.AddReplayed.
+func (s *Sim) AddReplayed(events, draws int) { s.Q.AddReplayed(events, draws) }
 
 // Cancel removes a pending event; safe on zero/fired timers.
 func (s *Sim) Cancel(t eventq.Timer) { s.Q.Cancel(t) }

@@ -139,50 +139,6 @@ func TestPauseFrameAbsorbedByMAC(t *testing.T) {
 	}
 }
 
-func TestSelfReplenishingQueue(t *testing.T) {
-	s := NewSim(1)
-	h1 := NewHost(s, "h1")
-	h2 := NewHost(s, "h2")
-	h1.StackDelay, h2.StackDelay = 0, 0
-	l := Connect(s, h1, h2, simtime.Rate10G, 0)
-	dummies, datas := 0, 0
-	h2.OnReceive = func(p *Packet) {
-		if p.Kind == KindDummy {
-			dummies++
-		} else {
-			datas++
-		}
-	}
-	q := l.A().Port.Q(PrioLow)
-	q.Replenish = func() *Packet {
-		d := s.NewPacket(KindDummy, 64, "h2")
-		d.Prio = PrioLow
-		return d
-	}
-	seed := s.NewPacket(KindDummy, 64, "h2")
-	seed.Prio = PrioLow
-	l.A().Send(seed)
-	// With no normal traffic, dummies flow continuously.
-	s.RunFor(10 * simtime.Microsecond)
-	if dummies < 100 {
-		t.Fatalf("self-replenishing queue sent only %d dummies in 10µs at 10G", dummies)
-	}
-	// Normal traffic strictly preempts the dummy stream.
-	before := dummies
-	for i := 0; i < 8; i++ {
-		l.A().Send(s.NewPacket(KindData, 1500, "h2"))
-	}
-	// 8 serializations of 1520 wire bytes at 10G (1216ns each) plus one
-	// in-flight dummy (68ns) and a small margin.
-	s.RunFor(8*1216*simtime.Nanosecond + 102*simtime.Nanosecond)
-	if datas != 8 {
-		t.Fatalf("delivered %d data packets, want 8", datas)
-	}
-	if dummies-before > 1 {
-		t.Fatalf("dummy queue not preempted: %d dummies during data burst", dummies-before)
-	}
-}
-
 func TestECNMarking(t *testing.T) {
 	s := NewSim(1)
 	h1 := NewHost(s, "h1")
