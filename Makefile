@@ -4,10 +4,13 @@ GO ?= go
 
 all: tier1
 
-# Tier-1 verification: the gate every change must keep green.
+# Tier-1 verification: the gate every change must keep green. The darwin
+# vet type-checks the live mux's portable (non-Linux) send path, which no
+# Linux build compiles.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/live
 	$(GO) test ./...
 
 build:
@@ -54,7 +57,7 @@ cover:
 loc:
 	./scripts/loccheck.sh
 
-# Fuzz smoke pass: ~55s total across the native fuzz targets. The
+# Fuzz smoke pass: ~63s total across the native fuzz targets. The
 # checked-in crasher corpus under testdata/fuzz/ also runs during plain
 # `go test`, so regressions are caught even without -fuzz.
 fuzz:
@@ -65,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTraceEventString -fuzztime 8s ./internal/simnet
 	$(GO) test -run '^$$' -fuzz FuzzLinkLifecycle -fuzztime 10s ./internal/fleetsim
 	$(GO) test -run '^$$' -fuzz FuzzQueueOrder -fuzztime 8s ./internal/eventq
+	$(GO) test -run '^$$' -fuzz FuzzMuxBundle -fuzztime 8s ./internal/live
 
 # Fleet-simulation smoke gate: the full solution matrix on a small fleet,
 # with the engine re-rendering the Pareto table at -workers 1/2/4/8 and

@@ -18,8 +18,8 @@
 // one and all receiver halves on another, drops each link's forward-path
 // frames at its receiver's ingress MAC from a seeded per-link stream, and
 // spreads the flow-scale load generator across the links. A standalone
-// sender or receiver is link id 0 of its own mux, so its datagrams carry
-// the 2-byte link-id prefix, which the proxy forwards untouched. The
+// sender or receiver is link id 0 of its own mux, so its frames travel as
+// records of bundled datagrams, and the proxy rules on each record. The
 // demo, sender and receiver serve Prometheus metrics on -http at /metrics,
 // series labeled link="N"/role. Every role shuts down cleanly on
 // SIGINT/SIGTERM — one signal stops every loop before any counter is

@@ -1,17 +1,18 @@
 //go:build linux
 
-// Batched syscall backend for the mux: recvmmsg/sendmmsg via raw syscalls
-// on the netpoller-managed fd. golang.org/x/sys is deliberately not used —
-// the repo is dependency-free — and the stdlib syscall package supplies
-// the Msghdr/Iovec layouts; the syscall numbers come from the per-arch
-// sysnum_linux_*.go files (the older stdlib tables predate sendmmsg) and
-// only the mmsghdr wrapper (Msghdr plus the kernel-filled per-message
-// length) needs declaring here. Its Go layout matches the C struct:
-// trailing padding after the uint32 aligns it identically.
+// Batched send backend for the mux: sendmmsg via a raw syscall on the
+// netpoller-managed fd, one bundle per message. golang.org/x/sys is
+// deliberately not used — the repo is dependency-free — and the stdlib
+// syscall package supplies the Msghdr/Iovec layouts; the syscall number
+// comes from the per-arch sysnum_linux_*.go files (the older stdlib tables
+// predate sendmmsg) and only the mmsghdr wrapper (Msghdr plus the
+// kernel-filled per-message length) needs declaring here. Its Go layout
+// matches the C struct: trailing padding after the uint32 aligns it
+// identically.
 //
-// The syscalls run inside RawConn.Read/Write callbacks with MSG_DONTWAIT:
+// The syscall runs inside a RawConn.Write callback with MSG_DONTWAIT:
 // EAGAIN returns false to re-park the goroutine on the netpoller, so the
-// mux blocks exactly like a net.UDPConn read and unblocks on Close.
+// mux blocks exactly like a net.UDPConn write and unblocks on Close.
 
 package live
 
@@ -26,30 +27,6 @@ import (
 // batches per syscall.
 const batchedSyscalls = true
 
-// UDP generalized segmentation offload (kernel ≥4.18): a sendmsg carrying
-// the UDP_SEGMENT ancillary datum hands the kernel one concatenated
-// payload that it splits into gso-size datagrams after a single traversal
-// of the UDP/IP stack. That traversal — route, skb setup, per-datagram
-// bookkeeping — is what dominates small-datagram send cost, so coalescing
-// a run of same-size frames to one destination buys far more than the
-// syscall-entry amortization of sendmmsg alone. The constants are absent
-// from the stdlib syscall tables; they are ABI-stable kernel values.
-const (
-	solUDP     = 17
-	udpSegment = 103
-
-	// gsoMaxBytes caps one coalesced send below the 64KiB datagram limit.
-	gsoMaxBytes = 65000
-)
-
-// gsoCmsg is one message's ancillary buffer: a cmsghdr followed by the
-// uint16 segment size, padded to CmsgSpace alignment on every arch.
-type gsoCmsg struct {
-	hdr syscall.Cmsghdr
-	seg uint16
-	_   [6]byte
-}
-
 // setIovlen assigns Msghdr.Iovlen across arches (uint64 on 64-bit ABIs,
 // uint32 on 32-bit ones; the stdlib offers no setter). The size test is a
 // compile-time constant, so one branch survives.
@@ -61,13 +38,6 @@ func setIovlen(h *syscall.Msghdr, n int) {
 	}
 }
 
-// gsoFallbackErr reports an errno that means this kernel (or path) cannot
-// do UDP GSO — the mux then retries the batch ungrouped and stays that way.
-func gsoFallbackErr(e syscall.Errno) bool {
-	return e == syscall.EINVAL || e == syscall.EOPNOTSUPP ||
-		e == syscall.ENOPROTOOPT || e == syscall.EMSGSIZE
-}
-
 // mmsghdr mirrors struct mmsghdr: one message plus the kernel's count of
 // bytes transferred for it.
 type mmsghdr struct {
@@ -76,51 +46,27 @@ type mmsghdr struct {
 }
 
 // batchIO is the persistent syscall state: header and iovec arrays sized
-// to the batch once, then re-pointed at the frames of each batch, plus the
-// RawConn callbacks built once — the batched path allocates nothing per
-// call (a fresh closure per rc.Read/rc.Write would cost a heap allocation
-// each batch and break the wire path's zero-alloc gate).
+// once and re-pointed at the frames of each batch, plus the RawConn
+// callback built once — the batched path allocates nothing per call (a
+// fresh closure per rc.Write would cost a heap allocation each batch and
+// break the wire path's zero-alloc gate).
 type batchIO struct {
-	rhdrs []mmsghdr
-	riovs []syscall.Iovec
 	whdrs []mmsghdr
-	wiovs []syscall.Iovec
-	wctrl []gsoCmsg // per-message UDP_SEGMENT ancillary data
-	wgrp  []int     // frames coalesced into each message
+	wiovs []syscall.Iovec // one per frame: a bundle gathers its frames
+	wgrp  []int           // frames in each bundle
+	wcb   func(fd uintptr) bool
 
-	gso bool // UDP GSO believed available; cleared on first refusal
-
-	rcb, wcb func(fd uintptr) bool
-
-	// Callback in/out parameters (the callbacks touch only these and the
-	// arrays above, all owned by the calling goroutine).
-	rn, rgot   int
-	wn, wsent  int
-	rerr, werr syscall.Errno
+	// Callback in/out parameters (the callback touches only these and the
+	// arrays above, all owned by the flush goroutine).
+	wn, wsent int
+	werr      syscall.Errno
 }
 
 func (m *Mux) initBatchIO() {
-	m.bio.rhdrs = make([]mmsghdr, m.batch)
-	m.bio.riovs = make([]syscall.Iovec, m.batch)
 	m.bio.whdrs = make([]mmsghdr, m.batch)
 	m.bio.wiovs = make([]syscall.Iovec, m.batch)
-	m.bio.wctrl = make([]gsoCmsg, m.batch)
 	m.bio.wgrp = make([]int, m.batch)
-	m.bio.gso = true
 	bio := &m.bio
-	bio.rcb = func(fd uintptr) bool {
-		r1, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&bio.rhdrs[0])), uintptr(bio.rn),
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		if errno == syscall.EAGAIN || errno == syscall.EWOULDBLOCK {
-			return false // not readable: re-park on the netpoller
-		}
-		bio.rerr = errno
-		if errno == 0 {
-			bio.rgot = int(r1)
-		}
-		return true
-	}
 	bio.wcb = func(fd uintptr) bool {
 		r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&bio.whdrs[0])), uintptr(bio.wn),
@@ -136,9 +82,31 @@ func (m *Mux) initBatchIO() {
 	}
 }
 
-// GSO reports whether the mux is coalescing same-size same-link runs into
-// UDP_SEGMENT sends (true until the kernel first refuses one).
-func (m *Mux) GSO() bool { return m.bio.gso }
+// bundleCap is the largest bundle that reaches peer unfragmented: the
+// route MTU, read with IP_MTU on a connected probe socket (connecting a
+// UDP socket sends nothing), less the IP and UDP headers, and at most
+// maxBundleBytes. Loopback therefore bundles up to maxBundleBytes; a path
+// whose MTU cannot be read gets the portable Ethernet figure.
+func bundleCap(peer *net.UDPAddr) int {
+	c, err := net.DialUDP("udp", nil, peer)
+	if err != nil {
+		return portableBundleBytes
+	}
+	defer c.Close()
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return portableBundleBytes
+	}
+	level, opt, hdrs := syscall.IPPROTO_IP, syscall.IP_MTU, 20+8
+	if peer.IP.To4() == nil {
+		level, opt, hdrs = syscall.IPPROTO_IPV6, syscall.IPV6_MTU, 40+8
+	}
+	mtu, merr := 0, error(nil)
+	if err := rc.Control(func(fd uintptr) { mtu, merr = syscall.GetsockoptInt(int(fd), level, opt) }); err != nil || merr != nil || mtu <= hdrs {
+		return portableBundleBytes
+	}
+	return min(mtu-hdrs, maxBundleBytes)
+}
 
 // sockaddr is a prebuilt raw socket address: the bytes the kernel expects
 // in msg_name, constructed once per peer at Attach so sendmmsg stamps
@@ -181,91 +149,36 @@ func mkSockaddr(a *net.UDPAddr) (sockaddr, error) {
 	return s, nil
 }
 
-// readBatchSys fills up to len(frames) frames with one recvmmsg call,
-// returning how many datagrams arrived. Blocks on the netpoller until the
-// socket is readable; returns an error only when the socket is closed or
-// the kernel reports a hard failure.
-func (m *Mux) readBatchSys(frames []*frame) (int, error) {
-	n := len(frames)
-	if n > m.batch {
-		n = m.batch
-	}
-	for i := 0; i < n; i++ {
-		f := frames[i]
-		iov := &m.bio.riovs[i]
-		iov.Base = &f.data[0]
-		iov.SetLen(len(f.data))
-		h := &m.bio.rhdrs[i]
-		h.hdr = syscall.Msghdr{Iov: iov}
-		h.hdr.Iovlen = 1
-		h.len = 0
-	}
-	m.bio.rn, m.bio.rgot, m.bio.rerr = n, 0, 0
-	if err := m.rc.Read(m.bio.rcb); err != nil {
-		return 0, err
-	}
-	if m.bio.rerr != 0 {
-		return 0, m.bio.rerr
-	}
-	got := m.bio.rgot
-	for i := 0; i < got; i++ {
-		frames[i].n = int(m.bio.rhdrs[i].len)
-	}
-	return got, nil
-}
-
 // writeBatchSys writes up to m.batch frames with one sendmmsg call. The
-// caller has grouped the batch by link (sendBatch), so runs of same-size
-// frames to the same destination coalesce into single UDP_SEGMENT (GSO)
-// messages — one stack traversal per run instead of per datagram; frames
-// that don't form a run go out as ordinary per-message sends. Returns how
-// many FRAMES the kernel accepted (k < len(frames) is a partial completion
-// the caller continues from; GSO messages complete atomically) and the
-// errno, translated so transientSendErr recognizes it, when nothing was
-// accepted. A kernel that refuses GSO demotes the mux to plain batching
-// permanently and the batch is retried ungrouped.
+// caller has grouped the batch by peer (sendBatch), so each message is one
+// bundle: a run of frames to one peer (bundleEnd) gathered by one iovec
+// each, in batch order. Returns how many FRAMES the kernel accepted
+// (bundles complete atomically, so k < len(frames) is a partial completion
+// at a bundle boundary the caller continues from) and the errno,
+// translated so transientSendErr recognizes it, when nothing was accepted.
 func (m *Mux) writeBatchSys(frames []*frame) (int, error) {
-	n := len(frames)
-	if n > m.batch {
-		n = m.batch
-	}
+	frames = frames[:min(len(frames), m.batch)]
 	bio := &m.bio
-	msgs, grouped := 0, false
-	for i := 0; i < n; {
-		f := frames[i]
-		run, size := 1, f.n
-		if bio.gso && size > 0 {
-			for i+run < n && frames[i+run].wire == f.wire &&
-				frames[i+run].n == size && (run+1)*size <= gsoMaxBytes {
-				run++
-			}
+	msgs := 0
+	for i := 0; i < len(frames); {
+		j := bundleEnd(frames, i)
+		for k := i; k < j; k++ {
+			iov := &bio.wiovs[k]
+			iov.Base = &frames[k].data[0]
+			iov.SetLen(frames[k].n)
 		}
-		for j := 0; j < run; j++ {
-			iov := &bio.wiovs[i+j]
-			iov.Base = &frames[i+j].data[0]
-			iov.SetLen(size)
-		}
+		p := frames[i].wire.to
 		h := &bio.whdrs[msgs]
 		h.hdr = syscall.Msghdr{
-			Name:    &f.wire.dst.raw[0],
-			Namelen: f.wire.dst.len,
+			Name:    &p.dst.raw[0],
+			Namelen: p.dst.len,
 			Iov:     &bio.wiovs[i],
 		}
-		setIovlen(&h.hdr, run)
-		if run > 1 {
-			grouped = true
-			c := &bio.wctrl[msgs]
-			c.hdr.Level = solUDP
-			c.hdr.Type = udpSegment
-			c.hdr.SetLen(syscall.CmsgLen(2))
-			c.seg = uint16(size)
-			h.hdr.Control = (*byte)(unsafe.Pointer(c))
-			h.hdr.SetControllen(syscall.CmsgSpace(2))
-		}
+		setIovlen(&h.hdr, j-i)
 		h.len = 0
-		bio.wgrp[msgs] = run
+		bio.wgrp[msgs] = j - i
 		msgs++
-		i += run
+		i = j
 	}
 	bio.wn, bio.wsent, bio.werr = msgs, 0, 0
 	err := m.rc.Write(bio.wcb)
@@ -273,14 +186,11 @@ func (m *Mux) writeBatchSys(frames []*frame) (int, error) {
 	for i := 0; i < bio.wsent; i++ {
 		sent += bio.wgrp[i]
 	}
+	m.txBundles.Add(uint64(bio.wsent))
 	if err != nil {
 		return sent, err
 	}
 	if bio.werr != 0 {
-		if grouped && sent == 0 && gsoFallbackErr(bio.werr) {
-			bio.gso = false
-			return m.writeBatchSys(frames)
-		}
 		return sent, bio.werr
 	}
 	return sent, nil

@@ -1,11 +1,11 @@
 //go:build !linux
 
-// Portable batch backend: on platforms without recvmmsg/sendmmsg the mux
-// degrades to one datagram per syscall through the net package. The
-// framing, the demux and the arena ownership discipline are byte-for-byte
-// identical to the Linux path — only the syscall amortization is lost, so
-// the multi-link harness and its tests run everywhere while the batching
-// speedup is claimed only where Mux.Batched() reports true.
+// Portable send backend: on platforms without sendmmsg the mux writes
+// one bundle per WriteToUDP. The bundles, the demux and the arena
+// ownership discipline are identical to the Linux path — only the syscall
+// amortization across peers and bundles is lost, so the multi-link
+// harness and its tests run everywhere while the batching speedup is
+// claimed only where Mux.Batched() reports true.
 
 package live
 
@@ -15,19 +15,23 @@ import (
 )
 
 // batchedSyscalls reports at build time that this platform moves one
-// datagram per syscall.
+// bundle per syscall.
 const batchedSyscalls = false
 
-// batchIO has no persistent state on the portable path.
-type batchIO struct{}
+// batchIO holds the portable writer's bundle buffer: a bundle is copied
+// together here before its one WriteToUDP.
+type batchIO struct {
+	wbuf []byte
+}
 
-func (m *Mux) initBatchIO() {}
+func (m *Mux) initBatchIO() { m.bio.wbuf = make([]byte, 0, bundleBufBytes) }
 
-// GSO reports false: UDP segmentation offload is a Linux-only path.
-func (m *Mux) GSO() bool { return false }
+// bundleCap is the Ethernet-MTU bundle: with no portable way to read the
+// route MTU, no bundle risks IP fragmentation.
+func bundleCap(*net.UDPAddr) int { return portableBundleBytes }
 
 // sockaddr carries no platform representation; the portable writer uses
-// the wire's net.UDPAddr directly.
+// the peer's net.UDPAddr directly.
 type sockaddr struct{}
 
 func mkSockaddr(a *net.UDPAddr) (sockaddr, error) {
@@ -37,28 +41,21 @@ func mkSockaddr(a *net.UDPAddr) (sockaddr, error) {
 	return sockaddr{}, nil
 }
 
-// readBatchSys reads a single datagram into the first frame.
-func (m *Mux) readBatchSys(frames []*frame) (int, error) {
-	if len(frames) == 0 {
-		return 0, nil
-	}
-	f := frames[0]
-	n, _, err := m.conn.ReadFromUDP(f.data[:])
-	if err != nil {
-		return 0, err
-	}
-	f.n = n
-	return 1, nil
-}
-
-// writeBatchSys writes the frames one syscall each, reporting how many
-// made it before the first error — the same partial-completion contract
-// as sendmmsg.
+// writeBatchSys writes the frames one bundle per syscall, reporting how
+// many frames made it before the first error — the same partial-completion
+// contract as sendmmsg.
 func (m *Mux) writeBatchSys(frames []*frame) (int, error) {
-	for i, f := range frames {
-		if _, err := m.conn.WriteToUDP(f.data[:f.n], f.wire.peer); err != nil {
+	for i := 0; i < len(frames); {
+		j := bundleEnd(frames, i)
+		b := m.bio.wbuf[:0]
+		for _, f := range frames[i:j] {
+			b = append(b, f.data[:f.n]...)
+		}
+		if _, err := m.conn.WriteToUDP(b, frames[i].wire.to.addr); err != nil {
 			return i, err
 		}
+		m.txBundles.Add(1)
+		i = j
 	}
 	return len(frames), nil
 }

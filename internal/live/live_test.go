@@ -2,11 +2,13 @@ package live
 
 import (
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"linkguardian/internal/obs"
+	"linkguardian/internal/simtime"
 )
 
 // counter pulls one named counter out of a snapshot.
@@ -93,9 +95,10 @@ func impairedLoad() (count uint64, pps float64) {
 
 // The three-terminal composition of lglive -mode=sender|proxy|receiver, in
 // one process: sender mux → impairment proxy → receiver mux, with 2e-3
-// corruption plus order-preserving jitter plus occasional adjacent swaps
-// (the reordering a real multi-lane path can produce). Every impairment
-// must bite, and delivery must still come out exactly-once and in order.
+// corruption of each frame plus order-preserving jitter plus occasional
+// adjacent swaps of whole bundles (the reordering a real multi-lane path
+// can produce). Every impairment must bite, and delivery must still come
+// out exactly-once and in order.
 func TestLoopbackMasksJitterAndReorder(t *testing.T) {
 	count, pps := impairedLoad()
 	smux, rmux := newTestMux(t, 0), newTestMux(t, 0)
@@ -134,6 +137,16 @@ func TestLoopbackMasksJitterAndReorder(t *testing.T) {
 	smux.Close()
 	rmux.Close()
 	p.Close()
+	// The proxy ruled on frames, not on bundles: every record it saw drew
+	// a verdict (none before the sender wrote it), and its survivors
+	// reached the receiver still bundled.
+	sent, rs := s.Wire.Counters().TxDatagrams, rmux.Stats()
+	if ruled := p.Forwarded() + p.Dropped(); ruled == 0 || ruled > sent {
+		t.Fatalf("proxy ruled on %d frames, the sender wrote %d", ruled, sent)
+	}
+	if smux.Batched() && rs.RxDatagrams <= rs.RxBundles {
+		t.Fatalf("receiver got %d frames in %d bundles through the proxy", rs.RxDatagrams, rs.RxBundles)
+	}
 	a := r.Flow
 	lr := LinkReport{Offered: s.App.Tx, Rx: a.Rx, Lost: a.Lost, Duplicate: a.Duplicate, OutOfSeq: a.OutOfSeq, Gaps: a.Gaps}
 	if err := lr.Check(); err != nil || lr.Offered != count {
@@ -232,5 +245,35 @@ func TestShutdownDeadline(t *testing.T) {
 	idle.Start()
 	if idle.Do(func() {}) {
 		t.Fatal("Do succeeded on a loop stopped before Start")
+	}
+}
+
+// allocsPerPacket is the allocation budget of a whole RunMulti, set-up
+// included, per delivered packet.
+const allocsPerPacket = 1.1
+
+// The live app path allocates nothing per packet at steady state: payloads
+// come from slabs and ride in packets as pointers, frames from the arena.
+// A short run of the repository benchmark's shape, everything counted —
+// set-up, both loops, the mux goroutines — stays within allocsPerPacket.
+func TestRunMultiAllocsPerPacket(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's reduced load leaves too few packets to amortize set-up")
+	}
+	const count = 15000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := RunMulti(MultiConfig{
+		Seed: 9, Links: 4, Flows: 64, Count: count, Size: 64, PPS: 15000, LinkRate: simtime.Rate10G,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked(t, rep)
+	per := float64(after.Mallocs-before.Mallocs) / float64(rep.Delivered)
+	t.Logf("%.3f allocs per delivered packet", per)
+	if per > allocsPerPacket {
+		t.Fatalf("RunMulti allocates %.2f per delivered packet, budget %.1f", per, allocsPerPacket)
 	}
 }

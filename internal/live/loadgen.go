@@ -120,7 +120,7 @@ func (ep *Endpoint) flowSink(pkt *simnet.Packet) {
 	a := ep.Flow
 	a.Rx++
 	a.RxBytes += uint64(pkt.Size)
-	payload, _ := pkt.Payload.([]byte)
+	payload := payloadBytes(pkt)
 	if len(payload) < loadgenHeaderBytes {
 		a.Short++
 		return
@@ -169,7 +169,22 @@ type loadgen struct {
 	sent     uint64
 	seqs     []uint64 // per-flow next sequence number
 	done     chan struct{}
+
+	slab *payloadSlab // the block the next payloads come from
+	slot int          // its next free slot
 }
+
+// payloadSlab is a block of loadgen payloads allocated together. Each
+// packet takes the next slot and no slot is ever reused, so one allocation
+// serves payloadSlabSlots packets, a payload is never rewritten, and a
+// block lives as long as any packet copy points into it. A packet's
+// Payload is a pointer to its slot's view, so setting it allocates nothing.
+type payloadSlab struct {
+	hdr  [payloadSlabSlots][loadgenHeaderBytes]byte
+	view [payloadSlabSlots][]byte
+}
+
+const payloadSlabSlots = 256
 
 // StartLoadgen begins offering flow-stamped traffic: count packets of
 // size bytes at pps packets/second aggregate, round-robin across flows
@@ -214,11 +229,17 @@ func (g *loadgen) tick() bool {
 	ep := g.ep
 	idx := int(g.sent % uint64(len(g.seqs)))
 	p := ep.Loop.NewPacket(simnet.KindData, g.size, ep.cfg.DeliverTo)
-	payload := make([]byte, loadgenHeaderBytes)
+	if g.slab == nil || g.slot == payloadSlabSlots {
+		g.slab, g.slot = new(payloadSlab), 0
+	}
+	s := g.slab
+	payload := s.hdr[g.slot][:]
 	binary.BigEndian.PutUint32(payload, g.flowBase+uint32(idx))
 	binary.BigEndian.PutUint64(payload[4:], g.seqs[idx])
 	binary.BigEndian.PutUint64(payload[12:], uint64(time.Now().UnixNano()))
-	p.Payload = payload
+	s.view[g.slot] = payload
+	p.Payload = &s.view[g.slot]
+	g.slot++
 	p.FlowID = int(g.flowBase) + idx
 	g.seqs[idx]++
 	g.sent++

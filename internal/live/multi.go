@@ -165,7 +165,7 @@ type MultiReport struct {
 
 	SenderMux   MuxStats
 	ReceiverMux MuxStats
-	Batched     bool // real recvmmsg/sendmmsg batching on this platform
+	Batched     bool // real sendmmsg batching on this platform
 
 	Elapsed time.Duration
 	Drained bool
@@ -195,12 +195,15 @@ func (r *MultiReport) Check() error {
 func (r *MultiReport) String() string {
 	return fmt.Sprintf(
 		"links=%d offered=%d delivered=%d lost=%d dup=%d ooo=%d | wire: dropped=%d (masked %d) | "+
-			"latency p50=%v p99=%v p99.9=%v | mux: rx_batches=%d rx=%d tx_batches=%d tx=%d batched=%v | %.2fs",
+			"latency p50=%v p99=%v p99.9=%v | mux: rx_batches=%d rx_bundles=%d rx=%d "+
+			"tx_batches=%d tx_bundles=%d tx=%d batched=%v | %.2fs",
 		len(r.Links), r.Offered, r.Delivered, r.Lost, r.Duplicate, r.OutOfSeq,
 		r.Dropped, r.Masked,
 		r.P50, r.P99, r.P999,
-		r.SenderMux.RxBatches+r.ReceiverMux.RxBatches, r.SenderMux.RxDatagrams+r.ReceiverMux.RxDatagrams,
-		r.SenderMux.TxBatches+r.ReceiverMux.TxBatches, r.SenderMux.TxDatagrams+r.ReceiverMux.TxDatagrams,
+		r.SenderMux.RxBatches+r.ReceiverMux.RxBatches, r.SenderMux.RxBundles+r.ReceiverMux.RxBundles,
+		r.SenderMux.RxDatagrams+r.ReceiverMux.RxDatagrams,
+		r.SenderMux.TxBatches+r.ReceiverMux.TxBatches, r.SenderMux.TxBundles+r.ReceiverMux.TxBundles,
+		r.SenderMux.TxDatagrams+r.ReceiverMux.TxDatagrams,
 		r.Batched, r.Elapsed.Seconds())
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -12,11 +13,23 @@ import (
 	"linkguardian/internal/simnet"
 )
 
-// DefaultBatch is the mux's default syscall batch size: how many datagrams
-// one recvmmsg/sendmmsg call moves. 32 amortizes the ~1–2µs syscall cost
-// to noise without adding meaningful batching latency at the rates a
-// userspace link sustains.
+// DefaultBatch is the mux's default flush size: how many frames one
+// sendmmsg call moves. 32 amortizes the ~1–2µs syscall cost to noise
+// without adding meaningful batching latency at the rates a userspace link
+// sustains.
 const DefaultBatch = 32
+
+// Bundle sizes. A bundle never exceeds maxBundleBytes (nor its peer's
+// route MTU, see bundleCap), so a bundleBufBytes receive buffer holds any
+// UDP datagram; portableBundleBytes is an Ethernet MTU less the IPv4 and
+// UDP headers; maxBundleFrames is the kernel's cap on the iovecs of one
+// message (UIO_MAXIOV), one per frame.
+const (
+	maxBundleBytes      = 65000
+	portableBundleBytes = 1472
+	bundleBufBytes      = 64 << 10
+	maxBundleFrames     = 1024
+)
 
 // sendQueueDepth bounds datagrams waiting for the flush goroutine. A full
 // queue sheds the frame as a wire loss (the protocol's own retransmission
@@ -32,20 +45,22 @@ const flushYields = 4
 
 // Mux is the live dataplane's transport: one UDP socket shared by a
 // process's protected links (a standalone endpoint is link id 0 of its
-// own mux), moving datagrams in batches because one syscall per datagram
-// caps throughput, and one event Loop running every attached link — the
-// way one switch pipeline runs LinkGuardian for all the links it hosts.
-// Outbound, per-link wires enqueue encoded frames and a single flush
-// goroutine writes them in sendmmsg batches, each frame carrying its own
-// destination address. Inbound, a single read goroutine fills recvmmsg
-// batches from the frame arena, resolves each datagram's wire by the
-// 16-bit link-id prefix (simnet.AppendLinkDatagram) and hands the batch to
-// the loop, which decodes every frame and injects it on its link's
-// topology — so the loop's single-threading contract is untouched.
+// own mux), moving frames in bundles because the kernel charges about the
+// same for every datagram whatever its size, and one event Loop running
+// every attached link — the way one switch pipeline runs LinkGuardian for
+// all the links it hosts. Outbound, per-link wires enqueue encoded frames
+// and a single flush goroutine writes each batch with one sendmmsg: one
+// datagram per destination peer, a bundle of the batch's frames for that
+// peer in batch order. Inbound, a single read goroutine reads one bundle
+// per syscall — a bundle is already a batch — splits it into arena
+// frames, resolves every frame's
+// wire by its 16-bit link id (simnet.AppendLinkDatagram) and hands the
+// frames to the loop, which decodes every frame and injects it on its
+// link's topology — so the loop's single-threading contract is untouched.
 //
-// On non-Linux builds the batched syscalls degrade to a one-datagram-
-// at-a-time portable path (see batch_portable.go); the framing, the
-// demux and the arena discipline are identical.
+// On non-Linux builds sendmmsg degrades to one WriteToUDP per bundle (see
+// batch_portable.go); the bundles, the demux and the arena discipline are
+// identical.
 type Mux struct {
 	conn  *net.UDPConn
 	rc    syscall.RawConn
@@ -54,6 +69,7 @@ type Mux struct {
 	loop  *Loop
 
 	wires []*MuxWire // indexed by link id; nil slots are unknown links
+	peers []*muxPeer // distinct destinations of the attached wires
 
 	sendq chan *frame
 
@@ -79,20 +95,27 @@ type Mux struct {
 	// payload dead. Loop goroutine only.
 	frameByID map[uint64]*frame
 
-	stage []*MuxWire // groupByLink scratch: wires present in the batch
+	// rx is the read goroutine's state: the bundle buffer, and the arena
+	// frames the next records are copied into, drawn with one fill per
+	// bundle.
+	rx struct {
+		buf   []byte
+		stash []*frame
+		used  int
+	}
 
-	// Batch I/O seams: tests substitute these to exercise partial
+	// writeBatch is the send seam: tests substitute it to exercise partial
 	// completions and error paths without a cooperating kernel.
-	readBatch  func([]*frame) (int, error)
 	writeBatch func([]*frame) (int, error)
 
 	bio batchIO // platform-specific persistent syscall state
 
-	rxBatches      atomic.Uint64
+	rxBundles      atomic.Uint64
 	rxDatagrams    atomic.Uint64
 	unknownLink    atomic.Uint64
 	shortDatagrams atomic.Uint64
 	txBatches      atomic.Uint64
+	txBundles      atomic.Uint64
 	txDatagrams    atomic.Uint64
 	partialSends   atomic.Uint64
 
@@ -103,15 +126,28 @@ type Mux struct {
 	wdone   chan struct{}
 }
 
+// muxPeer is one destination of the mux's bundles. Wires attached to the
+// same address share it, so their frames share bundles.
+type muxPeer struct {
+	addr *net.UDPAddr
+	dst  sockaddr // platform destination for per-message sendmmsg
+	cap  int      // bundle byte cap (bundleCap)
+	idx  int      // position in Mux.peers
+}
+
 // MuxStats is a point-in-time copy of the mux's shared-socket counters.
+// Datagrams are link frames (bundle records); bundles are the UDP
+// datagrams on the socket.
 type MuxStats struct {
-	RxBatches      uint64 // recvmmsg calls that returned ≥1 datagram
-	RxDatagrams    uint64 // datagrams read off the socket
-	UnknownLink    uint64 // datagrams for a link id with no attached wire
-	ShortDatagrams uint64 // datagrams shorter than the link-id prefix
-	TxBatches      uint64 // sendmmsg calls that accepted ≥1 datagram
-	TxDatagrams    uint64 // datagrams written to the socket
-	PartialSends   uint64 // sendmmsg completions with k < n accepted
+	RxBatches      uint64 // socket reads: one bundle each, so equal to RxBundles
+	RxBundles      uint64 // bundles read off the socket
+	RxDatagrams    uint64 // records split out of them
+	UnknownLink    uint64 // records for a link id with no attached wire
+	ShortDatagrams uint64 // malformed records: no complete link id, or a length past the bundle
+	TxBatches      uint64 // sendmmsg calls that accepted ≥1 bundle
+	TxBundles      uint64 // bundles written to the socket
+	TxDatagrams    uint64 // frames those bundles carried
+	PartialSends   uint64 // sendmmsg completions that left frames of the batch unsent
 	ArenaFrames    uint64 // frame-arena population high-water mark
 }
 
@@ -141,11 +177,12 @@ func NewMux(conn *net.UDPConn, batch int) (*Mux, error) {
 		frameByID: make(map[uint64]*frame),
 	}
 	m.pumpFn = m.pump
+	m.rx.buf = make([]byte, bundleBufBytes)
+	m.rx.stash = make([]*frame, batch)
 	// Payload bytes of decoded data frames alias the arena frame they
 	// arrived in; the packet's release is the proof the payload is dead,
 	// so that is where the frame goes back to the arena.
 	m.loop.Sim.OnRelease = m.reclaim
-	m.readBatch = m.readBatchSys
 	m.writeBatch = m.writeBatchSys
 	m.initBatchIO()
 	// Seed the arena so the first batches draw warm frames; steady-state
@@ -161,18 +198,20 @@ func NewMux(conn *net.UDPConn, batch int) (*Mux, error) {
 	return m, nil
 }
 
-// Batched reports whether this build moves datagrams with real
-// recvmmsg/sendmmsg batches (Linux) or the portable one-at-a-time path.
+// Batched reports whether this build sends its bundles with real sendmmsg
+// batches (Linux) or the portable one-at-a-time path.
 func (m *Mux) Batched() bool { return batchedSyscalls }
 
 // Stats snapshots the mux counters; safe from any goroutine.
 func (m *Mux) Stats() MuxStats {
 	return MuxStats{
-		RxBatches:      m.rxBatches.Load(),
+		RxBatches:      m.rxBundles.Load(),
+		RxBundles:      m.rxBundles.Load(),
 		RxDatagrams:    m.rxDatagrams.Load(),
 		UnknownLink:    m.unknownLink.Load(),
 		ShortDatagrams: m.shortDatagrams.Load(),
 		TxBatches:      m.txBatches.Load(),
+		TxBundles:      m.txBundles.Load(),
 		TxDatagrams:    m.txDatagrams.Load(),
 		PartialSends:   m.partialSends.Load(),
 		ArenaFrames:    m.arena.frames(),
@@ -181,9 +220,9 @@ func (m *Mux) Stats() MuxStats {
 
 // Attach connects one protected link to the shared socket: frames
 // egressing ifc — an interface built on the mux's loop — are framed with
-// linkID's prefix and sent to peer; datagrams arriving with that prefix
-// are decoded on the loop goroutine and injected through ifc.Receive,
-// data frames stamped for deliverTo. Must be called before Start.
+// linkID and bundled to peer; records arriving with that link id are
+// decoded on the loop goroutine and injected through ifc.Receive, data
+// frames stamped for deliverTo. Must be called before Start.
 func (m *Mux) Attach(linkID uint16, ifc *simnet.Ifc, peer *net.UDPAddr, deliverTo string) (*MuxWire, error) {
 	if m.started {
 		return nil, fmt.Errorf("live: mux already started")
@@ -191,7 +230,7 @@ func (m *Mux) Attach(linkID uint16, ifc *simnet.Ifc, peer *net.UDPAddr, deliverT
 	if int(linkID) < len(m.wires) && m.wires[linkID] != nil {
 		return nil, fmt.Errorf("live: link id %d already attached", linkID)
 	}
-	dst, err := mkSockaddr(peer)
+	to, err := m.peer(peer)
 	if err != nil {
 		return nil, fmt.Errorf("live: link %d peer %v: %w", linkID, peer, err)
 	}
@@ -199,8 +238,7 @@ func (m *Mux) Attach(linkID uint16, ifc *simnet.Ifc, peer *net.UDPAddr, deliverT
 		mux:       m,
 		ifc:       ifc,
 		linkID:    linkID,
-		peer:      peer,
-		dst:       dst,
+		to:        to,
 		deliverTo: deliverTo,
 	}
 	for int(linkID) >= len(m.wires) {
@@ -209,6 +247,23 @@ func (m *Mux) Attach(linkID uint16, ifc *simnet.Ifc, peer *net.UDPAddr, deliverT
 	m.wires[linkID] = w
 	ifc.Link().Carrier = w.carry
 	return w, nil
+}
+
+// peer returns the mux's destination for addr, adding it — with its
+// bundle cap read once here — on first use.
+func (m *Mux) peer(addr *net.UDPAddr) (*muxPeer, error) {
+	for _, p := range m.peers {
+		if p.addr.IP.Equal(addr.IP) && p.addr.Port == addr.Port && p.addr.Zone == addr.Zone {
+			return p, nil
+		}
+	}
+	dst, err := mkSockaddr(addr)
+	if err != nil {
+		return nil, err
+	}
+	p := &muxPeer{addr: addr, dst: dst, cap: bundleCap(addr), idx: len(m.peers)}
+	m.peers = append(m.peers, p)
+	return p, nil
 }
 
 // Start begins pumping the loop and launches the shared read and flush
@@ -228,98 +283,107 @@ func (m *Mux) startIO() {
 	go m.flushLoop()
 }
 
-// Close stops the mux: the loop halts, the socket is closed (unblocking
-// the read goroutine), the flush goroutine drains, and every frame still
-// parked in the send queue or the inbox returns to the arena. Safe to
-// call more than once. A process with several muxes stops every loop
-// before it closes any socket, so no loop sends to a closed peer.
+// Close stops the mux: the loop halts, the flush goroutine writes what
+// the loop had queued, the socket is closed (unblocking the read
+// goroutine), and every frame still parked in the inbox returns to the
+// arena. Safe to call more than once. A process with several muxes stops
+// every loop before it closes any socket, so no loop sends to a closed
+// peer.
 func (m *Mux) Close() {
 	m.stop.Do(func() {
 		m.loop.Stop()
 		close(m.quit)
+		if m.started {
+			<-m.wdone
+		}
 		_ = m.conn.Close()
 		if m.started {
 			<-m.rdone
-			<-m.wdone
 		}
 		m.arena.putAll(m.inbox.q)
 		m.inbox.q = nil
 	})
 }
 
-// readLoop is the shared inbound pump: fill a batch of arena frames with
-// recvmmsg, hand the datagrams to the loop's inbox, replace the consumed
-// slots, repeat. It exits when the socket closes.
+// readLoop is the shared inbound pump: read a bundle, split it into the
+// stash's arena frames, hand those to the loop's inbox, repeat. It exits
+// when the socket closes.
 func (m *Mux) readLoop() {
 	defer close(m.rdone)
-	frames := make([]*frame, m.batch)
-	for i := range frames {
-		frames[i] = m.arena.get()
-	}
-	defer func() {
-		for _, f := range frames {
-			if f != nil {
-				m.arena.put(f)
-			}
-		}
-	}()
+	m.arena.fill(m.rx.stash)
+	defer func() { m.arena.putAll(m.rx.stash) }()
 	for {
-		n, err := m.readBatch(frames)
+		n, err := m.conn.Read(m.rx.buf)
 		if err != nil {
 			return // socket closed for shutdown (or unrecoverable)
 		}
-		if n == 0 {
-			continue
-		}
-		m.rxBatches.Add(1)
-		m.rxDatagrams.Add(uint64(n))
-		m.dispatchBatch(frames[:n])
-		m.arena.fill(frames[:n])
+		m.rxBundles.Add(1)
+		m.unbundle(m.rx.buf[:n])
+		m.flushRx()
 	}
 }
 
-// dispatchBatch takes ownership of a batch of received frames: each lands
-// in the inbox, stamped with its wire, or back in the arena. The whole
-// batch costs one inbox lock and at most one loop wakeup.
-func (m *Mux) dispatchBatch(frames []*frame) {
-	k := 0
-	for _, f := range frames {
-		if m.resolve(f) {
-			frames[k] = f
-			k++
+// unbundle splits one received bundle into the read goroutine's stash of
+// arena frames, one per record, each stamped with the wire resolve names.
+// Records that resolve to no wire take no frame. A full stash is handed on
+// mid-bundle.
+func (m *Mux) unbundle(b []byte) {
+	records := uint64(0)
+	for len(b) > 0 {
+		start := b
+		rec, rest, _ := nextRecord(b)
+		b = rest
+		records++
+		w := m.resolve(rec)
+		if w == nil {
+			continue
+		}
+		f := m.rx.stash[m.rx.used]
+		f.n = copy(f.data[:], start[:recordHdrBytes+len(rec)])
+		f.wire = w
+		m.rx.used++
+		if m.rx.used == len(m.rx.stash) {
+			m.flushRx()
 		}
 	}
-	if k == 0 {
+	m.rxDatagrams.Add(records)
+}
+
+// resolve returns the wire a received record's link id names. Records
+// that are malformed (nil, shorter than the link id, longer than any link
+// datagram) or name no attached wire are counted and resolve to nil.
+func (m *Mux) resolve(rec []byte) *MuxWire {
+	link, _, err := simnet.SplitLinkDatagram(rec)
+	if err != nil || len(rec) > simnet.MaxLinkDatagramBytes {
+		m.shortDatagrams.Add(1)
+		return nil
+	}
+	if int(link) < len(m.wires) {
+		if w := m.wires[link]; w != nil {
+			return w
+		}
+	}
+	m.unknownLink.Add(1)
+	return nil
+}
+
+// flushRx hands the stash's filled frames to the loop — one inbox lock
+// and at most one loop wakeup — and refills their slots with one arena
+// fill.
+func (m *Mux) flushRx() {
+	got := m.rx.stash[:m.rx.used]
+	if len(got) == 0 {
 		return
 	}
+	m.rx.used = 0
 	m.inbox.mu.Lock()
-	m.inbox.q = append(m.inbox.q, frames[:k]...)
+	m.inbox.q = append(m.inbox.q, got...)
 	m.inbox.mu.Unlock()
 	if m.wakePending.CompareAndSwap(false, true) && !m.loop.Do(m.pumpFn) {
 		// Loop stopped: leave the frames parked; Close reclaims them.
 		m.wakePending.Store(false)
 	}
-}
-
-// resolve stamps a received frame with the wire its link-id prefix names.
-// Frames with no usable prefix or no attached wire are consumed (counted,
-// returned to the arena) and resolve to false.
-func (m *Mux) resolve(f *frame) bool {
-	link, _, err := simnet.SplitLinkDatagram(f.data[:f.n])
-	if err != nil {
-		m.shortDatagrams.Add(1)
-		m.arena.put(f)
-		return false
-	}
-	if int(link) < len(m.wires) {
-		if w := m.wires[link]; w != nil {
-			f.wire = w
-			return true
-		}
-	}
-	m.unknownLink.Add(1)
-	m.arena.put(f)
-	return false
+	m.arena.fill(got)
 }
 
 // pump drains the inbox on the loop goroutine, swapping in the spare
@@ -379,8 +443,8 @@ func (m *Mux) putFrame(f *frame) {
 }
 
 // flushLoop is the shared outbound pump: collect queued frames up to the
-// batch size, write them with sendmmsg (retrying partial completions),
-// return the frames to the arena.
+// batch size, write them as bundles with sendmmsg (retrying partial
+// completions), return the frames to the arena.
 func (m *Mux) flushLoop() {
 	defer close(m.wdone)
 	batch := make([]*frame, 0, m.batch)
@@ -394,8 +458,8 @@ func (m *Mux) flushLoop() {
 		case f := <-m.sendq:
 			batch = append(batch, f)
 		case <-m.quit:
-			// Drain what the loops already queued; the socket may already
-			// be closed, in which case sendBatch surfaces hard errors.
+			// Drain what the loop queued before it stopped; Close keeps
+			// the socket open until this returns.
 			for {
 				select {
 				case f := <-m.sendq:
@@ -441,47 +505,30 @@ func (m *Mux) flushLoop() {
 	}
 }
 
-// groupByLink stable-partitions a batch by wire (bucket sort over the
-// wires actually present, O(n)). Cross-link ordering carries no meaning —
-// the links are independent — while each link's own frames keep their
-// order, and the contiguous runs let writeBatch coalesce same-size frames
-// into single GSO sends. The per-wire stage slices and the touched list
-// are flush-goroutine scratch, warm after the first batches.
-func (m *Mux) groupByLink(batch []*frame) {
-	touched := m.stage[:0]
-	for _, f := range batch {
-		w := f.wire
-		if len(w.txStage) == 0 {
-			touched = append(touched, w)
-		}
-		w.txStage = append(w.txStage, f)
+// bundleEnd returns the end of the bundle that starts at frames[i]: the
+// frames that follow it to the same peer, as many as fit the peer's cap
+// and one message's iovecs. A frame bigger than the cap goes alone.
+func bundleEnd(frames []*frame, i int) int {
+	p, size := frames[i].wire.to, frames[i].n
+	j := i + 1
+	for j < len(frames) && j-i < maxBundleFrames && frames[j].wire.to == p && size+frames[j].n <= p.cap {
+		size += frames[j].n
+		j++
 	}
-	m.stage = touched[:0]
-	if len(touched) < 2 {
-		if len(touched) == 1 {
-			touched[0].txStage = touched[0].txStage[:0]
-		}
-		return // zero or one wire: the batch is already one run
-	}
-	i := 0
-	for _, w := range touched {
-		for j, f := range w.txStage {
-			batch[i] = f
-			i++
-			w.txStage[j] = nil
-		}
-		w.txStage = w.txStage[:0]
-	}
+	return j
 }
 
 // sendBatch writes one batch, walking past partial completions (the
-// kernel accepting k < n messages is normal backpressure) and retrying
+// kernel accepting k < n bundles is normal backpressure) and retrying
 // transient errors with a bounded backoff (maxSendAttempts, sendBackoff).
 // Frames that could not be written are counted against their wire
 // as send drops — wire losses the protocol recovers. The caller returns
 // the frames to the arena afterwards.
 func (m *Mux) sendBatch(batch []*frame) {
-	m.groupByLink(batch)
+	if len(m.peers) > 1 {
+		// One run per peer, in batch order, for writeBatch to bundle.
+		slices.SortStableFunc(batch, func(a, b *frame) int { return a.wire.to.idx - b.wire.to.idx })
+	}
 	sent, attempts := 0, 0
 	for sent < len(batch) {
 		n, err := m.writeBatch(batch[sent:])
@@ -532,9 +579,9 @@ func (m *Mux) sendBatch(batch []*frame) {
 // MuxWire binds one protected link's wire-facing interface to the shared
 // mux socket: the live half of a protected link. Outbound, it is the
 // Link.Carrier — every frame the interface's port finishes serializing is
-// framed by the simnet datagram codec and queued for the socket; simulated
-// propagation is bypassed because the physical path is real. Inbound, it
-// decodes each datagram into a pooled packet and injects it through
+// framed by the simnet datagram codec and queued for its peer's next
+// bundle; simulated propagation is bypassed because the physical path is
+// real. Inbound, it decodes each frame into a pooled packet and injects it through
 // Ifc.Receive — the link's fault verdict, counters, PFC absorption and
 // the LinkGuardian ingress hooks all run exactly as if the frame had
 // arrived over a simulated link. Decode and injection run on the mux's
@@ -543,8 +590,7 @@ type MuxWire struct {
 	mux       *Mux
 	ifc       *simnet.Ifc
 	linkID    uint16
-	peer      *net.UDPAddr
-	dst       sockaddr // platform destination for per-message sendmmsg
+	to        *muxPeer
 	deliverTo string
 
 	// Loop-owned counters (loop goroutine only).
@@ -558,12 +604,7 @@ type MuxWire struct {
 	sendRetries atomic.Uint64
 	sendDrops   atomic.Uint64
 	sendQFull   atomic.Uint64
-
-	txStage []*frame // groupByLink scratch (flush goroutine only)
 }
-
-// LinkID returns the wire's link id on the shared socket.
-func (w *MuxWire) LinkID() uint16 { return w.linkID }
 
 // Counters folds both counter families into the WireStats shape. Call on
 // the loop goroutine (or after the loop has stopped) for an exact read;
@@ -580,12 +621,8 @@ func (w *MuxWire) Counters() WireStats {
 	}
 }
 
-// SendQueueFull returns how many frames were shed because the mux send
-// queue was full — included in Counters().SendDrops.
-func (w *MuxWire) SendQueueFull() uint64 { return w.sendQFull.Load() }
-
 // carry is the Link.Carrier hook (loop goroutine): encode the frame into
-// an arena buffer with the link-id prefix and hand it to the flush
+// an arena buffer as one bundle record and hand it to the flush
 // goroutine. A full send queue sheds the frame as a wire loss.
 func (w *MuxWire) carry(pkt *simnet.Packet, from *simnet.Ifc) {
 	m := w.mux
@@ -595,14 +632,14 @@ func (w *MuxWire) carry(pkt *simnet.Packet, from *simnet.Ifc) {
 		return
 	}
 	f := m.getFrame()
-	payload, _ := pkt.Payload.([]byte)
-	b, err := simnet.AppendLinkDatagram(f.data[:0], w.linkID, pkt, payload)
+	b, err := simnet.AppendLinkDatagram(f.data[recordHdrBytes:recordHdrBytes], w.linkID, pkt, payloadBytes(pkt))
 	if err != nil {
 		w.encodeDrops++
 		m.putFrame(f)
 		return
 	}
-	f.n = len(b)
+	f.data[0], f.data[1] = byte(len(b)), byte(len(b)>>8)
+	f.n = recordHdrBytes + len(b)
 	f.wire = w
 	select {
 	case m.sendq <- f:
@@ -612,16 +649,25 @@ func (w *MuxWire) carry(pkt *simnet.Packet, from *simnet.Ifc) {
 	}
 }
 
-// deliverFrame decodes one datagram and injects the frame into the
-// interface's ingress MAC; a rejected datagram is dropped and counted —
-// the exact analogue of a frame failing its FCS check. If the
-// decoded packet carries payload bytes, they alias the arena frame, which
-// is parked until the packet's release; otherwise the frame goes straight
-// back to the arena.
+// payloadBytes returns the app bytes a live packet carries. Payload holds
+// a *[]byte whose slice a loadgen slab or an arena frame owns, so setting
+// it boxes a pointer and never allocates.
+func payloadBytes(pkt *simnet.Packet) []byte {
+	if b, ok := pkt.Payload.(*[]byte); ok {
+		return *b
+	}
+	return nil
+}
+
+// deliverFrame decodes one frame and injects it into the interface's
+// ingress MAC; a rejected frame is dropped and counted — the exact
+// analogue of a frame failing its FCS check. If the decoded packet carries
+// payload bytes, they alias the arena frame, which is parked until the
+// packet's release; otherwise the frame goes straight back to the arena.
 func (w *MuxWire) deliverFrame(f *frame) {
 	m := w.mux
 	pkt := m.loop.NewPacket(simnet.KindData, 0, "")
-	payload, err := simnet.DecodeLGDatagram(f.data[simnet.LinkIDBytes:f.n], pkt)
+	payload, err := simnet.DecodeLGDatagram(f.data[recordHdrBytes+simnet.LinkIDBytes:f.n], pkt)
 	if err != nil {
 		w.decodeDrops++
 		m.loop.Release(pkt)
@@ -629,7 +675,8 @@ func (w *MuxWire) deliverFrame(f *frame) {
 		return
 	}
 	if len(payload) > 0 {
-		pkt.Payload = payload
+		f.payload = payload
+		pkt.Payload = &f.payload
 		m.frameByID[pkt.ID] = f
 	} else {
 		m.putFrame(f)

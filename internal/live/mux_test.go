@@ -1,6 +1,7 @@
 package live
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -14,7 +15,7 @@ import (
 	"linkguardian/internal/simnet"
 )
 
-func newTestMux(t *testing.T, batch int) *Mux {
+func newTestMux(t testing.TB, batch int) *Mux {
 	t.Helper()
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -38,7 +39,7 @@ func testWireIfc(m *Mux, name string) *simnet.Ifc {
 }
 
 // attachTestWire attaches a minimal topology to link id link of the mux.
-func attachTestWire(t *testing.T, m *Mux, link uint16) *MuxWire {
+func attachTestWire(t testing.TB, m *Mux, link uint16) *MuxWire {
 	t.Helper()
 	w, err := m.Attach(link, testWireIfc(m, "sw"), m.conn.LocalAddr().(*net.UDPAddr), "app")
 	if err != nil {
@@ -58,8 +59,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// Datagrams carrying an unknown link id or no complete link-id prefix
-// must be counted and shed without disturbing the attached links.
+// appendRecord appends one bundle record carrying rec to b.
+func appendRecord(b []byte, rec ...byte) []byte {
+	return append(append(b, byte(len(rec)), byte(len(rec)>>8)), rec...)
+}
+
+// Bundle records carrying an unknown link id, a garbage inner datagram or
+// a length past the end of the bundle must be counted and shed without
+// disturbing the attached links.
 func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 	m := newTestMux(t, 4)
 	w := attachTestWire(t, m, 3)
@@ -72,22 +79,18 @@ func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 	defer src.Close()
 	dst := m.conn.LocalAddr().(*net.UDPAddr)
 
-	// Unknown link id 9 (no wire there), valid-length prefix.
-	if _, err := src.WriteToUDP([]byte{9, 0, 1, 2, 3}, dst); err != nil {
-		t.Fatal(err)
-	}
-	// Truncated tail: shorter than the link-id prefix itself.
-	if _, err := src.WriteToUDP([]byte{7}, dst); err != nil {
-		t.Fatal(err)
-	}
-	// Known link id but garbage inner datagram: reaches the wire, is
-	// rejected by the codec on the loop goroutine.
-	if _, err := src.WriteToUDP([]byte{3, 0, 0xff, 0xfe}, dst); err != nil {
+	// Unknown link id 9 (no wire there); then known link id 3 with a
+	// garbage inner datagram, which reaches the wire and is rejected by the
+	// codec on the loop goroutine; then a length of 50 with 3 bytes left.
+	b := appendRecord(nil, 9, 0, 1, 2, 3)
+	b = appendRecord(b, 3, 0, 0xff, 0xfe)
+	b = append(b, 50, 0, 3, 0, 1)
+	if _, err := src.WriteToUDP(b, dst); err != nil {
 		t.Fatal(err)
 	}
 
 	waitFor(t, "unknown-link count", func() bool { return m.Stats().UnknownLink == 1 })
-	waitFor(t, "short-datagram count", func() bool { return m.Stats().ShortDatagrams == 1 })
+	waitFor(t, "short-record count", func() bool { return m.Stats().ShortDatagrams == 1 })
 	waitFor(t, "decode drop", func() bool {
 		var drops uint64
 		if !m.loop.Call(func() { drops = w.decodeDrops }) {
@@ -95,9 +98,92 @@ func TestMuxUnknownLinkAndShortDatagram(t *testing.T) {
 		}
 		return drops == 1
 	})
-	if got := m.Stats().RxDatagrams; got != 3 {
-		t.Fatalf("RxDatagrams = %d, want 3", got)
+	if s := m.Stats(); s.RxBundles != 1 || s.RxDatagrams != 3 {
+		t.Fatalf("RxBundles = %d, RxDatagrams = %d, want 1 and 3", s.RxBundles, s.RxDatagrams)
 	}
+}
+
+// FuzzMuxBundle feeds arbitrary bytes to the read path as one received
+// bundle. The records must cover the input exactly; every record with an
+// attached link id must reach that link's wire, byte for byte and in
+// order, every other one must be counted as unknown or malformed; and
+// decoding every delivered frame must never panic.
+func FuzzMuxBundle(f *testing.F) {
+	m := newTestMux(f, 4)
+	for _, link := range []uint16{0, 2} {
+		w := attachTestWire(f, m, link)
+		w.ifc.OnIngress = func(p *simnet.Packet) bool {
+			m.loop.Release(p) // releases the frame a payload aliases
+			return true
+		}
+	}
+	m.arena.fill(m.rx.stash) // the read goroutine's start, without its socket
+	data, _ := simnet.AppendLinkDatagram(nil, 0, m.loop.NewPacket(simnet.KindData, 64, ""), []byte("payload"))
+	dummy, _ := simnet.AppendLinkDatagram(nil, 2, m.loop.NewPacket(simnet.KindDummy, 64, ""), nil)
+	f.Add(appendRecord(appendRecord(nil, data...), dummy...))
+	f.Add(appendRecord(appendRecord(appendRecord(nil, 9, 0, 1), 1, 0, 7), 2, 0, 0xff))
+	f.Add([]byte{40, 0, 0, 0, 1})
+	f.Add([]byte{1, 0, 7, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var want [][]byte
+		var units, bad, unknown uint64
+		for rest := b; len(rest) > 0; units++ {
+			rec, next, ok := nextRecord(rest)
+			unit := rest[:len(rest)-len(next)]
+			n := len(unit) - recordHdrBytes
+			if ok && (n < 0 || int(unit[0])|int(unit[1])<<8 != n || !bytes.Equal(unit[recordHdrBytes:], rec)) {
+				t.Fatalf("record % x does not match its length prefix", unit)
+			}
+			if !ok && len(next) != 0 {
+				t.Fatalf("malformed record left % x unconsumed", next)
+			}
+			rest = next
+			switch {
+			case !ok || len(rec) < simnet.LinkIDBytes || len(rec) > simnet.MaxLinkDatagramBytes:
+				bad++
+			case int(rec[0])|int(rec[1])<<8 >= len(m.wires) || m.wires[int(rec[0])|int(rec[1])<<8] == nil:
+				unknown++
+			default:
+				want = append(want, unit)
+			}
+		}
+		before := m.Stats()
+		m.unbundle(b)
+		m.flushRx()
+		after := m.Stats()
+		if got := after.RxDatagrams - before.RxDatagrams; got != units {
+			t.Fatalf("counted %d records, the bundle holds %d", got, units)
+		}
+		if s, u := after.ShortDatagrams-before.ShortDatagrams, after.UnknownLink-before.UnknownLink; s != bad || u != unknown {
+			t.Fatalf("malformed/unknown = %d/%d, want %d/%d", s, u, bad, unknown)
+		}
+		q := m.inbox.q
+		if len(q) != len(want) {
+			t.Fatalf("%d frames dispatched, want %d", len(q), len(want))
+		}
+		for i, fr := range q {
+			link := uint16(want[i][2]) | uint16(want[i][3])<<8
+			if fr.wire != m.wires[link] || !bytes.Equal(fr.data[:fr.n], want[i]) {
+				t.Fatalf("frame %d: link %d, % x; want link %d, % x", i, fr.wire.linkID, fr.data[:fr.n], link, want[i])
+			}
+		}
+		decoded := func() (n uint64) {
+			for _, w := range m.wires {
+				if w != nil {
+					n += w.rxDatagrams + w.decodeDrops
+				}
+			}
+			return n
+		}
+		d0 := decoded()
+		m.pump() // the loop is not running: decode here, on its behalf
+		for len(m.loop.do) > 0 {
+			<-m.loop.do // the wakeup dispatch queued for the loop
+		}
+		if got := decoded() - d0; got != uint64(len(want)) {
+			t.Fatalf("%d frames decoded or rejected, want %d", got, len(want))
+		}
+	})
 }
 
 func TestMuxAttachErrors(t *testing.T) {
@@ -117,12 +203,11 @@ func TestMuxAttachErrors(t *testing.T) {
 // testFrames builds n owned frames carrying distinguishable payloads.
 func testFrames(m *Mux, w *MuxWire, n int) []*frame {
 	frames := make([]*frame, n)
-	for i := range frames {
-		f := m.arena.get()
+	m.arena.fill(frames)
+	for i, f := range frames {
 		f.data[0] = byte(i)
 		f.n = 4
 		f.wire = w
-		frames[i] = f
 	}
 	return frames
 }
@@ -293,6 +378,26 @@ func TestMultiLinkLoopback(t *testing.T) {
 			t.Fatalf("batched platform but no rx batches: sender=%+v receiver=%+v", s, r)
 		}
 	}
+	// Each mux has one peer, so a flush is one bundle: one datagram per
+	// sendmmsg at most, carrying the batch's frames.
+	for side, ms := range map[string]MuxStats{"sender": s, "receiver": r} {
+		var frames uint64
+		for i := range rep.Links {
+			if side == "sender" {
+				frames += rep.Links[i].SenderWire.TxDatagrams
+			} else {
+				frames += rep.Links[i].ReceiverWire.TxDatagrams
+			}
+		}
+		switch {
+		case ms.TxDatagrams != frames:
+			t.Errorf("%s mux wrote %d frames, its wires %d", side, ms.TxDatagrams, frames)
+		case rep.Batched && ms.TxBundles > ms.TxBatches:
+			t.Errorf("%s mux: %d bundles in %d sendmmsg calls to one peer", side, ms.TxBundles, ms.TxBatches)
+		case ms.TxDatagrams <= ms.TxBundles:
+			t.Errorf("%s mux: %d frames in %d bundles, want several per bundle", side, ms.TxDatagrams, ms.TxBundles)
+		}
+	}
 	if rep.P999 <= 0 {
 		t.Fatalf("latency quantiles not measured: %s", rep)
 	}
@@ -353,14 +458,18 @@ func TestRunMultiGoroutines(t *testing.T) {
 	}
 }
 
-// proxyDropPattern pushes count numbered datagrams through a fresh proxy
-// seeded for one link shard and returns which indices survived — the
-// link's fault pattern. Jitter and Reorder are off and the proxy consumes
-// one RNG decision per arriving datagram, so the pattern is a pure function
-// of the seed. The datagrams go in lock-step: each is sent only after the
-// proxy has ruled on the previous one and its survivor has been read, so at
-// most one datagram is ever queued in a kernel buffer and an overflow there
-// cannot masquerade as a proxy drop.
+// proxyBundle is how many numbered records proxyDropPattern packs into
+// one bundle.
+const proxyBundle = 4
+
+// proxyDropPattern pushes count numbered records, proxyBundle to a bundle,
+// through a fresh proxy seeded for one link shard and returns which
+// indices survived — the link's fault pattern. Jitter and Reorder are off
+// and the proxy consumes one RNG decision per record, so the pattern is a
+// pure function of the seed. The bundles go in lock-step: each is sent
+// only after the proxy has ruled on every record of the previous one and
+// its survivors have been read, so at most one datagram is ever queued in
+// a kernel buffer and an overflow there cannot masquerade as a proxy drop.
 func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 	t.Helper()
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -379,41 +488,54 @@ func proxyDropPattern(t *testing.T, master int64, link, count int) string {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	pat := make([]byte, count)
-	buf := make([]byte, 16)
-	for i := 0; i < count; i++ {
+	pat := []byte(strings.Repeat("0", count))
+	buf := make([]byte, 64)
+	for i := 0; i < count; i += proxyBundle {
 		forwarded := p.Forwarded()
-		var b [2]byte
-		b[0], b[1] = byte(i), byte(i>>8)
-		if _, err := src.WriteToUDP(b[:], p.Addr()); err != nil {
+		var b []byte
+		for j := i; j < i+proxyBundle; j++ {
+			b = appendRecord(b, byte(j), byte(j>>8))
+		}
+		if _, err := src.WriteToUDP(b, p.Addr()); err != nil {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(2 * time.Second)
-		for p.Forwarded()+p.Dropped() != uint64(i+1) {
+		for p.Forwarded()+p.Dropped() != uint64(i+proxyBundle) {
 			if time.Now().After(deadline) {
-				t.Fatalf("datagram %d: proxy gave no verdict (forwarded %d, dropped %d)", i, p.Forwarded(), p.Dropped())
+				t.Fatalf("bundle at %d: proxy gave no verdict (forwarded %d, dropped %d)", i, p.Forwarded(), p.Dropped())
 			}
 			time.Sleep(20 * time.Microsecond)
 		}
-		pat[i] = '0'
 		if p.Forwarded() == forwarded {
 			continue
 		}
 		_ = sink.SetReadDeadline(time.Now().Add(2 * time.Second))
 		n, _, err := sink.ReadFromUDP(buf)
 		if err != nil {
-			t.Fatalf("datagram %d: forwarded but not received: %v", i, err)
+			t.Fatalf("bundle at %d: forwarded but not received: %v", i, err)
 		}
-		if n != 2 || int(buf[0])|int(buf[1])<<8 != i {
-			t.Fatalf("datagram %d: received % x instead", i, buf[:n])
+		survivors := uint64(0)
+		for rest := buf[:n]; len(rest) > 0; survivors++ {
+			rec, next, ok := nextRecord(rest)
+			if !ok || len(rec) != 2 {
+				t.Fatalf("bundle at %d: received % x", i, buf[:n])
+			}
+			j := int(rec[0]) | int(rec[1])<<8
+			if j < i || j >= i+proxyBundle || pat[j] == '1' {
+				t.Fatalf("bundle at %d: record %d in % x", i, j, buf[:n])
+			}
+			pat[j] = '1'
+			rest = next
 		}
-		pat[i] = '1'
+		if survivors != p.Forwarded()-forwarded {
+			t.Fatalf("bundle at %d: %d records received, %d forwarded", i, survivors, p.Forwarded()-forwarded)
+		}
 	}
 	return string(pat)
 }
 
 // Per-link fault seeding: the same (seed, link) pair must reproduce the
-// same drop pattern, and different links of one run must draw
+// same per-frame drop pattern, and different links of one run must draw
 // decorrelated patterns — the reproducibility contract behind
 // MultiConfig.Seed and parallel.SeedFor.
 func TestProxyPerLinkSeedingReproducible(t *testing.T) {
@@ -427,6 +549,6 @@ func TestProxyPerLinkSeedingReproducible(t *testing.T) {
 		t.Fatal("links 0 and 1 drew identical fault patterns: per-link seeds not applied")
 	}
 	if !strings.Contains(link0, "0") || !strings.Contains(link1, "0") {
-		t.Fatalf("no drops at 5%% over %d datagrams: pattern suspect", n)
+		t.Fatalf("no drops at 5%% over %d frames: pattern suspect", n)
 	}
 }

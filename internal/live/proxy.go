@@ -13,12 +13,14 @@ import (
 // (lglive -mode=sender|proxy|receiver): the live stand-in for the
 // testbed's variable optical attenuator (§4 of the paper) between two
 // processes. In-process runs (RunMulti) need no relay; they corrupt at the
-// receiver's ingress MAC instead. It forwards
-// datagrams from its listen socket to a target address, dropping each with
-// a seeded loss model (i.i.d. Bernoulli or bursty Gilbert–Elliott — the
-// same simnet.LossModel implementations the simulated links use), delaying
-// surviving datagrams by a uniform jitter, and occasionally swapping a
-// datagram with its successor.
+// receiver's ingress MAC instead. It forwards datagrams from its listen
+// socket to a target address. Loss acts per frame, as on the link: every
+// record of an arriving mux bundle draws its own verdict from a seeded
+// loss model (i.i.d. Bernoulli or bursty Gilbert–Elliott — the same
+// simnet.LossModel implementations the simulated links use), and the
+// survivors go on as one bundle. Jitter and reordering act on whole
+// datagrams: a forwarded bundle is delayed by a uniform jitter, and
+// occasionally swapped with its successor.
 //
 // Impairments are deliberately separable: jitter spreads inter-arrival
 // times but preserves order (a single FIFO forwarder carries every
@@ -27,8 +29,9 @@ import (
 // ReorderProb injects the bounded adjacent-swap reordering a real
 // multi-lane path can produce.
 //
-// The proxy never parses what it carries; like an attenuator, it degrades
-// the channel without knowing the protocol.
+// The proxy reads only the mux's record lengths, never a frame's
+// contents; like an attenuator, it degrades the channel without knowing
+// the protocol. A malformed tail is one more unit with its own verdict.
 type Proxy struct {
 	conn *net.UDPConn
 	to   *net.UDPAddr
@@ -50,13 +53,14 @@ type Proxy struct {
 
 // fwdItem is one datagram waiting in the forwarder's FIFO.
 type fwdItem struct {
-	b   []byte
-	due time.Time
+	b      []byte
+	frames uint64 // records b carries
+	due    time.Time
 }
 
 // ProxyImpair bundles the proxy's impairment knobs.
 type ProxyImpair struct {
-	// Model decides per-datagram corruption; nil means lossless.
+	// Model decides per-frame corruption; nil means lossless.
 	Model simnet.LossModel
 	// Jitter, if positive, delays each surviving datagram by a uniform
 	// random span in [0, Jitter). Order is preserved.
@@ -106,10 +110,10 @@ func NewProxy(listen, target string, imp ProxyImpair, seed int64) (*Proxy, error
 // target when the proxy was started on port 0.
 func (p *Proxy) Addr() *net.UDPAddr { return p.conn.LocalAddr().(*net.UDPAddr) }
 
-// Forwarded returns how many datagrams reached the target socket.
+// Forwarded returns how many frames reached the target socket.
 func (p *Proxy) Forwarded() uint64 { return p.forwarded.Load() }
 
-// Dropped returns how many datagrams the loss model corrupted.
+// Dropped returns how many frames the loss model corrupted.
 func (p *Proxy) Dropped() uint64 { return p.dropped.Load() }
 
 // Delayed returns how many datagrams were jittered rather than forwarded
@@ -132,9 +136,10 @@ func (p *Proxy) Close() {
 	<-p.fdone
 }
 
-// run reads datagrams, applies the drop/jitter/swap decisions in arrival
-// order, and feeds the forwarder FIFO. A datagram chosen for reordering is
-// held until the next survivor, then enqueued behind it.
+// run reads datagrams, applies the per-frame drop and the per-datagram
+// jitter/swap decisions in arrival order, and feeds the forwarder FIFO. A
+// datagram chosen for reordering is held until the next survivor, then
+// enqueued behind it.
 func (p *Proxy) run() {
 	var held *fwdItem
 	enqueue := func(it fwdItem) bool {
@@ -151,14 +156,27 @@ func (p *Proxy) run() {
 		}
 		close(p.fq)
 	}()
-	buf := make([]byte, 64<<10)
+	buf := make([]byte, bundleBufBytes)
+	keep := make([]byte, 0, bundleBufBytes)
 	for {
 		n, _, err := p.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // closed
 		}
-		if p.model.Drops(p.rng) {
-			p.dropped.Add(1)
+		keep = keep[:0]
+		frames := uint64(0)
+		for b := buf[:n]; len(b) > 0; {
+			_, rest, _ := nextRecord(b)
+			unit := b[:len(b)-len(rest)]
+			b = rest
+			if p.model.Drops(p.rng) {
+				p.dropped.Add(1)
+				continue
+			}
+			keep = append(keep, unit...)
+			frames++
+		}
+		if frames == 0 {
 			continue
 		}
 		var delay time.Duration
@@ -166,9 +184,7 @@ func (p *Proxy) run() {
 			delay = time.Duration(p.rng.Int63n(int64(p.jitter)))
 			p.delayed.Add(1)
 		}
-		b := make([]byte, n)
-		copy(b, buf[:n])
-		it := fwdItem{b: b, due: time.Now().Add(delay)}
+		it := fwdItem{b: append([]byte(nil), keep...), frames: frames, due: time.Now().Add(delay)}
 		if held == nil && p.reorder > 0 && p.rng.Float64() < p.reorder {
 			held = &it // emitted right after the next survivor
 			continue
@@ -197,7 +213,7 @@ func (p *Proxy) forward() {
 			time.Sleep(wait)
 		}
 		if _, err := p.conn.WriteToUDP(it.b, p.to); err == nil {
-			p.forwarded.Add(1)
+			p.forwarded.Add(it.frames)
 		}
 	}
 }

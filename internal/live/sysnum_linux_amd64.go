@@ -3,8 +3,5 @@
 package live
 
 // The stdlib syscall number table for this arch was frozen before
-// sendmmsg (kernel 3.0) landed, so the numbers are spelled out here.
-const (
-	sysRecvmmsg uintptr = 299
-	sysSendmmsg uintptr = 307
-)
+// sendmmsg (kernel 3.0) landed, so the number is spelled out here.
+const sysSendmmsg uintptr = 307

@@ -5,8 +5,5 @@ package live
 import "syscall"
 
 // Arches whose stdlib syscall tables were generated after kernel 3.0
-// already carry both batched-message syscall numbers.
-const (
-	sysRecvmmsg uintptr = syscall.SYS_RECVMMSG
-	sysSendmmsg uintptr = syscall.SYS_SENDMMSG
-)
+// already carry the sendmmsg syscall number.
+const sysSendmmsg uintptr = syscall.SYS_SENDMMSG

@@ -15,7 +15,7 @@ import (
 // protocol state machines, so the number isolates what the transport
 // itself can move: one link (a standalone protected link) and eight links
 // multiplexed over one socket pair, each moving up to 4×DefaultBatch
-// datagrams per sendmmsg/recvmmsg call through the frame arena. It is a
+// frames per sendmmsg call, one bundle, through the frame arena. It is a
 // developer tool; TestMuxWireZeroAlloc gates the same rig's steady state
 // at zero allocations.
 //
@@ -167,9 +167,9 @@ func benchBatchedMuxWire(b *testing.B, links int) {
 	b.StopTimer()
 	b.ReportMetric(float64(got)/elapsed.Seconds(), "pkts/sec")
 	ss, rs := w.smux.Stats(), w.rmux.Stats()
-	b.Logf("batched=%v tx %d datagrams / %d sendmmsg (%.1f per call), rx %d / %d recvmmsg (%.1f per call)",
-		w.smux.Batched(), ss.TxDatagrams, ss.TxBatches, float64(ss.TxDatagrams)/float64(max(ss.TxBatches, 1)),
-		rs.RxDatagrams, rs.RxBatches, float64(rs.RxDatagrams)/float64(max(rs.RxBatches, 1)))
+	b.Logf("batched=%v tx %d frames / %d sendmmsg / %d bundles, rx %d frames / %d bundles (%.1f per bundle)",
+		w.smux.Batched(), ss.TxDatagrams, ss.TxBatches, ss.TxBundles,
+		rs.RxDatagrams, rs.RxBundles, float64(rs.RxDatagrams)/float64(max(rs.RxBundles, 1)))
 }
 
 // muxAllocRun is the datagram count of one measured run of
@@ -179,8 +179,8 @@ const muxAllocRun = 256
 
 // TestMuxWireZeroAlloc is the allocation gate of the live wire path, one
 // link and eight on one mux socket pair: after warmup, carrying a run of
-// datagrams end to end — encode, arena, batched sendmmsg/recvmmsg, demux,
-// decode, ingress — must not allocate. The count covers every goroutine
+// datagrams end to end — encode, arena, bundled sendmmsg, bundle read and
+// split, demux, decode, ingress — must not allocate. The count covers every goroutine
 // (mux readers and writers, the receiver loop), not just the sending one.
 // A fraction of an alloc per run is tolerated for runtime noise.
 func TestMuxWireZeroAlloc(t *testing.T) {
