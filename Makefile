@@ -102,15 +102,18 @@ chaos:
 # the single-link lglive loopback demo — real UDP sockets, 1e-3 loss at
 # the receiver's ingress MAC — then the same demo with eight links sharing one
 # batched mux socket pair and a 1000-flow load generator spread across
-# them. Both must mask every drop (zero app-visible loss, duplicates or
-# reordering on every link) and shut down cleanly within the deadline.
-# ~10s of offered traffic each; rates kept modest because the race
-# detector cuts the loop's event budget roughly 10x.
+# them, and last the split deployment: a receiver and a sender in two
+# processes on fixed loopback ports, the receiver corrupting its ingress
+# (scripts/live_split_smoke.sh). All must mask every drop (zero
+# app-visible loss, duplicates or reordering on every link) and shut down
+# cleanly within the deadline. 5-10s of offered traffic each; rates kept
+# modest because the race detector cuts the loop's event budget roughly 10x.
 live-smoke:
 	$(GO) run -race ./cmd/lglive -mode=demo -count 100000 -pps 10000 \
 		-size 512 -loss 1e-3 -seed 42 -strict
 	$(GO) run -race ./cmd/lglive -mode=demo -links 8 -flows 1000 \
 		-count 60000 -pps 6000 -size 256 -loss 1e-3 -seed 42 -strict
+	GO=$(GO) ./scripts/live_split_smoke.sh
 
 # Experiment-results service gate: ingest -> query -> diff round trip
 # through the real CLI on the file backend plus the unit goldens on the

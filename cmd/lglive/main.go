@@ -1,29 +1,29 @@
 // Command lglive runs the LinkGuardian state machines over real UDP
 // sockets: live protected links on localhost (or any reachable path),
-// with forward-path corruption standing in for the testbed's variable
-// optical attenuator.
+// with forward-path corruption at the receiver's ingress MAC standing in
+// for the testbed's variable optical attenuator.
 //
-// Four roles compose protected links:
+// Three roles compose protected links:
 //
 //	lglive -mode=demo                           # sender + receiver in one process
 //	lglive -mode=demo -links=8 -flows=1000      # N links on two shared mux sockets
-//	lglive -mode=receiver -listen A -peer C
-//	lglive -mode=proxy    -listen B -peer A -loss 1e-3
-//	lglive -mode=sender   -listen C -peer B -count 1000000 -pps 100000
+//	lglive -mode=receiver -listen A -peer B -loss 1e-3
+//	lglive -mode=sender   -listen B -peer A -count 1000000 -pps 100000
 //
-// Data flows sender → receiver (via the proxy when split across
-// processes); ACKs, loss notifications and PFC frames return lossless
-// (the attenuator corrupts one direction, §4 of the paper). Every endpoint
-// rides a batched mux socket. The demo puts all -links sender halves on
-// one and all receiver halves on another, drops each link's forward-path
-// frames at its receiver's ingress MAC from a seeded per-link stream, and
-// spreads the flow-scale load generator across the links. A standalone
-// sender or receiver is link id 0 of its own mux, so its frames travel as
-// records of bundled datagrams, and the proxy rules on each record. The
-// demo, sender and receiver serve Prometheus metrics on -http at /metrics,
-// series labeled link="N"/role. Every role shuts down cleanly on
-// SIGINT/SIGTERM — one signal stops every loop before any counter is
-// frozen — and -strict folds the delivery audits into the exit code.
+// Data flows sender → receiver; ACKs, loss notifications and PFC frames
+// return lossless (the attenuator corrupts one direction, §4 of the
+// paper). Every endpoint rides a batched mux socket, and every run drops
+// forward-path frames at the receiving endpoint's ingress MAC from a
+// seeded stream (-loss, -burst, -burstlen, -seed). The demo puts all
+// -links sender halves on one mux and all receiver halves on another,
+// draws link i's stream from parallel.SeedFor(-seed, i), and spreads the
+// flow-scale load generator across the links. A split run is the demo's
+// link 0 in two processes: the receiver draws that link's stream, and the
+// sender peers with it directly. The demo, sender and receiver serve
+// Prometheus metrics on -http at /metrics, series labeled link="N"/role.
+// Every role shuts down cleanly on SIGINT/SIGTERM — one signal stops every
+// loop before any counter is frozen — and -strict folds the delivery
+// audits into the exit code.
 package main
 
 import (
@@ -39,6 +39,7 @@ import (
 	"linkguardian/internal/core"
 	"linkguardian/internal/live"
 	"linkguardian/internal/obs"
+	"linkguardian/internal/parallel"
 	"linkguardian/internal/results"
 	"linkguardian/internal/simtime"
 )
@@ -57,8 +58,6 @@ type options struct {
 	loss      float64
 	burst     bool
 	meanBurst float64 // -burstlen under -burst, else 0 (i.i.d.)
-	jitter    time.Duration
-	reorder   float64
 
 	links int
 	flows int
@@ -74,25 +73,23 @@ type options struct {
 
 func parseFlags() *options {
 	o := &options{}
-	flag.StringVar(&o.mode, "mode", "demo", "role: demo | sender | receiver | proxy")
+	flag.StringVar(&o.mode, "mode", "demo", "role: demo | sender | receiver")
 	flag.StringVar(&o.listen, "listen", "127.0.0.1:0", "UDP address to bind")
-	flag.StringVar(&o.peer, "peer", "", "UDP address frames are sent to (sender: proxy or receiver; receiver: sender; proxy: forward target)")
+	flag.StringVar(&o.peer, "peer", "", "UDP address frames are sent to (sender: the receiver; receiver: the sender)")
 	flag.StringVar(&o.httpAddr, "http", "", "serve Prometheus metrics on this address at /metrics")
 	flag.Uint64Var(&o.count, "count", 0, "packets to offer (sender/demo); 0 derives from -duration")
 	flag.DurationVar(&o.duration, "duration", 10*time.Second, "offered-load duration when -count is 0; receiver auto-exit when set")
 	flag.Float64Var(&o.pps, "pps", 20000, "offered packets per second")
 	flag.IntVar(&o.size, "size", 1000, "app frame size in bytes (at least the 20-byte flow header)")
-	flag.Float64Var(&o.loss, "loss", 1e-3, "forward-path corruption probability (demo: at the receiver's ingress; proxy: at the proxy)")
+	flag.Float64Var(&o.loss, "loss", 1e-3, "forward-path corruption probability, dropped at the receiver's ingress MAC (demo, receiver); the sender sizes its retransmissions for it")
 	flag.BoolVar(&o.burst, "burst", false, "use the Gilbert–Elliott burst-loss model instead of i.i.d.")
 	flag.Float64Var(&o.meanBurst, "burstlen", 4, "mean burst length in frames for -burst (0 means i.i.d.)")
-	flag.DurationVar(&o.jitter, "jitter", 0, "uniform forward-path delay span, order-preserving (proxy mode only)")
-	flag.Float64Var(&o.reorder, "reorder", 0, "per-datagram adjacent-swap probability (proxy mode only)")
 	flag.IntVar(&o.links, "links", 1, "protected links per shared mux socket (demo)")
 	flag.IntVar(&o.flows, "flows", 0, "concurrent app flows across all links (demo; 0 means one per link)")
 	flag.IntVar(&o.batch, "batch", 0, "mux syscall batch size (demo; 0 means the default)")
 	flag.Float64Var(&o.rateGbps, "rate", 1, "protected link line rate in Gbit/s")
 	flag.StringVar(&o.lgMode, "lg-mode", "ordered", "protocol mode: ordered | nb")
-	flag.Int64Var(&o.seed, "seed", 1, "impairment RNG seed (proxy and demo only; a standalone sender or receiver draws no randomness)")
+	flag.Int64Var(&o.seed, "seed", 1, "ingress-loss RNG seed: link i of the demo draws from parallel.SeedFor(seed, i), the receiver from link 0's stream (the sender draws no randomness)")
 	flag.BoolVar(&o.strict, "strict", false, "exit non-zero unless the app-level audit is perfectly clean")
 	flag.BoolVar(&o.jsonOut, "json", false, "dump the final metrics snapshot as JSON to stdout")
 	flag.StringVar(&o.resultsDir, "results-dir", "", "demo: ingest the run's delivery audit and counters into the results store at this directory")
@@ -161,9 +158,6 @@ func runDemoMode(o *options) error {
 	mode, err := o.protocolMode()
 	if err != nil {
 		return err
-	}
-	if o.jitter != 0 || o.reorder != 0 {
-		return fmt.Errorf("-jitter and -reorder apply to -mode=proxy only")
 	}
 	var senders, receivers []*live.Endpoint
 	cfg := live.MultiConfig{
@@ -253,7 +247,8 @@ func (o *options) ingestConfig() map[string]string {
 }
 
 // endpoint is a standalone sender or receiver: link id 0 of a mux on the
-// bound -listen socket, addressed to -peer. mux.Close stops the loop
+// bound -listen socket, addressed to -peer. A receiver corrupts its
+// ingress as the demo's link 0 does. mux.Close stops the loop
 // first; the counters are frozen and plainly readable after it.
 type endpoint struct {
 	*live.Endpoint
@@ -296,6 +291,9 @@ func openEndpoint(o *options, role string) (*endpoint, error) {
 	if err != nil {
 		m.Close()
 		return nil, err
+	}
+	if role == "receiver" {
+		ep.CorruptIngress(live.NewLossModel(o.loss, o.meanBurst), parallel.SeedFor(o.seed, 0))
 	}
 	m.Start()
 	e := &endpoint{Endpoint: ep, mux: m}
@@ -355,22 +353,15 @@ func runReceiverMode(o *options) error {
 	}
 	e.mux.Close()
 	a, w := e.Flow, e.Wire.Counters()
-	fmt.Printf("app: rx=%d flows=%d lost=%d dup=%d ooo=%d gaps=%d | wire: tx=%d rx=%d tx_errs=%d decode_drops=%d\n",
+	fmt.Printf("app: rx=%d flows=%d lost=%d dup=%d ooo=%d gaps=%d | wire: tx=%d rx=%d dropped=%d tx_errs=%d decode_drops=%d\n",
 		a.Rx, a.Flows(), a.Lost, a.Duplicate, a.OutOfSeq, a.Gaps,
-		w.TxDatagrams, w.RxDatagrams, w.TxErrors, w.DecodeDrops)
+		w.TxDatagrams, w.RxDatagrams, e.IngressDrops(), w.TxErrors, w.DecodeDrops)
 	if err := writeJSON(o, e); err != nil {
 		return err
 	}
 	if o.strict {
-		switch {
-		case a.Lost != 0:
-			return fmt.Errorf("strict: %d app-visible lost packets", a.Lost)
-		case a.Duplicate != 0:
-			return fmt.Errorf("strict: %d duplicate deliveries", a.Duplicate)
-		case a.OutOfSeq != 0:
-			return fmt.Errorf("strict: %d out-of-order deliveries", a.OutOfSeq)
-		case a.Short != 0:
-			return fmt.Errorf("strict: %d payloads too short for the flow header", a.Short)
+		if err := a.Check(); err != nil {
+			return fmt.Errorf("strict: %w", err)
 		}
 	}
 	return nil
@@ -384,28 +375,6 @@ func writeJSON(o *options, e *endpoint) error {
 	return e.Reg.Snapshot().WriteJSON(os.Stdout)
 }
 
-func runProxyMode(o *options) error {
-	if o.peer == "" {
-		return fmt.Errorf("-peer is required for this mode")
-	}
-	imp := live.ProxyImpair{
-		Model:       live.NewLossModel(o.loss, o.meanBurst),
-		Jitter:      o.jitter,
-		ReorderProb: o.reorder,
-	}
-	p, err := live.NewProxy(o.listen, o.peer, imp, o.seed)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	fmt.Printf("lglive proxy: %v -> %v, loss=%g burst=%v jitter=%v reorder=%g\n",
-		p.Addr(), o.peer, o.loss, o.burst, o.jitter, o.reorder)
-	<-signalChan()
-	fmt.Printf("proxy: forwarded=%d dropped=%d delayed=%d swapped=%d\n",
-		p.Forwarded(), p.Dropped(), p.Delayed(), p.Swapped())
-	return nil
-}
-
 func main() {
 	o := parseFlags()
 	var err error
@@ -416,10 +385,8 @@ func main() {
 		err = runSenderMode(o)
 	case "receiver":
 		err = runReceiverMode(o)
-	case "proxy":
-		err = runProxyMode(o)
 	default:
-		err = fmt.Errorf("unknown -mode %q (want demo, sender, receiver or proxy)", o.mode)
+		err = fmt.Errorf("unknown -mode %q (want demo, sender or receiver)", o.mode)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lglive: %v\n", err)

@@ -167,15 +167,23 @@ func NewLossModel(rate, meanBurst float64) simnet.LossModel {
 	return simnet.IIDLoss{P: rate}
 }
 
-// corruptIngress drops frames from the wire's peer at the ingress MAC
-// (Ifc.Receive runs the link's DropFn), as m decides from its own stream.
-func (ep *Endpoint) corruptIngress(m simnet.LossModel, seed int64) {
+// CorruptIngress drops frames from the wire's peer at the ingress MAC
+// (Ifc.Receive runs the link's DropFn), as m decides from a stream seeded
+// with seed: the live stand-in for the testbed's variable optical
+// attenuator (§4 of the paper), which corrupts one direction of the link.
+// Every live drop is decided here, in-process or split. Call before the
+// mux starts.
+func (ep *Endpoint) CorruptIngress(m simnet.LossModel, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	peer := ep.wifc.Peer()
 	ep.wifc.Link().DropFn = func(_ *simnet.Packet, from *simnet.Ifc) bool {
 		return from == peer && m.Drops(rng)
 	}
 }
+
+// IngressDrops is the wire interface's In.RxBad: frames its ingress MAC
+// dropped as corrupted. Read it on the loop or after the loop has stopped.
+func (ep *Endpoint) IngressDrops() uint64 { return ep.wifc.In.RxBad }
 
 // Snapshot captures the endpoint's registry from off the loop goroutine.
 func (ep *Endpoint) Snapshot() (obs.Snapshot, bool) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"linkguardian/internal/obs"
+	"linkguardian/internal/parallel"
 	"linkguardian/internal/simtime"
 )
 
@@ -85,7 +86,7 @@ func TestLoopbackMasksIIDLoss(t *testing.T) {
 	}
 }
 
-// impairedLoad is the offered load of the jitter/reorder and burst tests.
+// impairedLoad is the offered load of the split and burst tests.
 func impairedLoad() (count uint64, pps float64) {
 	if testing.Short() || raceEnabled {
 		return 6000, 4000 // see TestLoopbackMasksIIDLoss
@@ -93,23 +94,17 @@ func impairedLoad() (count uint64, pps float64) {
 	return 15000, 10000
 }
 
-// The three-terminal composition of lglive -mode=sender|proxy|receiver, in
-// one process: sender mux → impairment proxy → receiver mux, with 2e-3
-// corruption of each frame plus order-preserving jitter plus occasional
-// adjacent swaps of whole bundles (the reordering a real multi-lane path
-// can produce). Every impairment must bite, and delivery must still come
-// out exactly-once and in order.
-func TestLoopbackMasksJitterAndReorder(t *testing.T) {
+// The split deployment of lglive -mode=receiver|sender, in one process:
+// two muxes with one link each, the sender peered directly with the
+// receiver, whose ingress MAC drops 2e-3 of the forward path from the
+// stream the demo's link 0 draws. Delivery must come out exactly-once and
+// in order, and the drops must replay exactly from that stream.
+func TestLoopbackSplitMasksIngressLoss(t *testing.T) {
+	const seed, loss = 3, 2e-3
 	count, pps := impairedLoad()
 	smux, rmux := newTestMux(t, 0), newTestMux(t, 0)
-	imp := ProxyImpair{Model: NewLossModel(2e-3, 0), Jitter: 100 * time.Microsecond, ReorderProb: 0.01}
-	p, err := NewProxy("127.0.0.1:0", rmux.conn.LocalAddr().String(), imp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	epc := EndpointConfig{LossRate: 2e-3, AppHost: "sender-app"}
-	s, err := NewSender(epc, smux, 0, p.Addr())
+	epc := EndpointConfig{LossRate: loss, AppHost: "sender-app"}
+	s, err := NewSender(epc, smux, 0, rmux.conn.LocalAddr().(*net.UDPAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +113,7 @@ func TestLoopbackMasksJitterAndReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.CorruptIngress(NewLossModel(loss, 0), parallel.SeedFor(seed, 0))
 	rmux.Start()
 	smux.Start()
 	done, err := s.StartLoadgen(0, 1, count, 256, pps)
@@ -136,29 +132,17 @@ func TestLoopbackMasksJitterAndReorder(t *testing.T) {
 	})
 	smux.Close()
 	rmux.Close()
-	p.Close()
-	// The proxy ruled on frames, not on bundles: every record it saw drew
-	// a verdict (none before the sender wrote it), and its survivors
-	// reached the receiver still bundled.
-	sent, rs := s.Wire.Counters().TxDatagrams, rmux.Stats()
-	if ruled := p.Forwarded() + p.Dropped(); ruled == 0 || ruled > sent {
-		t.Fatalf("proxy ruled on %d frames, the sender wrote %d", ruled, sent)
-	}
-	if smux.Batched() && rs.RxDatagrams <= rs.RxBundles {
-		t.Fatalf("receiver got %d frames in %d bundles through the proxy", rs.RxDatagrams, rs.RxBundles)
-	}
 	a := r.Flow
-	lr := LinkReport{Offered: s.App.Tx, Rx: a.Rx, Lost: a.Lost, Duplicate: a.Duplicate, OutOfSeq: a.OutOfSeq, Gaps: a.Gaps}
+	lr := LinkReport{Offered: s.App.Tx, Rx: a.Rx, Lost: a.Lost, Duplicate: a.Duplicate, OutOfSeq: a.OutOfSeq, Gaps: a.Gaps, Short: a.Short}
 	if err := lr.Check(); err != nil || lr.Offered != count {
 		t.Fatalf("audit: %v (offered %d of %d)", err, lr.Offered, count)
 	}
-	switch {
-	case p.Dropped() == 0:
-		t.Fatal("loss model dropped nothing")
-	case p.Delayed() == 0:
-		t.Fatal("jitter delayed nothing")
-	case p.Swapped() == 0:
-		t.Fatal("reorder injection swapped nothing")
+	in := &r.wifc.In
+	if in.RxBad == 0 {
+		t.Fatal("ingress dropped nothing; loss model not exercised")
+	}
+	if want := seededDrops(loss, parallel.SeedFor(seed, 0), in.RxAll); in.RxBad != want {
+		t.Fatalf("%d drops over %d frames, link 0's seeded stream draws %d", in.RxBad, in.RxAll, want)
 	}
 }
 
@@ -200,9 +184,18 @@ func TestReportCheckVerdicts(t *testing.T) {
 		{LinkReport{Offered: 10, Rx: 10, Duplicate: 1}, "duplicate"},
 		{LinkReport{Offered: 10, Rx: 10, OutOfSeq: 1}, "out-of-order"},
 		{LinkReport{Offered: 10, Rx: 10, Gaps: 1}, "gap"},
+		{LinkReport{Offered: 10, Rx: 10, Short: 1}, "too short"},
 	} {
 		if err := c.bad.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: got %v, want an error naming %q", c.bad, err, c.want)
+		}
+		if c.bad.Rx != c.bad.Offered {
+			continue
+		}
+		// The split receiver's verdict is the same rule on its bare audit.
+		a := FlowAudit{Rx: c.bad.Rx, Short: c.bad.Short, Gaps: c.bad.Gaps, Lost: c.bad.Lost, OutOfSeq: c.bad.OutOfSeq, Duplicate: c.bad.Duplicate}
+		if err := a.Check(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("audit %+v: got %v, want an error naming %q", a, err, c.want)
 		}
 	}
 	rep := MultiReport{Links: []LinkReport{ok, {Link: 3, Offered: 10, Rx: 10, Duplicate: 2}}, Drained: true}

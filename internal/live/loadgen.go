@@ -95,6 +95,26 @@ func HistQuantile(h obs.HistPoint, q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
+// Check is the audit's strict verdict, the rule behind every live
+// -strict exit (per link through LinkReport.Check, and the split
+// receiver's own): no app-visible loss, duplicate or reordering, no
+// sequence gap, and no payload too short to audit.
+func (a *FlowAudit) Check() error {
+	switch {
+	case a.Lost != 0:
+		return fmt.Errorf("%d app-visible lost packets (%d gaps)", a.Lost, a.Gaps)
+	case a.Duplicate != 0:
+		return fmt.Errorf("%d duplicate deliveries", a.Duplicate)
+	case a.OutOfSeq != 0:
+		return fmt.Errorf("%d out-of-order deliveries", a.OutOfSeq)
+	case a.Gaps != 0:
+		return fmt.Errorf("%d gap events", a.Gaps)
+	case a.Short != 0:
+		return fmt.Errorf("%d payloads too short for the flow header", a.Short)
+	}
+	return nil
+}
+
 // newFlowAudit builds an empty audit and registers its counters and
 // latency histogram in r.
 func newFlowAudit(r *obs.Registry) *FlowAudit {

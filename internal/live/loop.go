@@ -13,10 +13,10 @@
 // the sender/receiver state machines differs between sim and live — the
 // property the runtime-seam regression tests in internal/core pin down.
 //
-// In-process runs (RunMulti) drop corrupted frames where the testbed does,
-// at the receiver's ingress MAC: Ifc.Receive runs the wire link's own
-// simnet fault layer with the simulator's seeded loss models. Three-
-// terminal runs put an impairment proxy (Proxy) between the processes.
+// Every live run, in one process (RunMulti) or split across two, drops
+// corrupted frames where the testbed does, at the receiver's ingress MAC:
+// Ifc.Receive runs the wire link's own simnet fault layer with the
+// simulator's seeded loss models (Endpoint.CorruptIngress).
 package live
 
 import (

@@ -119,32 +119,28 @@ type LinkReport struct {
 	Duplicate uint64
 	OutOfSeq  uint64
 	Gaps      uint64
+	Short     uint64
 
 	P50, P99, P999 time.Duration // delivery latency quantiles
 
 	SenderWire   WireStats
 	ReceiverWire WireStats
 
-	// ProxyDropped is the receiver wire interface's In.RxBad: forward-path
-	// frames its ingress MAC dropped as corrupted. The name outlived the
-	// per-link proxy that once dropped them; the repository benchmark reads it.
+	// ProxyDropped is the receiver's IngressDrops: forward-path frames its
+	// ingress MAC dropped as corrupted. The repository benchmark reads the
+	// field under this name, which predates corruption at the MAC.
 	ProxyDropped uint64
 }
 
-// Check is the per-link strict verdict: every offered packet delivered
-// exactly once, in order.
+// Check is the per-link strict verdict: every offered packet delivered,
+// and the link's flow audit clean (FlowAudit.Check).
 func (lr *LinkReport) Check() error {
-	switch {
-	case lr.Rx != lr.Offered:
+	if lr.Rx != lr.Offered {
 		return fmt.Errorf("link %d: delivered %d of %d offered", lr.Link, lr.Rx, lr.Offered)
-	case lr.Lost != 0:
-		return fmt.Errorf("link %d: %d app-visible lost packets (%d gaps)", lr.Link, lr.Lost, lr.Gaps)
-	case lr.Duplicate != 0:
-		return fmt.Errorf("link %d: %d duplicate deliveries", lr.Link, lr.Duplicate)
-	case lr.OutOfSeq != 0:
-		return fmt.Errorf("link %d: %d out-of-order deliveries", lr.Link, lr.OutOfSeq)
-	case lr.Gaps != 0:
-		return fmt.Errorf("link %d: %d gap events", lr.Link, lr.Gaps)
+	}
+	a := FlowAudit{Rx: lr.Rx, Short: lr.Short, Gaps: lr.Gaps, Lost: lr.Lost, OutOfSeq: lr.OutOfSeq, Duplicate: lr.Duplicate}
+	if err := a.Check(); err != nil {
+		return fmt.Errorf("link %d: %w", lr.Link, err)
 	}
 	return nil
 }
@@ -287,7 +283,7 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		if receivers[i], err = NewReceiver(epc, rmux, uint16(i), sconn.LocalAddr().(*net.UDPAddr)); err != nil {
 			return nil, err
 		}
-		receivers[i].corruptIngress(NewLossModel(cfg.LossRate, cfg.MeanBurst), parallel.SeedFor(cfg.Seed, i))
+		receivers[i].CorruptIngress(NewLossModel(cfg.LossRate, cfg.MeanBurst), parallel.SeedFor(cfg.Seed, i))
 	}
 
 	start := time.Now()
@@ -388,12 +384,13 @@ poll:
 			Duplicate:    a.Duplicate,
 			OutOfSeq:     a.OutOfSeq,
 			Gaps:         a.Gaps,
+			Short:        a.Short,
 			P50:          a.Quantile(0.50),
 			P99:          a.Quantile(0.99),
 			P999:         a.Quantile(0.999),
 			SenderWire:   s.Wire.Counters(),
 			ReceiverWire: r.Wire.Counters(),
-			ProxyDropped: r.wifc.In.RxBad,
+			ProxyDropped: r.IngressDrops(),
 		}
 		report.Offered += lr.Offered
 		report.Delivered += lr.Rx

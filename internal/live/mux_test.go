@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
-	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -300,6 +299,19 @@ func TestMuxSendBatchTransientRetry(t *testing.T) {
 	}
 }
 
+// seededDrops replays an i.i.d. ingress loss stream: how many of n frames
+// CorruptIngress(NewLossModel(rate, 0), seed) drops.
+func seededDrops(rate float64, seed int64, n uint64) uint64 {
+	m, rng := NewLossModel(rate, 0), rand.New(rand.NewSource(seed))
+	drops := uint64(0)
+	for ; n > 0; n-- {
+		if m.Drops(rng) {
+			drops++
+		}
+	}
+	return drops
+}
+
 // The full multi-link stack under loss: N protected links on two shared
 // mux sockets, per-link seeded corruption at each receiver's ingress MAC,
 // the flow-scale load generator — and zero app-visible loss, duplication
@@ -351,14 +363,7 @@ func TestMultiLinkLoopback(t *testing.T) {
 		if lr.ProxyDropped != in.RxBad {
 			t.Fatalf("link %d: ProxyDropped %d, receiver wire RxBad %d", i, lr.ProxyDropped, in.RxBad)
 		}
-		m, rng := NewLossModel(loss, 0), rand.New(rand.NewSource(parallel.SeedFor(seed, i)))
-		want := uint64(0)
-		for n := uint64(0); n < in.RxAll; n++ {
-			if m.Drops(rng) {
-				want++
-			}
-		}
-		if in.RxBad != want {
+		if want := seededDrops(loss, parallel.SeedFor(seed, i), in.RxAll); in.RxBad != want {
 			t.Fatalf("link %d: %d drops over %d frames, its seeded stream draws %d", i, in.RxBad, in.RxAll, want)
 		}
 		dropped += lr.ProxyDropped
@@ -455,100 +460,5 @@ func TestRunMultiGoroutines(t *testing.T) {
 	four := runGoroutines(t, 4)
 	if four != one {
 		t.Fatalf("1 link ran %d goroutines, 4 links %d: want the same count whatever N", one, four)
-	}
-}
-
-// proxyBundle is how many numbered records proxyDropPattern packs into
-// one bundle.
-const proxyBundle = 4
-
-// proxyDropPattern pushes count numbered records, proxyBundle to a bundle,
-// through a fresh proxy seeded for one link shard and returns which
-// indices survived — the link's fault pattern. Jitter and Reorder are off
-// and the proxy consumes one RNG decision per record, so the pattern is a
-// pure function of the seed. The bundles go in lock-step: each is sent
-// only after the proxy has ruled on every record of the previous one and
-// its survivors have been read, so at most one datagram is ever queued in
-// a kernel buffer and an overflow there cannot masquerade as a proxy drop.
-func proxyDropPattern(t *testing.T, master int64, link, count int) string {
-	t.Helper()
-	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	imp := ProxyImpair{Model: simnet.IIDLoss{P: 0.05}}
-	p, err := NewProxy("127.0.0.1:0", sink.LocalAddr().String(), imp, parallel.SeedFor(master, link))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	src, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	pat := []byte(strings.Repeat("0", count))
-	buf := make([]byte, 64)
-	for i := 0; i < count; i += proxyBundle {
-		forwarded := p.Forwarded()
-		var b []byte
-		for j := i; j < i+proxyBundle; j++ {
-			b = appendRecord(b, byte(j), byte(j>>8))
-		}
-		if _, err := src.WriteToUDP(b, p.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for p.Forwarded()+p.Dropped() != uint64(i+proxyBundle) {
-			if time.Now().After(deadline) {
-				t.Fatalf("bundle at %d: proxy gave no verdict (forwarded %d, dropped %d)", i, p.Forwarded(), p.Dropped())
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		if p.Forwarded() == forwarded {
-			continue
-		}
-		_ = sink.SetReadDeadline(time.Now().Add(2 * time.Second))
-		n, _, err := sink.ReadFromUDP(buf)
-		if err != nil {
-			t.Fatalf("bundle at %d: forwarded but not received: %v", i, err)
-		}
-		survivors := uint64(0)
-		for rest := buf[:n]; len(rest) > 0; survivors++ {
-			rec, next, ok := nextRecord(rest)
-			if !ok || len(rec) != 2 {
-				t.Fatalf("bundle at %d: received % x", i, buf[:n])
-			}
-			j := int(rec[0]) | int(rec[1])<<8
-			if j < i || j >= i+proxyBundle || pat[j] == '1' {
-				t.Fatalf("bundle at %d: record %d in % x", i, j, buf[:n])
-			}
-			pat[j] = '1'
-			rest = next
-		}
-		if survivors != p.Forwarded()-forwarded {
-			t.Fatalf("bundle at %d: %d records received, %d forwarded", i, survivors, p.Forwarded()-forwarded)
-		}
-	}
-	return string(pat)
-}
-
-// Per-link fault seeding: the same (seed, link) pair must reproduce the
-// same per-frame drop pattern, and different links of one run must draw
-// decorrelated patterns — the reproducibility contract behind
-// MultiConfig.Seed and parallel.SeedFor.
-func TestProxyPerLinkSeedingReproducible(t *testing.T) {
-	const n = 800
-	link0 := proxyDropPattern(t, 21, 0, n)
-	if again := proxyDropPattern(t, 21, 0, n); again != link0 {
-		t.Fatalf("same (seed, link) produced different fault patterns:\n%s\n%s", link0, again)
-	}
-	link1 := proxyDropPattern(t, 21, 1, n)
-	if link1 == link0 {
-		t.Fatal("links 0 and 1 drew identical fault patterns: per-link seeds not applied")
-	}
-	if !strings.Contains(link0, "0") || !strings.Contains(link1, "0") {
-		t.Fatalf("no drops at 5%% over %d frames: pattern suspect", n)
 	}
 }
