@@ -19,11 +19,14 @@
 // draws link i's stream from parallel.SeedFor(-seed, i), and spreads the
 // flow-scale load generator across the links. A split run is the demo's
 // link 0 in two processes: the receiver draws that link's stream, and the
-// sender peers with it directly. The demo, sender and receiver serve
-// Prometheus metrics on -http at /metrics, series labeled link="N"/role.
-// Every role shuts down cleanly on SIGINT/SIGTERM — one signal stops every
-// loop before any counter is frozen — and -strict folds the delivery
-// audits into the exit code.
+// sender peers with it directly. Runs end on the protocol's own signals:
+// the demo once every packet is delivered and every Tx buffer is empty,
+// the sender once the receiver's ACKs have emptied its Tx buffer (at most
+// 2s after its last packet; drained= on its report line). The demo,
+// sender and receiver serve Prometheus metrics on -http at /metrics,
+// series labeled link="N"/role. Every role shuts down cleanly on
+// SIGINT/SIGTERM — one signal stops every loop before any counter is
+// frozen — and -strict folds each role's verdict into the exit code.
 package main
 
 import (
@@ -90,7 +93,7 @@ func parseFlags() *options {
 	flag.Float64Var(&o.rateGbps, "rate", 1, "protected link line rate in Gbit/s")
 	flag.StringVar(&o.lgMode, "lg-mode", "ordered", "protocol mode: ordered | nb")
 	flag.Int64Var(&o.seed, "seed", 1, "ingress-loss RNG seed: link i of the demo draws from parallel.SeedFor(seed, i), the receiver from link 0's stream (the sender draws no randomness)")
-	flag.BoolVar(&o.strict, "strict", false, "exit non-zero unless the app-level audit is perfectly clean")
+	flag.BoolVar(&o.strict, "strict", false, "exit non-zero unless the run is clean: demo and receiver, the app-level delivery audit; sender, its Tx buffer drained (every offered packet acknowledged) within 2s of the last")
 	flag.BoolVar(&o.jsonOut, "json", false, "dump the final metrics snapshot as JSON to stdout")
 	flag.StringVar(&o.resultsDir, "results-dir", "", "demo: ingest the run's delivery audit and counters into the results store at this directory")
 	flag.Parse()
@@ -318,23 +321,39 @@ func runSenderMode(o *options) error {
 	if err != nil {
 		return err
 	}
+	// Done once the receiver's ACKs have emptied the Tx buffer; the
+	// loadgen gets RunMulti's default deadline.
+	offered := time.Duration(float64(o.count) / o.pps * float64(time.Second))
 	quit := signalChan()
+	drained := false
 	select {
 	case <-done:
-		// Give the final ACK round trips and any tail retransmissions a
-		// moment before tearing the Tx buffer down.
 		select {
-		case <-time.After(2 * time.Second):
+		case <-live.TxDrained(e.Endpoint):
+			drained = true
+		case <-time.After(txDrainCeiling):
 		case <-quit:
 		}
+	case <-time.After(2*offered + 15*time.Second):
 	case <-quit:
 	}
 	e.mux.Close()
 	w := e.Wire.Counters()
-	fmt.Printf("app: tx=%d | wire: tx=%d rx=%d tx_errs=%d send_drops=%d decode_drops=%d\n",
-		e.App.Tx, w.TxDatagrams, w.RxDatagrams, w.TxErrors, w.SendDrops, w.DecodeDrops)
-	return writeJSON(o, e)
+	fmt.Printf("app: tx=%d drained=%v | wire: tx=%d rx=%d tx_errs=%d send_drops=%d decode_drops=%d\n",
+		e.App.Tx, drained, w.TxDatagrams, w.RxDatagrams, w.TxErrors, w.SendDrops, w.DecodeDrops)
+	if err := writeJSON(o, e); err != nil {
+		return err
+	}
+	if o.strict && !drained {
+		return fmt.Errorf("strict: %d of %d offered packets unacknowledged %v after the last",
+			e.LG.OutstandingTx(), e.App.Tx, txDrainCeiling)
+	}
+	return nil
 }
+
+// txDrainCeiling is how long a split sender waits, after its last offered
+// packet, for the receiver's ACKs to empty its Tx buffer.
+const txDrainCeiling = 2 * time.Second
 
 func runReceiverMode(o *options) error {
 	e, err := openEndpoint(o, "receiver")

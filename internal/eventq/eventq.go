@@ -160,7 +160,7 @@ type Queue struct {
 
 	// shard is the owning shard's id plus one when the queue belongs to a
 	// parallel-engine shard (SetShard), zero for a standalone global queue.
-	// Diagnostics include it so a Drain panic inside one shard of a
+	// The Drain-panic diagnostics include it so a panic inside one shard of a
 	// parallel run names the shard and its local clock instead of
 	// masquerading as a single global queue.
 	shard int
@@ -554,11 +554,6 @@ func (q *Queue) Drain(maxEvents int64) {
 		}
 	}
 }
-
-// Diagnostics returns the Drain-panic queue summary — current time, live
-// event count, the earliest k deadlines — for callers assembling their own
-// failure artifacts.
-func (q *Queue) Diagnostics(k int) string { return q.diagnose(k) }
 
 // diagnose summarizes queue state for the Drain panic: the current time,
 // how many live events are pending, and the earliest k deadlines across the

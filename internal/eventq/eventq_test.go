@@ -493,14 +493,16 @@ func TestOnBudgetExceededHook(t *testing.T) {
 	q.Drain(5)
 }
 
-func TestDiagnosticsExported(t *testing.T) {
+// The Drain-panic summary names the live event count and the earliest
+// deadlines.
+func TestDiagnoseSummary(t *testing.T) {
 	var q Queue
 	q.Schedule(10, func() {})
 	q.Schedule(20, func() {})
-	d := q.Diagnostics(5)
+	d := q.diagnose(5)
 	for _, want := range []string{"2 live events", "next deadlines (ns): [10 20]"} {
 		if !strings.Contains(d, want) {
-			t.Fatalf("Diagnostics = %q, missing %q", d, want)
+			t.Fatalf("diagnose = %q, missing %q", d, want)
 		}
 	}
 }
@@ -664,14 +666,14 @@ func TestDiagnosticsShardLabel(t *testing.T) {
 		t.Fatalf("standalone queue Shard() = %d, want -1", q.Shard())
 	}
 	q.Schedule(40, func() {})
-	if d := q.Diagnostics(3); strings.Contains(d, "shard") {
+	if d := q.diagnose(3); strings.Contains(d, "shard") {
 		t.Fatalf("standalone diagnostics mention a shard: %q", d)
 	}
 	q.SetShard(3)
 	if q.Shard() != 3 {
 		t.Fatalf("Shard() = %d, want 3", q.Shard())
 	}
-	d := q.Diagnostics(3)
+	d := q.diagnose(3)
 	if !strings.Contains(d, "shard 3") || !strings.Contains(d, "shard clock=0ns") {
 		t.Fatalf("sharded diagnostics missing shard id or clock: %q", d)
 	}

@@ -185,6 +185,21 @@ func (ep *Endpoint) CorruptIngress(m simnet.LossModel, seed int64) {
 // dropped as corrupted. Read it on the loop or after the loop has stopped.
 func (ep *Endpoint) IngressDrops() uint64 { return ep.wifc.In.RxBad }
 
+// TxDrained returns a channel closed on the senders' loop once every
+// packet their apps offered is stamped and every Tx buffer is empty: the
+// peers' ACKs cover everything sent (§3.1). The senders share one mux;
+// without a live peer the channel never closes, so bound the wait.
+func TxDrained(senders ...*Endpoint) <-chan struct{} {
+	return senders[0].Loop.await(func() bool {
+		for _, ep := range senders {
+			if ep.LG.M.Protected < ep.App.Tx || ep.LG.OutstandingTx() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // Snapshot captures the endpoint's registry from off the loop goroutine.
 func (ep *Endpoint) Snapshot() (obs.Snapshot, bool) {
 	var s obs.Snapshot

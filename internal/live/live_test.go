@@ -270,3 +270,95 @@ func TestRunMultiAllocsPerPacket(t *testing.T) {
 		t.Fatalf("RunMulti allocates %.2f per delivered packet, budget %.1f", per, allocsPerPacket)
 	}
 }
+
+// A drained run ends on the protocol's own signals — the receivers'
+// audits complete, then every Tx buffer empty — not on a fixed wait, so
+// a clean 4-link run stops within endSlack of its offered duration.
+func TestRunMultiEndsWithItsWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation stretches the loops' latency past the bound")
+	}
+	const count, pps, endSlack = 3000, 15000.0, 30 * time.Millisecond
+	rep, err := RunMulti(MultiConfig{
+		Seed: 11, Links: 4, Flows: 16, Count: count, Size: 64, PPS: pps, LinkRate: simtime.Rate10G,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked(t, rep)
+	over := rep.Elapsed - time.Duration(count/pps*float64(time.Second))
+	t.Logf("ended %v after its offered duration", over)
+	if over > endSlack {
+		t.Fatalf("clean run ended %v after its offered duration, want at most %v", over, endSlack)
+	}
+}
+
+// Timeout bounds every wait of a run, the quiesce included: traffic that
+// cannot drain (every forward frame dropped at the ingress MAC) ends the
+// run undrained at the deadline, not after Settle or a fixed linger.
+func TestRunMultiTimeoutBoundsUndrainedRun(t *testing.T) {
+	const timeout, slack = 300 * time.Millisecond, 25 * time.Millisecond
+	start := time.Now()
+	rep, err := RunMulti(MultiConfig{
+		Seed: 12, Count: 200, PPS: 20000, Size: 64, LossRate: 1, Timeout: timeout, Settle: 5 * time.Second,
+	})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Drained || rep.Delivered != 0 {
+		t.Fatalf("a run that drops every frame drained (%d delivered): %s", rep.Delivered, rep)
+	}
+	if took > timeout+slack {
+		t.Fatalf("undrained run returned after %v, Timeout %v", took, timeout)
+	}
+}
+
+// TxDrained is the split sender's verdict: it closes once the receiver's
+// ACKs cover everything the sender offered, and never without a peer that
+// acknowledges.
+func TestTxDrained(t *testing.T) {
+	const count, pps, ceiling = 200, 20000.0, 300 * time.Millisecond
+	drainedBy := func(s *Endpoint) bool {
+		t.Helper()
+		done, err := s.StartLoadgen(0, 1, count, 64, pps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("loadgen did not finish")
+		}
+		select {
+		case <-TxDrained(s):
+			return true
+		case <-time.After(ceiling):
+			return false
+		}
+	}
+
+	// No peer: the socket the sender addresses is never read.
+	smux, silent := newTestMux(t, 0), newTestMux(t, 0)
+	s, err := NewSender(EndpointConfig{AppHost: "sender-app"}, smux, 0, silent.conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	smux.Start()
+	if drainedBy(s) {
+		t.Fatal("Tx buffer drained with no receiver to acknowledge it")
+	}
+
+	smux, rmux := newTestMux(t, 0), newTestMux(t, 0)
+	if s, err = NewSender(EndpointConfig{AppHost: "sender-app"}, smux, 0, rmux.conn.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = NewReceiver(EndpointConfig{AppHost: "receiver-app"}, rmux, 0, smux.conn.LocalAddr().(*net.UDPAddr)); err != nil {
+		t.Fatal(err)
+	}
+	rmux.Start()
+	smux.Start()
+	if !drainedBy(s) {
+		t.Fatal("Tx buffer did not drain against a live receiver")
+	}
+}

@@ -235,10 +235,7 @@ func (ep *Endpoint) StartLoadgen(flowBase uint32, flows int, count uint64, size 
 	if interval <= 0 {
 		interval = simtime.Nanosecond
 	}
-	ok := ep.Loop.Call(func() {
-		ep.Loop.Every(interval, g.tick)
-	})
-	if !ok {
+	if !ep.Loop.Do(func() { ep.Loop.Every(interval, g.tick) }) {
 		return nil, fmt.Errorf("live: loop not running")
 	}
 	return g.done, nil

@@ -50,6 +50,9 @@ type Loop struct {
 	done  chan struct{}
 	begin sync.Once
 	stop  sync.Once
+
+	watch     func() bool // the pending await (loop goroutine only)
+	watchDone chan struct{}
 }
 
 // The live loop satisfies the same runtime seam as the simulator.
@@ -130,6 +133,16 @@ func (l *Loop) Call(fn func()) bool {
 	}
 }
 
+// await returns a channel the loop closes at the first wakeup after whose
+// events and thunks cond holds: no polling interval. A loop holds one
+// await; a later call replaces it, and the earlier channel, like one on a
+// stopped loop, never closes, so callers bound the wait themselves.
+func (l *Loop) await(cond func() bool) <-chan struct{} {
+	done := make(chan struct{})
+	l.Do(func() { l.watch, l.watchDone = cond, done })
+	return done
+}
+
 // wallNow returns nanoseconds of monotonic wall clock since Start.
 func (l *Loop) wallNow() int64 { return int64(time.Since(l.epoch)) }
 
@@ -145,6 +158,10 @@ func (l *Loop) run() {
 	defer timer.Stop()
 	for {
 		l.Q.RunUntil(l.wallNow())
+		if l.watch != nil && l.watch() {
+			l.watch = nil
+			close(l.watchDone)
+		}
 		sleep := idle
 		if next, ok := l.Q.NextAt(); ok {
 			sleep = time.Duration(next - l.wallNow())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"linkguardian/internal/core"
@@ -41,9 +42,9 @@ type MultiConfig struct {
 	Mode     core.Mode
 	Batch    int // mux syscall batch size (default DefaultBatch)
 
-	// Timeout bounds the whole run; zero derives a generous deadline from
-	// Count/PPS. Settle is how long delivery may stand still before the run
-	// is declared drained (default 500ms).
+	// Timeout bounds the whole run, every wait in it; zero derives a
+	// generous deadline from Count/PPS. Settle is how long delivery may
+	// stand still before the run ends undrained (default 500ms).
 	Timeout time.Duration
 	Settle  time.Duration
 
@@ -232,11 +233,15 @@ func LabeledSnapshots(senders, receivers []*Endpoint) []obs.LabeledSnapshot {
 // socket, every receiver half on another, each link's forward path
 // corrupted at its receiver's ingress MAC — drives the flow-scale load
 // generator across them, waits for all links to drain, and reports
-// per-link and aggregate outcomes. Blocks until done, canceled or Timeout.
+// per-link and aggregate outcomes. Blocks until done, canceled or Timeout:
+// the loops signal the end (all delivered, Tx buffers empty), the clock
+// only bounds the waits.
 func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	deadline := time.NewTimer(cfg.Timeout)
+	defer deadline.Stop()
 
 	sconn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -286,6 +291,18 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		receivers[i].CorruptIngress(NewLossModel(cfg.LossRate, cfg.MeanBurst), parallel.SeedFor(cfg.Seed, i))
 	}
 
+	// The receiving loop closes drained once the receivers have audited
+	// every offered packet, publishing the total for the stall check.
+	var delivered atomic.Uint64
+	drained := rmux.loop.await(func() bool {
+		sum := uint64(0)
+		for _, ep := range receivers {
+			sum += ep.Flow.Rx
+		}
+		delivered.Store(sum)
+		return sum >= cfg.Count
+	})
+
 	start := time.Now()
 	rmux.Start()
 	smux.Start()
@@ -309,60 +326,50 @@ func RunMulti(cfg MultiConfig) (*MultiReport, error) {
 		flowBase += uint32(flows)
 	}
 
-	canceled := false
-	deadline := time.NewTimer(cfg.Timeout)
-	defer deadline.Stop()
-offered:
+	// Every wait below selects on the run's deadline and Cancel too.
+	canceled, expired := false, false
+	wait := func(ch <-chan struct{}, bound <-chan time.Time) bool {
+		select {
+		case <-ch:
+			return true
+		case <-bound:
+		case <-deadline.C:
+			expired = true
+		case <-cfg.Cancel:
+			canceled = true
+		}
+		return false
+	}
 	for _, done := range dones {
-		select {
-		case <-done:
-		case <-cfg.Cancel:
-			canceled = true
-			break offered
-		case <-deadline.C:
-			return nil, fmt.Errorf("live: loadgen did not finish %d packets within %v", cfg.Count, cfg.Timeout)
+		if !wait(done, nil) {
+			break
 		}
 	}
+	if expired {
+		return nil, fmt.Errorf("live: loadgen did not finish %d packets within %v", cfg.Count, cfg.Timeout)
+	}
 
-	// Drain: every link's flow audit accounts for its offered share, or
-	// delivery progress plateaus for a Settle span.
+	// Drain on the receiving loop's signal. Only a stalled run needs the
+	// clock: delivery that stands still for a Settle span ends it undrained.
 	report := &MultiReport{Batched: smux.Batched()}
-	totalRx := func() (sum uint64, ok bool) {
-		ok = rmux.loop.Call(func() {
-			for _, ep := range receivers {
-				sum += ep.Flow.Rx
-			}
-		})
-		return sum, ok
-	}
-	lastRx, lastProgress := uint64(0), time.Now()
-poll:
-	for !canceled {
-		rx, ok := totalRx()
-		if !ok {
-			return nil, fmt.Errorf("live: the receiver loop stopped during drain")
-		}
-		if rx >= cfg.Count {
-			report.Drained = true
+	stall := time.NewTicker(cfg.Settle)
+	defer stall.Stop()
+	for last := delivered.Load(); !canceled; last = delivered.Load() {
+		report.Drained = wait(drained, stall.C)
+		if report.Drained || expired || delivered.Load() == last {
 			break
-		}
-		if rx > lastRx {
-			lastRx, lastProgress = rx, time.Now()
-		} else if time.Since(lastProgress) > cfg.Settle {
-			break
-		}
-		select {
-		case <-deadline.C:
-			break poll
-		case <-cfg.Cancel:
-			canceled = true
-		case <-time.After(10 * time.Millisecond):
 		}
 	}
 
-	// Quiesce trailing control traffic, then stop both loops before
-	// freezing any counter (see stopLoops); only then close the muxes.
-	time.Sleep(50 * time.Millisecond)
+	// Quiesce: the senders' Tx buffers empty once the receivers' ACKs
+	// cover all they sent, so the run's last recoveries have landed. The
+	// protocol's own stall backstop bounds the wait.
+	if !canceled && !expired {
+		wait(TxDrained(senders...), time.After(time.Duration(ProtocolConfig(cfg.LinkRate, cfg.LossRate).AckNoTimeout)))
+	}
+
+	// Stop both loops before freezing any counter (see stopLoops); only
+	// then close the muxes.
 	stopLoops()
 	smux.Close()
 	rmux.Close()

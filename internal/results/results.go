@@ -12,10 +12,10 @@
 //     kind, name, PR, config, records and blob addresses, so identical runs
 //     deduplicate and a reproducibility audit is an ID comparison.
 //
-//   - Backend (backend.go) is the swappable persistence seam with two
-//     stdlib-only implementations: Mem (mem.go) for tests, and File
-//     (file.go) — an append-only segmented log with a rebuild-on-open index
-//     and a content-addressed blob store.
+//   - Backend (backend.go) is the swappable persistence seam. File
+//     (file.go) implements it: an append-only segmented log with a
+//     rebuild-on-open index and a content-addressed blob store. The tests
+//     add an in-memory reference backend (mem_test.go).
 //
 //   - Store (store.go) is the write handle: Add and AddAll hash and commit
 //     through the Backend in the caller's goroutine, Ingest is the

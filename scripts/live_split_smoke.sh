@@ -3,9 +3,10 @@
 #
 # Builds lglive once (race detector on), starts a receiver that corrupts
 # 1e-3 of the forward path at its ingress MAC, and runs a sender against
-# it on fixed loopback ports. Fails unless both processes exit 0 (the
-# receiver under -strict), the receiver's ingress dropped frames
-# (dropped= is nonzero), and it delivered every packet the sender offered.
+# it on fixed loopback ports. Fails unless both processes exit 0 under
+# -strict (the receiver's audit is clean, the sender's Tx buffer drained),
+# the receiver's ingress dropped frames (dropped= is nonzero), and it
+# delivered every packet the sender offered.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,9 +20,10 @@ trap '[[ -n $rpid ]] && kill "$rpid" 2>/dev/null; rm -rf "$tmp"' EXIT
 "${GO:-go}" build -race -o "$tmp/lglive" ./cmd/lglive
 
 # -duration bounds the receiver if the sender never shows up; after a
-# normal run it is stopped with SIGINT once the sender has exited (the
-# sender holds its socket open for 2 s past its last offered packet, so
-# every retransmission has landed by then).
+# normal run it is stopped with SIGINT once the sender has exited. The
+# sender exits as soon as the receiver's ACKs have emptied its Tx buffer,
+# so the receiver gets one AckNoTimeout (100 ms) more for a retransmission
+# still in flight to land.
 "$tmp/lglive" -mode=receiver -listen "$rx_addr" -peer "$tx_addr" \
     -loss 1e-3 -seed 42 -strict -duration 60s > "$tmp/receiver.log" 2>&1 &
 rpid=$!
@@ -32,7 +34,8 @@ for _ in $(seq 100); do
 done
 
 "$tmp/lglive" -mode=sender -listen "$tx_addr" -peer "$rx_addr" \
-    -loss 1e-3 -count 30000 -pps 6000 -size 256 | tee "$tmp/sender.log"
+    -loss 1e-3 -count 30000 -pps 6000 -size 256 -strict | tee "$tmp/sender.log"
+sleep 0.1
 kill -INT "$rpid" 2>/dev/null || true
 status=0
 wait "$rpid" || status=$?
