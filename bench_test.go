@@ -263,21 +263,6 @@ func BenchmarkAblation_RetxCopies(b *testing.B) {
 	b.ReportMetric(speeds[2]*100, "N4-effspeed-%")
 }
 
-// BenchmarkAblation_DummyCopies compares tail-loss detection robustness
-// under bursty loss with 1 vs 3 dummy copies (§5 "handling bursty losses").
-func BenchmarkAblation_DummyCopies(b *testing.B) {
-	var one, three experiments.StressResult
-	for i := 0; i < b.N; i++ {
-		cfg := core.NewConfig(simtime.Rate100G, 1e-3)
-		cfg.DummyCopies = 1
-		one = runStressWithConfig(cfg, simtime.Rate100G, 1e-3)
-		cfg.DummyCopies = 3
-		three = runStressWithConfig(cfg, simtime.Rate100G, 1e-3)
-	}
-	b.ReportMetric(float64(one.Timeouts), "1copy-timeouts")
-	b.ReportMetric(float64(three.Timeouts), "3copy-timeouts")
-}
-
 // BenchmarkAblation_AckNoTimeout sweeps the receiver stall timeout.
 func BenchmarkAblation_AckNoTimeout(b *testing.B) {
 	var fast, slow experiments.StressResult
@@ -310,24 +295,6 @@ func BenchmarkAblation_RDMASelectiveRepeat(b *testing.B) {
 // a caller-supplied LinkGuardian configuration.
 func runStressWithConfig(cfg core.Config, rate simtime.Rate, loss float64) experiments.StressResult {
 	return experiments.RunStressConfig(cfg, rate, loss, stressOpts())
-}
-
-// BenchmarkAblation_Tofino2Buffering compares the recirculation-based Tx
-// buffer against §5's Tofino2-style bufferless retransmission: recovery
-// delay and effective speed both improve, and the sender-side
-// recirculation overhead disappears.
-func BenchmarkAblation_Tofino2Buffering(b *testing.B) {
-	var t1, t2 experiments.StressResult
-	for i := 0; i < b.N; i++ {
-		cfg := core.NewConfig(simtime.Rate100G, 1e-3)
-		t1 = experiments.RunStressConfig(cfg, simtime.Rate100G, 1e-3, stressOpts())
-		cfg.Tofino2Buffering = true
-		t2 = experiments.RunStressConfig(cfg, simtime.Rate100G, 1e-3, stressOpts())
-	}
-	b.ReportMetric(t1.RetxDelays.Percentile(50), "tofino-retx-p50-us")
-	b.ReportMetric(t2.RetxDelays.Percentile(50), "tofino2-retx-p50-us")
-	b.ReportMetric(t1.EffSpeedFrac*100, "tofino-effspeed-%")
-	b.ReportMetric(t2.EffSpeedFrac*100, "tofino2-effspeed-%")
 }
 
 // BenchmarkAblation_IncrementalDeployment sweeps §5's partial-deployment

@@ -110,7 +110,7 @@ func main() {
 
 	case *soak > 0:
 		parallel.SetWorkers(*workers)
-		res := chaos.SoakWith(*seed, *soak, opts)
+		res := chaos.Soak(*seed, *soak, opts)
 		finishProfiles(stopProf)
 		fmt.Print(res)
 		for _, r := range res.Failures() {
@@ -126,7 +126,7 @@ func main() {
 
 	case *families > 0:
 		parallel.SetWorkers(*workers)
-		res := chaos.FamilySoakWith(*seed, *families, opts)
+		res := chaos.FamilySoak(*seed, *families, opts)
 		finishProfiles(stopProf)
 		fmt.Print(res)
 		for _, r := range res.Failures() {
@@ -211,7 +211,7 @@ func run(sc chaos.Scenario, opts chaos.RunOpts, tracePath, metricsOut string, st
 	for _, s := range sc.Steps {
 		fmt.Printf("  step %v\n", s)
 	}
-	r := chaos.RunScenarioOpts(sc, opts)
+	r := chaos.RunScenario(sc, opts)
 	finishProfiles(stopProf)
 	if tracePath != "" {
 		if err := obs.WriteTraceFile(tracePath, r.Trace); err != nil {

@@ -120,7 +120,7 @@ func TestExportedHaveCallers(t *testing.T) {
 	}
 
 	// uses holds where each declared name is named, declarations aside:
-	// two methods called Finished do not call each other.
+	// two methods of one name do not call each other.
 	uses := map[string][]token.Pos{}
 	declared := map[*ast.Ident]bool{}
 	for _, d := range decls {

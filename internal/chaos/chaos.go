@@ -198,8 +198,8 @@ const (
 	quiesceRounds = 400
 )
 
-// RunOpts configures the observability side of a scenario run; the zero
-// value runs without artifacts (RunScenario).
+// RunOpts configures the observability side of a scenario run;
+// RunOpts{Index: -1} runs without artifacts and keys nothing.
 type RunOpts struct {
 	// ArtifactDir, when non-empty, arms the flight recorder: a failed run
 	// dumps its trace tail, metrics snapshot, and violation summary into a
@@ -227,13 +227,9 @@ type RunOpts struct {
 // armed reports whether the flight recorder should capture artifacts.
 func (o RunOpts) armed() bool { return o.ArtifactDir != "" || o.Sink != nil }
 
-// RunScenario executes one scenario and returns its invariant report.
-func RunScenario(sc Scenario) *Report {
-	return RunScenarioOpts(sc, RunOpts{Index: -1})
-}
-
-// RunScenarioOpts is RunScenario with flight-recorder wiring.
-func RunScenarioOpts(sc Scenario, opts RunOpts) *Report {
+// RunScenario executes one scenario and returns its invariant report; opts
+// wires the flight recorder.
+func RunScenario(sc Scenario, opts RunOpts) *Report {
 	tb := experiments.NewTestbed(sc.Seed, sc.Rate, sc.config())
 	run := watch(&sc, tb, sc.Seed)
 	chk := run.chk

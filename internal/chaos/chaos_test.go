@@ -18,7 +18,7 @@ func TestNamedScenariosNoViolations(t *testing.T) {
 				if !ok {
 					t.Fatalf("scenario %q missing", name)
 				}
-				r := RunScenario(sc)
+				r := RunScenario(sc, RunOpts{Index: -1})
 				if r.TxUnique == 0 {
 					t.Fatalf("seed %d: no protected traffic ran:\n%v", seed, r)
 				}
@@ -40,7 +40,7 @@ func TestEraWrapScenarioCrossesWrap(t *testing.T) {
 	if sc.SeqStart == 0 {
 		t.Fatal("era-wrap scenario does not seed the sequence space")
 	}
-	r := RunScenario(sc)
+	r := RunScenario(sc, RunOpts{Index: -1})
 	if r.Failed() {
 		t.Fatalf("violations:\n%v", r)
 	}
@@ -71,7 +71,7 @@ func tailBlackout(seed int64) Scenario {
 func TestCheckerFiresWithTailLossDisabled(t *testing.T) {
 	sc := tailBlackout(5)
 	sc.DisableTailLoss = true
-	r := RunScenario(sc)
+	r := RunScenario(sc, RunOpts{Index: -1})
 	if !r.Failed() {
 		t.Fatalf("expected invariant violations with tail-loss detection ablated:\n%v", r)
 	}
@@ -88,7 +88,7 @@ func TestCheckerFiresWithTailLossDisabled(t *testing.T) {
 	// The identical blackout with the mechanism intact recovers cleanly —
 	// the violation is the ablation's fault, not the scenario's.
 	intact := tailBlackout(5)
-	r = RunScenario(intact)
+	r = RunScenario(intact, RunOpts{Index: -1})
 	if r.Failed() || !r.Quiesced {
 		t.Fatalf("shipped protocol should mask the same tail blackout:\n%v", r)
 	}
@@ -98,8 +98,8 @@ func TestCheckerFiresWithTailLossDisabled(t *testing.T) {
 // byte-identical reports.
 func TestScenarioDeterministic(t *testing.T) {
 	sc, _ := Named("ctrl-storm", 11)
-	a := RunScenario(sc).String()
-	b := RunScenario(sc).String()
+	a := RunScenario(sc, RunOpts{Index: -1}).String()
+	b := RunScenario(sc, RunOpts{Index: -1}).String()
 	if a != b {
 		t.Fatalf("same scenario, different reports:\n%s\n---\n%s", a, b)
 	}

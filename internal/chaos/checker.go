@@ -214,9 +214,6 @@ func (c *Checker) onWire(pkt *simnet.Packet, corrupted bool) {
 	if pkt.Kind != simnet.KindData || !pkt.LG.Present || pkt.LG.Dummy || pkt.LG.Retx {
 		return
 	}
-	if pkt.LG.Chan != c.g.Config().Channel {
-		return
-	}
 	seq := pkt.LG.Seq
 	if _, live := c.outstanding[seq]; live {
 		c.flag(RuleSeqReuse, "seq %v re-stamped while a previous packet with it is undelivered", seq)
@@ -236,7 +233,7 @@ func (c *Checker) onForward(pkt *simnet.Packet) {
 	if pkt.Released() {
 		c.flag(RuleUseAfterRel, "frame %d forwarded to the IP layer while in the free list", pkt.ID)
 	}
-	if !pkt.LG.Present || pkt.LG.Chan != c.g.Config().Channel {
+	if !pkt.LG.Present {
 		return
 	}
 	seq := pkt.LG.Seq

@@ -43,7 +43,7 @@ func (fr *FabricReport) String() string {
 
 // RunFabric executes one scenario on every segment of an nsegs-segment
 // fabric simultaneously, through the same arm, drive and report steps as
-// RunScenarioOpts: each segment gets its own copy of the fault schedule
+// RunScenario: each segment gets its own copy of the fault schedule
 // driven by an independent fault RNG (parallel.SeedFor(sc.Seed, segment),
 // so fault patterns decorrelate across segments but are a pure function of
 // the seed), its own checker, and its own protected-link traffic, while

@@ -21,7 +21,7 @@ import (
 // family with family-specific invariant expectations wired into the Checker.
 
 // Expecter is implemented by faults that carry their own end-of-run
-// invariants. RunScenarioOpts and RunFabric call Expectations once per run
+// invariants. RunScenario and RunFabric call Expectations once per run
 // (after cloning, before traffic starts) so the fault can register
 // Checker.Expect hooks against its own observation counters.
 type Expecter interface {
@@ -506,21 +506,17 @@ type FamilySoakResult struct {
 
 // FamilySoak runs perFamily generated scenarios of every composite family
 // across the worker pool; merge order is (family, index), so the result is
-// bit-identical at any worker count.
-func FamilySoak(master int64, perFamily int) *FamilySoakResult {
-	return FamilySoakWith(master, perFamily, RunOpts{})
-}
-
-// FamilySoakWith is FamilySoak with full per-run options (directory or
-// results-store sink); opts.Index is overwritten per scenario.
-func FamilySoakWith(master int64, perFamily int, opts RunOpts) *FamilySoakResult {
+// bit-identical at any worker count. opts carries the per-run options
+// (directory or results-store sink); opts.Index is overwritten per
+// scenario.
+func FamilySoak(master int64, perFamily int, opts RunOpts) *FamilySoakResult {
 	names := FamilyNames()
 	flat := parallel.Map(len(names)*perFamily, func(i int) *Report {
 		fam, j := names[i/perFamily], i%perFamily
 		sc, _ := GenFamilyScenario(fam, master, j)
 		o := opts
 		o.Index = j
-		return RunScenarioOpts(sc, o)
+		return RunScenario(sc, o)
 	})
 	out := &FamilySoakResult{Master: master, PerFamily: perFamily}
 	for fi, name := range names {

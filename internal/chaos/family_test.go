@@ -18,7 +18,7 @@ func TestFamilyScenariosNoViolations(t *testing.T) {
 	if testing.Short() {
 		per = 2
 	}
-	res := FamilySoak(20230823, per)
+	res := FamilySoak(20230823, per, RunOpts{})
 	if fails := res.Failures(); len(fails) > 0 {
 		t.Fatalf("%d composite scenarios violated invariants:\n%v", len(fails), res)
 	}
@@ -52,9 +52,9 @@ func TestFamilySoakDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("family soak determinism skipped in -short mode")
 	}
 	parallel.SetWorkers(1)
-	serial := FamilySoak(11, 3).String()
+	serial := FamilySoak(11, 3, RunOpts{}).String()
 	parallel.SetWorkers(4)
-	wide := FamilySoak(11, 3).String()
+	wide := FamilySoak(11, 3, RunOpts{}).String()
 	parallel.SetWorkers(0)
 	if serial != wide {
 		t.Fatalf("family soak differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", serial, wide)
@@ -72,7 +72,7 @@ func TestComposeCorruptCongest(t *testing.T) {
 	if !sc.InEnvelope() {
 		t.Fatalf("corrupt+congest scenario should be in-envelope (congestion is not corruption): %+v", sc.Steps)
 	}
-	r := RunScenario(sc)
+	r := RunScenario(sc, RunOpts{Index: -1})
 	if r.Failed() {
 		t.Fatalf("violations:\n%v", r)
 	}
@@ -102,7 +102,7 @@ func TestAsymLossDirectionSplit(t *testing.T) {
 	// Pin the rates for the assertion regardless of what index 0 generated.
 	af := NewAsymLoss(0, 2e-2)
 	sc.Steps = []Step{{At: sc.Window / 4, Dur: sc.Window / 2, Fault: af}}
-	r := RunScenario(sc)
+	r := RunScenario(sc, RunOpts{Index: -1})
 	if r.Failed() {
 		t.Fatalf("violations:\n%v", r)
 	}

@@ -22,7 +22,7 @@ func TestFlightRecorderArtifactOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	sc := tailBlackout(5)
 	sc.DisableTailLoss = true
-	r := RunScenarioOpts(sc, RunOpts{ArtifactDir: dir, Index: 3, KeepTrace: true})
+	r := RunScenario(sc, RunOpts{ArtifactDir: dir, Index: 3, KeepTrace: true})
 	if !r.Failed() {
 		t.Fatalf("ablated scenario did not fail:\n%v", r)
 	}
@@ -101,7 +101,7 @@ func TestFlightRecorderArtifactOnFailure(t *testing.T) {
 func TestNoArtifactOnPass(t *testing.T) {
 	dir := t.TempDir()
 	sc := tailBlackout(5) // mechanism intact: recovers cleanly
-	r := RunScenarioOpts(sc, RunOpts{ArtifactDir: dir, Index: 0, KeepTrace: true})
+	r := RunScenario(sc, RunOpts{ArtifactDir: dir, Index: 0, KeepTrace: true})
 	if r.Failed() {
 		t.Fatalf("intact scenario failed:\n%v", r)
 	}
@@ -122,7 +122,7 @@ func TestNoArtifactOnPass(t *testing.T) {
 		t.Fatal("Report.Metrics not populated")
 	}
 
-	r2 := RunScenario(sc)
+	r2 := RunScenario(sc, RunOpts{Index: -1})
 	if len(r2.Trace) != 0 {
 		t.Fatal("plain RunScenario must not retain the trace ring")
 	}
@@ -134,8 +134,8 @@ func TestArtifactExcludedFromReportString(t *testing.T) {
 	dir := t.TempDir()
 	sc := tailBlackout(5)
 	sc.DisableTailLoss = true
-	with := RunScenarioOpts(sc, RunOpts{ArtifactDir: dir, Index: -1})
-	without := RunScenario(sc)
+	with := RunScenario(sc, RunOpts{ArtifactDir: dir, Index: -1})
+	without := RunScenario(sc, RunOpts{Index: -1})
 	if with.Artifact == "" {
 		t.Fatal("expected an artifact")
 	}
@@ -156,7 +156,7 @@ func TestFlightRecorderSink(t *testing.T) {
 	}
 	sc := tailBlackout(5)
 	sc.DisableTailLoss = true
-	r := RunScenarioOpts(sc, RunOpts{Sink: store, Index: 3, KeepTrace: true})
+	r := RunScenario(sc, RunOpts{Sink: store, Index: 3, KeepTrace: true})
 	if !r.Failed() {
 		t.Fatalf("ablated scenario did not fail:\n%v", r)
 	}
@@ -221,7 +221,7 @@ func TestFlightRecorderSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := RunScenarioOpts(sc, RunOpts{Sink: store2, Index: 3, KeepTrace: true})
+	r2 := RunScenario(sc, RunOpts{Sink: store2, Index: 3, KeepTrace: true})
 	if err := store2.Close(); err != nil {
 		t.Fatal(err)
 	}

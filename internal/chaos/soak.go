@@ -44,22 +44,19 @@ func (s *SoakResult) String() string {
 // internal/parallel worker pool. Every scenario runs in its own simulation
 // seeded by parallel.SeedFor(master, i); results merge in index order, so
 // the sweep is bit-identical at any worker count.
-func Soak(master int64, n int) *SoakResult {
-	return SoakWith(master, n, RunOpts{})
-}
-
-// SoakWith is Soak with full per-run options (flight-recorder directory or
+//
+// opts carries the per-run options (flight-recorder directory or
 // results-store sink); opts.Index is overwritten with each scenario's
 // index. Sinks must be safe for concurrent use — scenarios run across the
 // worker pool. Artifact locators live outside Report.String(), so the
 // determinism contract of the report text is unaffected.
-func SoakWith(master int64, n int, opts RunOpts) *SoakResult {
+func Soak(master int64, n int, opts RunOpts) *SoakResult {
 	return &SoakResult{
 		Master: master,
 		Reports: parallel.Map(n, func(i int) *Report {
 			o := opts
 			o.Index = i
-			return RunScenarioOpts(GenScenario(master, i), o)
+			return RunScenario(GenScenario(master, i), o)
 		}),
 	}
 }

@@ -12,7 +12,7 @@ func TestSoakZeroViolations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak sweep skipped in -short mode")
 	}
-	res := Soak(20230823, 200)
+	res := Soak(20230823, 200, RunOpts{})
 	if fails := res.Failures(); len(fails) > 0 {
 		t.Fatalf("%d of %d scenarios violated invariants:\n%v", len(fails), len(res.Reports), res)
 	}
@@ -42,9 +42,9 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 	}
 	const master, n = 7, 32
 	parallel.SetWorkers(1)
-	serial := Soak(master, n).String()
+	serial := Soak(master, n, RunOpts{}).String()
 	parallel.SetWorkers(4)
-	wide := Soak(master, n).String()
+	wide := Soak(master, n, RunOpts{}).String()
 	parallel.SetWorkers(0) // restore the default pool size
 	if serial != wide {
 		t.Fatalf("soak report differs between 1 and 4 workers:\n--- workers=1\n%s\n--- workers=4\n%s", serial, wide)

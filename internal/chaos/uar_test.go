@@ -61,7 +61,7 @@ func TestUseAfterReleaseDetectorFires(t *testing.T) {
 // A clean run must never trip the detector — the soak relies on this rule
 // being silent unless ownership is actually violated.
 func TestUseAfterReleaseDetectorSilentOnCleanRun(t *testing.T) {
-	r := RunScenario(tailBlackout(5))
+	r := RunScenario(tailBlackout(5), RunOpts{Index: -1})
 	for _, v := range r.Violations {
 		if strings.Contains(v.Rule, RuleUseAfterRel) {
 			t.Fatalf("clean scenario flagged use-after-release: %v", v)

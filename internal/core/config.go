@@ -21,7 +21,6 @@ package core
 
 import (
 	"linkguardian/internal/lgmodel"
-	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
 )
 
@@ -63,15 +62,12 @@ type Config struct {
 	// RetxCopies, if positive, overrides Equation 2's choice of N.
 	RetxCopies int
 
-	// DummyCopies is the number of dummy packets replenished per round to
-	// survive bursty losses of the dummy itself (§5, "Handling bursty
-	// losses"). Default 1.
-	DummyCopies int
-
 	// CtrlCopies is the number of copies sent for control messages (loss
-	// notifications and PFC pause/resume). Default 1; bidirectional
-	// protection (§5) raises it so control messages survive corruption in
-	// the reverse direction. Duplicates are absorbed idempotently.
+	// notifications and PFC pause/resume). Default 1: the reverse
+	// direction is assumed lossless (§3). Raising it lets a control
+	// message survive the loss of a copy; the chaos scenarios that corrupt
+	// control frames and the live dataplane do. Duplicates are absorbed
+	// idempotently.
 	CtrlCopies int
 
 	// TailLossDetection enables the dummy-packet queue (§3.2). Disabled
@@ -123,25 +119,6 @@ type Config struct {
 	// them to 200KB, §4).
 	RecircBufBytes int
 
-	// Channel distinguishes instances protecting the same link. With
-	// per-class protection (§5: ordered LinkGuardian for RDMA traffic,
-	// LinkGuardianNB for TCP, simultaneously), each instance uses a
-	// distinct channel and only handles packets it stamped.
-	Channel uint8
-
-	// ClassMatch, if set, selects which packets this instance protects;
-	// others are left for the next instance on the same link (or pass
-	// unprotected). Used by per-class protection.
-	ClassMatch func(*simnet.Packet) bool
-
-	// Tofino2Buffering models the next-generation dataplane sketched in
-	// §5: advanced flow-control primitives hold the Tx-buffer copies in a
-	// paused queue instead of recirculating them, so a retransmission is
-	// released the moment the reTxReqs entry is set rather than at the
-	// next recirculation-loop boundary, and buffered copies consume no
-	// pipeline capacity. The reordering buffer is unchanged.
-	Tofino2Buffering bool
-
 	// TimerQuantum is the period of the switch packet generator's timer
 	// packets used for timekeeping (10Mpps → 100ns, §3.5). Timeout checks
 	// and pause/resume transmissions are quantized to it.
@@ -177,7 +154,6 @@ func NewConfig(speed simtime.Rate, actualLossRate float64) Config {
 		Mode:                Ordered,
 		TargetLossRate:      1e-8,
 		ActualLossRate:      actualLossRate,
-		DummyCopies:         1,
 		TailLossDetection:   true,
 		Backpressure:        true,
 		MaxConsecutiveLoss:  5,

@@ -82,6 +82,35 @@ func TestDisabledIsTransparent(t *testing.T) {
 	}
 }
 
+// A dormant instance sharing an interface with an active one stays
+// transparent: the testbed's own instance, installed first, sees every
+// packet before the active one and touches none of them.
+func TestPerClassDormantBystander(t *testing.T) {
+	cfg := NewConfig(simtime.Rate25G, 1e-3)
+	tb := newTestbed(t, simtime.Rate25G, cfg)
+	active := Protect(tb.sim, tb.link.A(), cfg)
+	active.Enable()
+	dropDataNth(tb.link, tb.link.A(), 5)
+	tb.sendBurst(0, 100, 1200)
+	tb.runFor(10 * simtime.Millisecond)
+	if len(tb.recvSeqs) != 100 || !inOrder(tb.recvSeqs) {
+		t.Fatalf("delivered %d/100, ordered=%v", len(tb.recvSeqs), inOrder(tb.recvSeqs))
+	}
+	for _, sz := range tb.recvSizes {
+		if sz != 1200 {
+			t.Fatalf("headers not stripped: size %d", sz)
+		}
+	}
+	if active.M.Protected != 100 || active.M.Retransmits != 1 {
+		t.Fatalf("active instance protected %d, retransmitted %d; want 100 and 1",
+			active.M.Protected, active.M.Retransmits)
+	}
+	if m := tb.lg.M; m.Protected != 0 || m.Delivered != 0 || m.DummiesSent != 0 ||
+		m.AcksSent != 0 || m.AcksReceived != 0 || m.LossEvents != 0 {
+		t.Fatalf("dormant instance acted: %+v", m)
+	}
+}
+
 func TestEnabledLosslessPassthrough(t *testing.T) {
 	for _, mode := range []Mode{Ordered, NonBlocking} {
 		cfg := NewConfig(simtime.Rate25G, 1e-4)
@@ -477,5 +506,51 @@ func TestCopiesForEquation2(t *testing.T) {
 		if got := cfg.Copies(); got != c.want {
 			t.Errorf("Copies() at (%g,%g) = %d, want %d", c.actual, c.target, got, c.want)
 		}
+	}
+}
+
+func TestSetModeRuntimeSwitch(t *testing.T) {
+	cfg := NewConfig(simtime.Rate25G, 1e-3)
+	tb := newTestbed(t, simtime.Rate25G, cfg)
+	tb.lg.Enable()
+	tb.link.SetLoss(tb.link.A(), simnet.IIDLoss{P: 1e-3})
+
+	tb.sendBurst(0, 3000, 1200)
+	tb.runFor(5 * simtime.Millisecond)
+	if tb.lg.Mode() != Ordered {
+		t.Fatal("default mode should be Ordered")
+	}
+	tb.lg.SetMode(NonBlocking)
+	tb.sendBurst(3000, 3000, 1200)
+	tb.runFor(5 * simtime.Millisecond)
+	tb.lg.SetMode(Ordered)
+	tb.sendBurst(6000, 3000, 1200)
+	tb.runFor(10 * simtime.Millisecond)
+
+	if got := len(tb.recvSeqs); got != 9000 {
+		t.Fatalf("delivered %d/9000 across mode switches", got)
+	}
+	// The final ordered phase must be in order from where it resynced.
+	tail := tb.recvSeqs[len(tb.recvSeqs)-2000:]
+	if !inOrder(tail) {
+		t.Fatal("re-entered ordered mode did not restore ordering")
+	}
+}
+
+func TestSetModeFromNBCreatesBuffer(t *testing.T) {
+	cfg := NewConfig(simtime.Rate25G, 1e-3)
+	cfg.Mode = NonBlocking
+	tb := newTestbed(t, simtime.Rate25G, cfg)
+	tb.lg.Enable()
+	tb.lg.SetMode(Ordered)
+	dropDataNth(tb.link, tb.link.A(), 10)
+	tb.sendBurst(0, 100, 1200)
+	tb.runFor(5 * simtime.Millisecond)
+	if len(tb.recvSeqs) != 100 || !inOrder(tb.recvSeqs) {
+		t.Fatalf("NB->Ordered switch broken: %d delivered, ordered=%v",
+			len(tb.recvSeqs), inOrder(tb.recvSeqs))
+	}
+	if tb.lg.M.ReceiverLoops == 0 {
+		t.Fatal("reordering buffer not used after switching to Ordered")
 	}
 }

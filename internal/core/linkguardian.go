@@ -16,7 +16,6 @@ import (
 type Instance struct {
 	rt   Runtime
 	role Role
-	cfg  Config
 
 	// M exposes protocol instrumentation. Read-only for callers.
 	M Metrics
@@ -58,14 +57,13 @@ type Instance struct {
 	missing    map[seqnum.Seq]lossRecord
 	notified   seqnum.Seq // highest seqNo ever included in a loss notification
 	ring       ring
-	peerSender *Instance // other direction's instance (bidirectional, §5)
-	rxHeld     int       // bytes currently held in the reordering buffer
-	paused     bool      // curr_state of Algorithm 2
-	stallArmed bool      // an ackNoTimeout watch is pending
+	rxHeld     int  // bytes currently held in the reordering buffer
+	paused     bool // curr_state of Algorithm 2
+	stallArmed bool // an ackNoTimeout watch is pending
 
 	pauseRefreshArmed bool // a PauseRefresh tick is pending
 
-	dummyOut, ackOut int // our packets pending in the shared low-prio queues
+	dummyOut, ackOut int // our packets pending in the low-prio control queues
 
 	// The two self-replenishing control streams, and the ingress hooks
 	// installHooks attached; replay.go replays both streams in closed form
@@ -83,6 +81,10 @@ type Instance struct {
 	// onward, before header stripping. Tests use it to check ordering
 	// invariants at the protocol boundary.
 	forwardHook func(*simnet.Packet)
+
+	// cfg sits last, so that a Config of another size does not move the
+	// per-packet state above across cache lines.
+	cfg Config
 }
 
 // txEntry is one buffered protected packet circulating in the sender's
@@ -204,9 +206,6 @@ func ProtectReceiver(rt Runtime, recvIfc *simnet.Ifc, cfg Config) *Instance {
 }
 
 func protect(rt Runtime, sendIfc, recvIfc *simnet.Ifc, cfg Config, role Role) *Instance {
-	if cfg.DummyCopies <= 0 {
-		cfg.DummyCopies = 1
-	}
 	if cfg.MaxConsecutiveLoss <= 0 {
 		cfg.MaxConsecutiveLoss = 5
 	}
@@ -251,6 +250,38 @@ func (g *Instance) SetMeasuredLossRate(rate float64) {
 	g.cfg.ActualLossRate = rate
 	g.copies = g.cfg.Copies()
 }
+
+// SetMode switches the instance between Ordered and NonBlocking at runtime
+// (§3.5's "runtime option", used by the automatic-fallback controller of
+// §5). Switching to NonBlocking lets any packets currently in the
+// reordering buffer drain out of order; switching back to Ordered re-syncs
+// ackNo to the next expected sequence number.
+func (g *Instance) SetMode(m Mode) {
+	if g.cfg.Mode == m {
+		return
+	}
+	g.replayRing(false)
+	defer g.armRing()
+	g.cfg.Mode = m
+	if m == Ordered {
+		// Everything at or below latestRx has either been forwarded or is
+		// unrecoverable; resume in-order delivery from the next packet.
+		g.ackNo = g.latestRx.Add(1)
+	} else {
+		if g.paused {
+			// NonBlocking mode never pauses the sender.
+			g.paused = false
+			g.sendPFC(simnet.KindResume)
+		}
+		// Outstanding loss records now close via the NB sweep path.
+		for seq := range g.missing {
+			g.armSweep(seq)
+		}
+	}
+}
+
+// Mode returns the instance's current operation mode.
+func (g *Instance) Mode() Mode { return g.cfg.Mode }
 
 // Enable activates protection: from this point every packet egressing the
 // protected direction is stamped, buffered and recoverable. Both ends
@@ -338,21 +369,22 @@ func (g *Instance) installHooks() {
 	// stamped at wire time (§3.1).
 	chainDequeue(g.recvIfc.Port.Q(simnet.PrioNormal), func(pkt *simnet.Packet) {
 		if !g.enabled || pkt.Kind != simnet.KindData || pkt.LGAck.Present {
-			// One piggybacked ACK per packet: under per-class protection
-			// the first instance wins and the other channel relies on its
-			// explicit-ACK stream.
+			// One piggybacked ACK per packet: one that an earlier hook on
+			// this queue stamped stays, and this instance's receiver relies
+			// on its explicit-ACK stream.
 			return
 		}
 		g.settleAckView()
-		pkt.LGAck = simnet.LGAck{Present: true, Valid: true, LatestRx: g.ackView, Chan: g.cfg.Channel}
+		pkt.LGAck = simnet.LGAck{Present: true, Valid: true, LatestRx: g.ackView}
 		pkt.Size += simnet.LGHeaderBytes
 		g.M.AcksPiggybacked++
 	})
 }
 
 // chainIngress appends an ingress hook after any existing one, so two
-// instances — one per direction under bidirectional protection (§5) — can
-// share an interface. An earlier hook that consumes the packet wins.
+// instances can share an interface: a testbed's dormant instance and a
+// second Protect on the same link, say. An earlier hook that consumes the
+// packet wins.
 func chainIngress(ifc *simnet.Ifc, fn func(*simnet.Packet) bool) {
 	prev := ifc.OnIngress
 	if prev == nil {
@@ -367,9 +399,9 @@ func chainIngress(ifc *simnet.Ifc, fn func(*simnet.Packet) bool) {
 	}
 }
 
-// chainDequeue appends a wire-time stamping hook after any existing one —
-// under bidirectional protection a normal queue both stamps its own
-// direction's data header and piggybacks the reverse direction's ACK.
+// chainDequeue appends a wire-time stamping hook after any existing one,
+// so every instance sharing a queue sees each packet it dequeues: a
+// dormant instance's hooks pass it on untouched.
 func chainDequeue(q *simnet.Queue, fn func(*simnet.Packet)) {
 	prev := q.OnDequeue
 	if prev == nil {

@@ -61,11 +61,10 @@ func (g *Instance) atFixedPoint() bool {
 
 // replayable reports whether the link is structurally fit for a replay:
 // one instance holds both ends and its hooks are the only ones on the
-// streams' paths, one dummy per round, both streams on one pacing interval
-// and one line rate, and frames that meet nothing but the verdict
-// (simnet.Link.Replayable).
+// streams' paths, both streams on one pacing interval and one line rate,
+// and frames that meet nothing but the verdict (simnet.Link.Replayable).
 func (g *Instance) replayable() bool {
-	if g.role != RoleBoth || g.peerSender != nil || g.cfg.DummyCopies != 1 || g.ack.hook == nil ||
+	if g.role != RoleBoth || g.ack.hook == nil ||
 		g.sendIfc.Port.Rate != g.recvIfc.Port.Rate || !g.sendIfc.Link().Replayable() ||
 		!sameFunc(g.sendIfc.OnIngress, g.revHook) || !sameFunc(g.recvIfc.OnIngress, g.protHook) ||
 		!sameFunc(g.recvIfc.Port.Q(simnet.PrioAck).OnDequeue, g.ack.hook) {
@@ -138,9 +137,9 @@ func (g *Instance) replayStreams(x *ctrlStream) bool {
 		g.dummy.frame, g.ack.frame = new(simnet.Packet), new(simnet.Packet)
 	}
 	*g.dummy.frame = simnet.Packet{Kind: simnet.KindDummy, Size: simtime.MinFrame, Prio: simnet.PrioLow,
-		LG: simnet.LGData{Present: true, Dummy: true, Chan: g.cfg.Channel, LastTx: g.lastTx}}
+		LG: simnet.LGData{Present: true, Dummy: true, LastTx: g.lastTx}}
 	*g.ack.frame = simnet.Packet{Kind: simnet.KindLGAck, Size: simtime.MinFrame, Prio: simnet.PrioAck,
-		LGAck: simnet.LGAck{Present: true, Valid: true, Chan: g.cfg.Channel, LatestRx: g.ackView}}
+		LGAck: simnet.LGAck{Present: true, Valid: true, LatestRx: g.ackView}}
 	for k := range kx {
 		g.replayFrame(x)
 		if k < ky {

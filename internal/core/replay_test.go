@@ -43,11 +43,6 @@ func TestControlReplayEligibility(t *testing.T) {
 			tb.link.TapDeliver(func(*simnet.Packet, *simnet.Ifc, bool) {})
 			return protect(tb)
 		}, false, false, 0},
-		{"two dummies", func(tb *testbed) []*Instance {
-			c := cfg
-			c.DummyCopies = 2
-			return []*Instance{Protect(tb.sim, tb.link.A(), c)}
-		}, false, false, 0},
 		{"unequal pacing", func(tb *testbed) []*Instance {
 			c := cfg
 			c.DummyInterval = 300 * simtime.Nanosecond
@@ -57,13 +52,10 @@ func TestControlReplayEligibility(t *testing.T) {
 			tb.link.B().OnIngress = func(*simnet.Packet) bool { return false }
 			return []*Instance{Protect(tb.sim, tb.link.A(), cfg)}
 		}, false, false, 0},
-		{"bidirectional", func(tb *testbed) []*Instance {
-			ab, ba := ProtectBoth(tb.sim, tb.link, cfg, cfg)
-			return []*Instance{ab, ba}
-		}, false, false, 0},
+		// A dormant instance shares the interface's hooks with the active one.
 		{"per-class", func(tb *testbed) []*Instance {
-			a, b := ProtectClasses(tb.sim, tb.link.A(), cfg, cfg, func(*simnet.Packet) bool { return true })
-			return []*Instance{a, b}
+			Protect(tb.sim, tb.link.A(), cfg)
+			return protect(tb)
 		}, false, false, 0},
 	}
 	for _, c := range cases {

@@ -18,12 +18,9 @@ func (g *Instance) stampAtWire(pkt *simnet.Packet) {
 	if !g.enabled || pkt.Kind != simnet.KindData || pkt.LG.Present {
 		return
 	}
-	if g.cfg.ClassMatch != nil && !g.cfg.ClassMatch(pkt) {
-		return // another instance's class, or unprotected
-	}
 	seq := g.nextSeq
 	g.nextSeq = seq.Next()
-	pkt.LG = simnet.LGData{Present: true, Seq: seq, Chan: g.cfg.Channel}
+	pkt.LG = simnet.LGData{Present: true, Seq: seq}
 	pkt.Size += simnet.LGHeaderBytes
 	g.lastTx = seq
 	g.buffer(pkt, seq)
@@ -75,22 +72,11 @@ func (g *Instance) buffer(pkt *simnet.Packet, seq seqnum.Seq) {
 	}
 }
 
-// releaseBoundary returns the instant at which a buffered copy can next be
-// acted upon (dropped or retransmitted), and the recirculation loops it has
-// consumed by then. On Tofino the copy is only examined at its next
-// recirculation-loop completion — this is what makes recirculation-based
-// retransmission take microseconds (§5); with Tofino2-style buffering the
-// copy sits in a paused queue and is available immediately at zero
-// recirculation cost.
-func (g *Instance) releaseBoundary(e *txEntry, t simtime.Time) (simtime.Time, uint64) {
-	if g.cfg.Tofino2Buffering {
-		return t, 0
-	}
-	return e.nextLoopBoundary(t)
-}
-
 // nextLoopBoundary returns the first loop-completion instant of e at or
-// after t, and the number of loops completed by then.
+// after t, and the number of loops completed by then: the instant at which
+// the buffered copy can next be acted upon (dropped or retransmitted). The
+// copy is only examined at its recirculation-loop completions, which is
+// what makes recirculation-based retransmission take microseconds (§5).
 func (e *txEntry) nextLoopBoundary(t simtime.Time) (simtime.Time, uint64) {
 	elapsed := t.Sub(e.insertAt)
 	k := int64(elapsed)/int64(e.loop) + 1
@@ -206,8 +192,8 @@ func (g *Instance) onReverse(pkt *simnet.Packet) bool {
 	}
 	switch pkt.Kind {
 	case simnet.KindLGAck:
-		if !pkt.LGAck.Present || pkt.LGAck.Chan != g.cfg.Channel {
-			return false // another channel's ACK
+		if !pkt.LGAck.Present {
+			return false
 		}
 		if pkt.LGAck.Valid {
 			g.handleAck(pkt.LGAck.LatestRx)
@@ -215,14 +201,14 @@ func (g *Instance) onReverse(pkt *simnet.Packet) bool {
 		g.rt.Release(pkt)
 		return true
 	case simnet.KindLossNotif:
-		if !pkt.Notif.Present || pkt.Notif.Chan != g.cfg.Channel {
+		if !pkt.Notif.Present {
 			return false
 		}
 		g.handleNotif(&pkt.Notif)
 		g.rt.Release(pkt)
 		return true
 	}
-	if pkt.LGAck.Present && pkt.LGAck.Valid && pkt.LGAck.Chan == g.cfg.Channel {
+	if pkt.LGAck.Present && pkt.LGAck.Valid {
 		g.handleAck(pkt.LGAck.LatestRx)
 		pkt.LGAck = simnet.LGAck{}
 		pkt.Size -= simnet.LGHeaderBytes
@@ -265,7 +251,7 @@ func (g *Instance) handleAck(latestRx seqnum.Seq) {
 			continue
 		}
 		e.released = true // claim now; account at the loop boundary
-		at, loops := g.releaseBoundary(e, now)
+		at, loops := e.nextLoopBoundary(now)
 		e.pendLoops = loops
 		g.txRetire.add(g.rt.TicketAt(at), e)
 	}
@@ -303,7 +289,7 @@ func (g *Instance) handleNotif(n *simnet.LossNotif) {
 		}
 		e.released = true // claimed by the retransmission event
 		e.retxReq = true
-		at, loops := g.releaseBoundary(e, now)
+		at, loops := e.nextLoopBoundary(now)
 		e.pendLoops = loops
 		g.rt.AtCall(at, txRetxFire, g, e)
 	}
@@ -323,15 +309,11 @@ func replenishDummiesFire(a0, _ any) {
 // seedDummies bootstraps the self-replenishing dummy-packet queue (§3.2):
 // a strictly lowest-priority queue whose packets carry the last transmitted
 // seqNo, letting the receiver detect tail losses without a timeout. The
-// queue is replenished (paced) after each transmission; multiple copies per
-// round survive bursty loss of the dummy itself (§5).
+// queue is replenished (paced) after each transmission.
 func (g *Instance) seedDummies() {
 	q := g.sendIfc.Port.Q(simnet.PrioLow)
 	if g.dummy.hook == nil {
 		g.dummy.hook = func(pkt *simnet.Packet) {
-			if !pkt.LG.Present || !pkt.LG.Dummy || pkt.LG.Chan != g.cfg.Channel {
-				return // another channel's dummy on the shared queue
-			}
 			// Stamp the freshest lastTx at wire time.
 			pkt.LG.LastTx = g.lastTx
 			g.dummyOut--
@@ -344,19 +326,12 @@ func (g *Instance) seedDummies() {
 }
 
 func (g *Instance) replenishDummies() {
-	if !g.enabled || !g.cfg.TailLossDetection {
+	if !g.enabled || !g.cfg.TailLossDetection || g.dummyOut > 0 {
 		return
 	}
-	// Replenish only our own channel's dummies; the PrioLow queue may be
-	// shared with another instance's under per-class protection.
-	if g.dummyOut > 0 {
-		return
-	}
-	for i := 0; i < g.cfg.DummyCopies; i++ {
-		d := g.rt.NewPacket(simnet.KindDummy, simtime.MinFrame, "")
-		d.Prio = simnet.PrioLow
-		d.LG = simnet.LGData{Present: true, Dummy: true, Chan: g.cfg.Channel}
-		g.dummyOut++
-		g.sendIfc.EnqueueDirect(d)
-	}
+	d := g.rt.NewPacket(simnet.KindDummy, simtime.MinFrame, "")
+	d.Prio = simnet.PrioLow
+	d.LG = simnet.LGData{Present: true, Dummy: true}
+	g.dummyOut++
+	g.sendIfc.EnqueueDirect(d)
 }

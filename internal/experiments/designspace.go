@@ -33,7 +33,7 @@ func (r DesignSpaceRow) String() string {
 // LinkGuardian's overhead is proportional to the loss rate and local to
 // the corrupting link.
 func DesignSpace(trials int) []DesignSpaceRow {
-	opts := DefaultFCTOpts(143)
+	opts := DefaultFCTOpts(workload.GoogleRPCModalSize)
 	opts.Trials = trials
 
 	row := func(name string, res FCTResult, overhead float64) DesignSpaceRow {

@@ -9,6 +9,7 @@ import (
 	"linkguardian/internal/simtime"
 	"linkguardian/internal/stats"
 	"linkguardian/internal/transport"
+	"linkguardian/internal/workload"
 )
 
 // Transport selects the endpoint protocol for FCT experiments.
@@ -324,11 +325,10 @@ func fctGrid(transports []Transport, prots []Protection, size, trials int) []FCT
 	})
 }
 
-// Figure10 compares 143B single-packet flows (Google all-RPC modal size)
-// across the four protections for DCTCP and RDMA on a 100G link.
+// Figure10 runs Google all-RPC modal-size (143 B) flows over DCTCP and RDMA.
 func Figure10(trials int) []FCTResult {
 	return fctGrid([]Transport{TransDCTCP, TransRDMA},
-		[]Protection{NoLoss, LG, LGNB, LossOnly}, 143, trials)
+		[]Protection{NoLoss, LG, LGNB, LossOnly}, workload.GoogleRPCModalSize, trials)
 }
 
 // Figure11 repeats the comparison with 24,387B (17-packet) flows, the DCTCP

@@ -62,8 +62,6 @@ type rbCell struct {
 	// build installs the instances under test on the testbed (nil: the
 	// testbed's own Ordered instance) and schedules any mid-run actions.
 	build func(tb *Testbed, cfg core.Config) []*core.Instance
-	// reverse also drives traffic h2 -> h1 across the protected link.
-	reverse bool
 }
 
 var (
@@ -93,24 +91,6 @@ func rbCells() []rbCell {
 		}
 	}
 	cells = append(cells,
-		rbCell{
-			name: "100G/iid1e-2/mix/protect-both", rate: simtime.Rate100G, loss: iid(1e-2), sizes: rbMix, reverse: true,
-			build: func(tb *Testbed, cfg core.Config) []*core.Instance {
-				ab, ba := core.ProtectBoth(tb.Sim, tb.Link, cfg, cfg)
-				tb.Link.SetLoss(tb.Link.B(), simnet.IIDLoss{P: 1e-2})
-				return []*core.Instance{ab, ba}
-			},
-		},
-		rbCell{
-			name: "100G/iid1e-2/mix/protect-classes", rate: simtime.Rate100G, loss: iid(1e-2), sizes: rbMix,
-			build: func(tb *Testbed, cfg core.Config) []*core.Instance {
-				nb := cfg
-				nb.Mode = core.NonBlocking
-				a, b := core.ProtectClasses(tb.Sim, tb.Link.A(), cfg, nb,
-					func(p *simnet.Packet) bool { return p.FlowID%2 == 0 })
-				return []*core.Instance{a, b}
-			},
-		},
 		rbCell{
 			name: "100G/iid1e-2/mtu/setmode-nb-ordered", rate: simtime.Rate100G, loss: iid(1e-2), sizes: rbMTU,
 			build: func(tb *Testbed, cfg core.Config) []*core.Instance {
@@ -179,11 +159,6 @@ func runRBCell(c rbCell, probe func(tb *Testbed, insts []*core.Instance)) string
 	tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
 	fwd := &rbInjector{sim: tb.Sim, ifc: tb.Link.A(), dst: tb.H2.NodeName(), rate: c.rate, sizes: c.sizes}
 	tb.Sim.After(0, fwd.tick)
-	if c.reverse {
-		tb.Link.B().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
-		rev := &rbInjector{sim: tb.Sim, ifc: tb.Link.B(), dst: tb.H1.NodeName(), rate: c.rate, sizes: c.sizes}
-		tb.Sim.After(0, rev.tick)
-	}
 	if probe != nil {
 		probe(tb, insts)
 	}

@@ -8,23 +8,27 @@ import (
 	"linkguardian/internal/simtime"
 )
 
-// FuzzLGDataWire holds the 3-byte data-header codec to an exact bijection:
-// every 24-bit pattern decodes to a header that re-encodes to the same
-// bytes, and decoding is stable (Decode∘Encode∘Decode = Decode).
+// FuzzLGDataWire holds the 3-byte data-header codec to an exact bijection
+// on the 2^19 patterns with the reserved bits clear: each decodes to a
+// header that re-encodes to the same bytes, and decoding is stable
+// (Decode∘Encode∘Decode = Decode). Decoding ignores the reserved bits; the
+// datagram decoder is what rejects a header that sets them.
 func FuzzLGDataWire(f *testing.F) {
 	f.Add(byte(0), byte(0), byte(0))
 	f.Add(byte(0xff), byte(0xff), byte(0xff))
 	f.Add(byte(1), byte(0), byte(0b0000_0101)) // era + dummy
 	f.Add(byte(0x34), byte(0x12), byte(0b1111_1010))
 	f.Fuzz(func(t *testing.T, b0, b1, b2 byte) {
-		b := [LGHeaderBytes]byte{b0, b1, b2}
+		b := [LGHeaderBytes]byte{b0, b1, b2 &^ lgReserved}
 		h := DecodeLGData(b)
 		if got := EncodeLGData(&h); got != b {
 			t.Fatalf("Encode(Decode(%v)) = %v, not a bijection (header %+v)", b, got, h)
 		}
-		h2 := DecodeLGData(EncodeLGData(&h))
-		if h2 != h {
+		if h2 := DecodeLGData(EncodeLGData(&h)); h2 != h {
 			t.Fatalf("decode not stable: %+v vs %+v", h, h2)
+		}
+		if raw := DecodeLGData([LGHeaderBytes]byte{b0, b1, b2}); raw != h {
+			t.Fatalf("reserved bits %#02x changed the header: %+v vs %+v", b2&lgReserved, raw, h)
 		}
 		// Structural invariants of the layout.
 		if h.Dummy && h.Seq != (seqnum.Seq{}) {
@@ -33,23 +37,27 @@ func FuzzLGDataWire(f *testing.F) {
 		if !h.Dummy && h.LastTx != (seqnum.Seq{}) {
 			t.Fatalf("data header decoded a LastTx: %+v", h)
 		}
-		if h.Chan > 31 {
-			t.Fatalf("channel %d outside the 5 wire bits", h.Chan)
-		}
 	})
 }
 
-// FuzzLGAckWire round-trips the ACK header over structured inputs: every
-// representable header survives Encode/Decode unchanged.
+// FuzzLGAckWire holds the 3-byte ACK-header codec to an exact bijection on
+// the 2^18 patterns with the spare and reserved bits clear, as
+// FuzzLGDataWire does for the data header.
 func FuzzLGAckWire(f *testing.F) {
-	f.Add(uint16(0), byte(0), byte(0), false)
-	f.Add(uint16(65535), byte(1), byte(31), true)
-	f.Add(uint16(7), byte(3), byte(40), true) // era/chan beyond wire range
-	f.Fuzz(func(t *testing.T, n uint16, era, ch byte, valid bool) {
-		h := LGAck{LatestRx: seqnum.Seq{N: n, Era: era & 1}, Chan: ch & 0x1f, Valid: valid}
-		got := DecodeLGAck(EncodeLGAck(&h))
-		if got != h {
-			t.Fatalf("ack round-trip: %+v -> %+v", h, got)
+	f.Add(byte(0), byte(0), byte(0))
+	f.Add(byte(0xff), byte(0xff), byte(0b0000_0011)) // era + valid
+	f.Add(byte(7), byte(0), byte(0xff))
+	f.Fuzz(func(t *testing.T, b0, b1, b2 byte) {
+		b := [LGHeaderBytes]byte{b0, b1, b2 &^ (ackSpareBit | lgReserved)}
+		h := DecodeLGAck(b)
+		if got := EncodeLGAck(&h); got != b {
+			t.Fatalf("Encode(Decode(%v)) = %v, not a bijection (header %+v)", b, got, h)
+		}
+		if h2 := DecodeLGAck(EncodeLGAck(&h)); h2 != h {
+			t.Fatalf("decode not stable: %+v vs %+v", h, h2)
+		}
+		if raw := DecodeLGAck([LGHeaderBytes]byte{b0, b1, b2}); raw != h {
+			t.Fatalf("spare or reserved bits %#02x changed the header: %+v vs %+v", b2&(ackSpareBit|lgReserved), raw, h)
 		}
 	})
 }

@@ -225,9 +225,6 @@ func (l *Link) LossRate(from *Ifc) float64 {
 // delivery; frames already in flight are unaffected.
 func (l *Link) SetDown(down bool) { l.down = down }
 
-// Down reports the flap state.
-func (l *Link) Down() bool { return l.down }
-
 // TapDeliver installs an observer at the link's delivery decision point:
 // fn sees every frame transmitted in either direction together with its
 // corruption verdict. Taps are held in a slice and run in installation

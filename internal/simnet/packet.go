@@ -34,9 +34,10 @@ func (k Kind) String() string {
 
 // Standard egress queue indices; lower index = strictly higher priority
 // (Figure 5: ReTx/loss-notifications > normal > dummy/ACK). Dummies and
-// explicit ACKs get separate strictly-low classes so that, with
-// bidirectional protection (§5), one port can host both self-replenishing
-// queues — its own direction's dummies and the reverse direction's ACKs.
+// explicit ACKs get separate strictly-low classes: each self-replenishing
+// stream owns its queue and that queue's dequeue hook, which the idle-link
+// control replay checks (core/replay.go), and a port that sends both —
+// one protecting each direction of its link — serves dummies first.
 const (
 	PrioHigh   = 0 // retransmissions, loss notifications, PFC
 	PrioNormal = 1 // regular traffic
@@ -61,10 +62,9 @@ const MaxNotifMissing = 8
 // Packet; Present distinguishes a stamped header from the zero value.
 type LGData struct {
 	Seq     seqnum.Seq
-	Chan    uint8 // protecting instance's channel (per-class protection, §5)
-	Present bool  // header stamped on this packet
-	Retx    bool  // retransmitted copy, not the original
-	Dummy   bool  // dummy packet: carries LastTx, consumes no seqNo
+	Present bool // header stamped on this packet
+	Retx    bool // retransmitted copy, not the original
+	Dummy   bool // dummy packet: carries LastTx, consumes no seqNo
 	// LastTx is meaningful only on dummy packets: the seqNo of the last
 	// protected packet actually transmitted, letting the receiver detect a
 	// tail loss without a new sequence number.
@@ -79,7 +79,6 @@ type LGData struct {
 // stamping fills in LatestRx).
 type LGAck struct {
 	LatestRx seqnum.Seq
-	Chan     uint8
 	Present  bool
 	Valid    bool
 }
@@ -91,7 +90,6 @@ type LossNotif struct {
 	Missing  [MaxNotifMissing]seqnum.Seq
 	Count    int // live prefix of Missing
 	LatestRx seqnum.Seq
-	Chan     uint8
 	Present  bool
 }
 

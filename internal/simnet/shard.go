@@ -184,10 +184,6 @@ func (e *Engine) Shards() int { return len(e.shards) }
 // Shard returns shard i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 
-// Lookahead returns the synchronization window length: the minimum
-// cross-shard link propagation delay, or 0 while no cross links exist.
-func (e *Engine) Lookahead() simtime.Duration { return simtime.Duration(e.lookahead) }
-
 // Now returns the committed simulation time (every shard's clock agrees
 // between Run calls).
 func (e *Engine) Now() simtime.Time { return simtime.Time(e.now) }

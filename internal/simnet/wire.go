@@ -13,30 +13,32 @@ import (
 // simulator carries headers parsed (Packet.LG / Packet.LGAck) and accounts
 // only their size; this file defines the bit layout a hardware dataplane
 // would emit, and the fuzz tests hold encode/decode to an exact bijection
-// on the data header's 24 bits.
+// on the header bits that carry a field.
 //
 // Data header layout:
 //
 //	byte 0: seqNo bits 0–7      (LastTx on dummy packets, which carry no
 //	byte 1: seqNo bits 8–15      own seqNo — §3.2)
-//	byte 2: bit 0 era, bit 1 retx, bit 2 dummy, bits 3–7 channel (0–31)
+//	byte 2: bit 0 era, bit 1 retx, bit 2 dummy, bits 3–7 reserved
 //
 // ACK header layout:
 //
 //	byte 0: latestRxSeqNo bits 0–7
 //	byte 1: latestRxSeqNo bits 8–15
-//	byte 2: bit 0 era, bit 1 valid, bit 2 spare, bits 3–7 channel
+//	byte 2: bit 0 era, bit 1 valid, bit 2 spare, bits 3–7 reserved
+//
+// One instance protects one link direction, so no header names an
+// instance. Encoders write the reserved bits as zero and the datagram
+// decoder rejects a frame that sets any of them: a header from an encoder
+// that does use them is never taken for one of this layout.
 const (
-	lgEraBit    = 1 << 0
-	lgRetxBit   = 1 << 1
-	lgDummyBit  = 1 << 2
-	lgChanMask  = 0x1f
-	lgChanShift = 3
+	lgEraBit   = 1 << 0
+	lgRetxBit  = 1 << 1
+	lgDummyBit = 1 << 2
+	lgReserved = 0xf8
 )
 
-// EncodeLGData packs a data header into its 3-byte wire form. Channels
-// above 31 are truncated to the 5 wire bits (per-class protection uses one
-// channel per traffic class; 32 classes is far beyond any deployment).
+// EncodeLGData packs a data header into its 3-byte wire form.
 func EncodeLGData(h *LGData) [LGHeaderBytes]byte {
 	seq := h.Seq
 	if h.Dummy {
@@ -45,7 +47,6 @@ func EncodeLGData(h *LGData) [LGHeaderBytes]byte {
 	var b [LGHeaderBytes]byte
 	b[0] = byte(seq.N)
 	b[1] = byte(seq.N >> 8)
-	b[2] = (h.Chan & lgChanMask) << lgChanShift
 	if seq.Era&1 != 0 {
 		b[2] |= lgEraBit
 	}
@@ -58,16 +59,16 @@ func EncodeLGData(h *LGData) [LGHeaderBytes]byte {
 	return b
 }
 
-// DecodeLGData unpacks a 3-byte wire header. Decode∘Encode is the identity
-// on canonical headers (era and channel within wire range, the unused seq
-// field zero), and Encode∘Decode is the identity on all 2^24 byte patterns.
+// DecodeLGData unpacks a 3-byte wire header; it ignores the reserved bits.
+// Decode∘Encode is the identity on canonical headers (era within wire
+// range, the unused seq field zero), and Encode∘Decode is the identity on
+// all 2^19 byte patterns with the reserved bits clear.
 func DecodeLGData(b [LGHeaderBytes]byte) LGData {
 	seq := seqnum.Seq{
 		N:   uint16(b[0]) | uint16(b[1])<<8,
 		Era: b[2] & lgEraBit,
 	}
 	h := LGData{
-		Chan:  (b[2] >> lgChanShift) & lgChanMask,
 		Retx:  b[2]&lgRetxBit != 0,
 		Dummy: b[2]&lgDummyBit != 0,
 	}
@@ -90,7 +91,6 @@ func EncodeLGAck(h *LGAck) [LGHeaderBytes]byte {
 	var b [LGHeaderBytes]byte
 	b[0] = byte(h.LatestRx.N)
 	b[1] = byte(h.LatestRx.N >> 8)
-	b[2] = (h.Chan & lgChanMask) << lgChanShift
 	if h.LatestRx.Era&1 != 0 {
 		b[2] |= ackEraBit
 	}
@@ -100,16 +100,15 @@ func EncodeLGAck(h *LGAck) [LGHeaderBytes]byte {
 	return b
 }
 
-// DecodeLGAck unpacks a 3-byte ACK wire header. The spare bit is ignored,
-// so Encode∘Decode is the identity on every byte pattern with the spare
-// bit clear.
+// DecodeLGAck unpacks a 3-byte ACK wire header. The spare and reserved
+// bits are ignored, so Encode∘Decode is the identity on every byte pattern
+// with them clear.
 func DecodeLGAck(b [LGHeaderBytes]byte) LGAck {
 	return LGAck{
 		LatestRx: seqnum.Seq{
 			N:   uint16(b[0]) | uint16(b[1])<<8,
 			Era: b[2] & ackEraBit,
 		},
-		Chan:  (b[2] >> lgChanShift) & lgChanMask,
 		Valid: b[2]&ackValidBit != 0,
 	}
 }
@@ -132,7 +131,7 @@ func DecodeLGAck(b [LGHeaderBytes]byte) LGAck {
 //	[3 bytes]  LG data header       (flag bit0; EncodeLGData layout)
 //	[3 bytes]  piggybacked/explicit ACK header (flag bit1; EncodeLGAck)
 //	[var]      loss-notification block (flag bit2):
-//	             3 bytes latestRx in the ACK layout with bits 1–2 clear,
+//	             3 bytes latestRx in the ACK layout with bits 1–7 clear,
 //	             1 byte count (≤ MaxNotifMissing),
 //	             1 byte per-seq era bits (bit i = Missing[i].Era; bits ≥
 //	             count must be zero),
@@ -226,9 +225,7 @@ func AppendLGDatagram(dst []byte, p *Packet, payload []byte) ([]byte, error) {
 		if n.Count < 0 || n.Count > MaxNotifMissing {
 			return dst, fmt.Errorf("%w: count %d", ErrDatagramNotif, n.Count)
 		}
-		hdr := (n.Chan & lgChanMask) << lgChanShift
-		hdr |= n.LatestRx.Era & 1
-		dst = append(dst, byte(n.LatestRx.N), byte(n.LatestRx.N>>8), hdr, byte(n.Count))
+		dst = append(dst, byte(n.LatestRx.N), byte(n.LatestRx.N>>8), n.LatestRx.Era&1, byte(n.Count))
 		var eras byte
 		for i := 0; i < n.Count; i++ {
 			eras |= (n.Missing[i].Era & 1) << i
@@ -305,6 +302,9 @@ func DecodeLGDatagram(b []byte, p *Packet) ([]byte, error) {
 		if len(b) < off+LGHeaderBytes {
 			return nil, fmt.Errorf("%w: in LG header", ErrDatagramTruncated)
 		}
+		if b[off+2]&lgReserved != 0 {
+			return nil, fmt.Errorf("%w: LG reserved bits %#02x", ErrDatagramHeader, b[off+2])
+		}
 		p.LG = DecodeLGData([LGHeaderBytes]byte{b[off], b[off+1], b[off+2]})
 		p.LG.Present = true
 		off += LGHeaderBytes
@@ -316,8 +316,8 @@ func DecodeLGDatagram(b []byte, p *Packet) ([]byte, error) {
 		if len(b) < off+LGHeaderBytes {
 			return nil, fmt.Errorf("%w: in ACK header", ErrDatagramTruncated)
 		}
-		if b[off+2]&ackSpareBit != 0 {
-			return nil, fmt.Errorf("%w: ACK spare bit set", ErrDatagramHeader)
+		if b[off+2]&(ackSpareBit|lgReserved) != 0 {
+			return nil, fmt.Errorf("%w: ACK spare or reserved bits %#02x", ErrDatagramHeader, b[off+2])
 		}
 		p.LGAck = DecodeLGAck([LGHeaderBytes]byte{b[off], b[off+1], b[off+2]})
 		p.LGAck.Present = true
@@ -328,7 +328,7 @@ func DecodeLGDatagram(b []byte, p *Packet) ([]byte, error) {
 			return nil, fmt.Errorf("%w: in notif block", ErrDatagramTruncated)
 		}
 		hdr := b[off+2]
-		if hdr&(ackValidBit|ackSpareBit) != 0 {
+		if hdr&^ackEraBit != 0 {
 			return nil, fmt.Errorf("%w: latestRx control bits %#02x", ErrDatagramNotif, hdr)
 		}
 		count := int(b[off+3])
@@ -341,8 +341,7 @@ func DecodeLGDatagram(b []byte, p *Packet) ([]byte, error) {
 		}
 		n := &p.Notif
 		n.Present = true
-		n.LatestRx = seqnum.Seq{N: uint16(b[off]) | uint16(b[off+1])<<8, Era: hdr & ackEraBit}
-		n.Chan = (hdr >> lgChanShift) & lgChanMask
+		n.LatestRx = seqnum.Seq{N: uint16(b[off]) | uint16(b[off+1])<<8, Era: hdr}
 		n.Count = count
 		off += 5
 		if len(b) < off+2*count {

@@ -32,8 +32,8 @@ func sampleFrames() []struct {
 	}{
 		{"data+lg+ack+payload", Packet{
 			Kind: KindData, Size: 1003,
-			LG:    LGData{Present: true, Seq: seqnum.Seq{N: 0x1234, Era: 1}, Chan: 5},
-			LGAck: LGAck{Present: true, Valid: true, LatestRx: seqnum.Seq{N: 0x1230}, Chan: 5},
+			LG:    LGData{Present: true, Seq: seqnum.Seq{N: 0x1234, Era: 1}},
+			LGAck: LGAck{Present: true, Valid: true, LatestRx: seqnum.Seq{N: 0x1230}},
 		}, []byte("hello, protected link")},
 		{"bare-data", Packet{Kind: KindData, Size: 64}, nil},
 		{"retx-copy", Packet{
@@ -42,7 +42,7 @@ func sampleFrames() []struct {
 		}, []byte{0, 1, 2, 3, 4, 5, 6, 7}},
 		{"explicit-ack", Packet{
 			Kind: KindLGAck, Size: 64,
-			LGAck: LGAck{Present: true, Valid: true, LatestRx: seqnum.Seq{N: 0xffff, Era: 1}, Chan: 31},
+			LGAck: LGAck{Present: true, Valid: true, LatestRx: seqnum.Seq{N: 0xffff, Era: 1}},
 		}, nil},
 		{"dummy", Packet{
 			Kind: KindDummy, Size: 64,
@@ -51,7 +51,7 @@ func sampleFrames() []struct {
 		{"loss-notif", Packet{
 			Kind: KindLossNotif, Size: 64,
 			Notif: LossNotif{
-				Present: true, Chan: 3, Count: 3,
+				Present: true, Count: 3,
 				LatestRx: seqnum.Seq{N: 100, Era: 1},
 				Missing: [MaxNotifMissing]seqnum.Seq{
 					{N: 101, Era: 1}, {N: 102, Era: 0}, {N: 103, Era: 1},
@@ -135,7 +135,9 @@ func TestLGDatagramRejects(t *testing.T) {
 		{"reserved-flags", mutate(valid, 3, 0x80), ErrDatagramFlags},
 		{"cut-lg-header", valid[:7], ErrDatagramTruncated},
 		{"cut-ack-header", valid[:10], ErrDatagramTruncated},
+		{"lg-reserved-bit", mutate(valid, 8, valid[8]|1<<3), ErrDatagramHeader},
 		{"ack-spare-bit", mutate(valid, 11, valid[11]|ackSpareBit), ErrDatagramHeader},
+		{"ack-reserved-bit", mutate(valid, 11, valid[11]|1<<7), ErrDatagramHeader},
 		{"cut-payload-len", valid[:13], ErrDatagramTruncated},
 		{"cut-payload", valid[:len(valid)-3], ErrDatagramTruncated},
 		{"trailing-garbage", append(append([]byte(nil), valid...), 0xee), ErrDatagramTrailing},
@@ -154,6 +156,7 @@ func TestLGDatagramRejects(t *testing.T) {
 		{"notif-count-huge", mutate(notif, 9, 0xff), ErrDatagramNotif},
 		{"notif-era-beyond-count", mutate(notif, 10, 0x80), ErrDatagramNotif},
 		{"notif-control-bits", mutate(notif, 8, notif[8]|ackValidBit), ErrDatagramNotif},
+		{"notif-reserved-bit", mutate(notif, 8, notif[8]|1<<5), ErrDatagramNotif},
 		{"pfc-class-range", mutate(pause, 6, NumPrios), ErrDatagramPFC},
 		{"cut-pfc-block", pause[:8], ErrDatagramTruncated},
 		{"payload-on-control", func() []byte {

@@ -59,7 +59,6 @@ const (
 	Rate40G  = 40 * Gbps
 	Rate50G  = 50 * Gbps
 	Rate100G = 100 * Gbps
-	Rate400G = 400 * Gbps
 )
 
 // String formats the rate using the conventional G/M/K suffixes.

@@ -28,9 +28,6 @@ func DefaultRDMAOpts() RDMAOpts {
 // RDMAFlow is a live handle on a running (or completed) RDMA write.
 type RDMAFlow struct{ s *rdmaSender }
 
-// Finished reports completion.
-func (f *RDMAFlow) Finished() bool { return f.s.finished }
-
 // Stats snapshots the flow's statistics; FCT is zero until completion.
 func (f *RDMAFlow) Stats() FlowStats { return f.s.stats }
 

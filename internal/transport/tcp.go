@@ -54,9 +54,6 @@ const initialRTOCold = simtime.Second // Linux TCP_TIMEOUT_INIT
 // TCPFlow is a live handle on a running (or completed) TCP flow.
 type TCPFlow struct{ s *tcpSender }
 
-// Finished reports completion.
-func (f *TCPFlow) Finished() bool { return f.s.finished }
-
 // Stats snapshots the flow's statistics; FCT is zero until completion.
 func (f *TCPFlow) Stats() FlowStats { return f.s.stats }
 
