@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 build vet test race bench-harness chaos cover loc fuzz live-smoke fleet-smoke results-smoke clean
+.PHONY: all tier1 build vet test race bench-harness abpair-smoke chaos cover loc fuzz live-smoke fleet-smoke results-smoke clean
 
 all: tier1
 
@@ -31,12 +31,14 @@ test:
 # takes many minutes. The reorder-buffer golden runs here too: the
 # receiver's ring replays loops lazily from whichever event touches it
 # first, and the race detector checks that bookkeeping on a busy schedule.
+# The fleet matrix's solutions share each shard's trace across workers;
+# its lanes-equal-solo-runs test checks that sharing on two workers.
 race:
 	$(GO) test -race ./internal/parallel
 	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabric(Stress|FCT)ShardInvariance|TestReorderBufferGolden' ./internal/experiments
 	$(GO) test -race -run 'TestFabricChaosShardInvariance' ./internal/chaos
 	$(GO) test -race -run 'TestEngine' ./internal/simnet
-	$(GO) test -race -run 'TestFleetWorkerInvariance' ./internal/fleetsim
+	$(GO) test -race -run 'TestFleetWorkerInvariance|TestMatrixLanesMatchSoloRuns' ./internal/fleetsim
 	$(GO) test -race -count=1 ./internal/live
 	$(GO) test -race -count=1 ./internal/results
 
@@ -45,6 +47,13 @@ race:
 # the harness fails here instead of only when benchmark/run.sh runs.
 bench-harness:
 	cd benchmark && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
+# One fleet_year pair of scripts/abpair.sh against HEAD at one host second
+# a side: checks that the A/B script builds both sides, runs them and
+# reads their results. One pair measures nothing; a real comparison is
+# scripts/abpair.sh <rev> <workload> 10.
+abpair-smoke:
+	ABPAIR_SECONDS=1 ./scripts/abpair.sh HEAD fleet_year 1
 
 # Ratcheted per-package coverage gate. Floors live in
 # scripts/coverage_thresholds.txt; raise them as coverage improves.

@@ -10,9 +10,12 @@ import (
 // iteration (≈400K simulated link-years each). The custom metric is
 // link-years of simulation per wall-clock second, which is what bounds the
 // reachable fleet size: 1M links × 4 solutions needs 4M link-years per run.
-// On a 2-vCPU Xeon container (Go 1.24.0) it reads about 620K link-years/s
-// at -cpu 1 and 940K at -cpu 2. The repository benchmark's fleet_year
-// workload is the gated number; this is the quick local yardstick.
+// On a 2-vCPU Xeon container (Go 1.24.0) it reads about 1.3M–1.6M
+// link-years/s at -cpu 1 and 2.3M–2.6M at -cpu 2 (three runs each); the
+// engine that redrew each shard's trace for every solution read
+// 0.63M–0.90M and 1.25M–1.62M on the same runs. The repository
+// benchmark's fleet_year workload is the gated number; this is the quick
+// local yardstick.
 func BenchmarkFleetPareto(b *testing.B) {
 	cfg := Config{
 		Links:   100_000,

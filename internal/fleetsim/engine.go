@@ -3,6 +3,8 @@ package fleetsim
 import (
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"linkguardian/internal/failtrace"
@@ -129,22 +131,42 @@ func Run(cfg Config, sol Solution) SolutionResult {
 }
 
 // RunMatrix runs every solution over the same per-shard corruption trace
-// streams (a paired comparison: onset times and loss rates are identical
-// across solutions because trace and repair draws come from separate RNG
-// streams). The (solution × shard) grid fans out over internal/parallel;
-// results land in index-addressed slots and merge in shard order, so the
-// output is byte-identical at any worker count.
+// (a paired comparison: onset times and loss rates are identical across
+// solutions because the trace is drawn once per shard, from a stream of
+// its own, and repair draws come from a separate one). The (shard ×
+// solution) grid fans out over internal/parallel; results land in
+// index-addressed slots and merge in shard order, so the output is
+// byte-identical at any worker count.
+//
+// Jobs are numbered shard-major and parallel.Map hands indices out in
+// order, so a shard's jobs run close together: the first to start draws
+// the shard's trace and the last to finish drops it, leaving about one
+// trace per worker alive at a time.
 func RunMatrix(cfg Config, sols []Solution) MatrixResult {
 	cfg = cfg.normalized()
-	nShards := cfg.Shards()
+	nShards, nSols := cfg.Shards(), len(sols)
 	type shardRun struct {
 		samples []shardSample
 		stats   ShardStats
 	}
-	runs := parallel.Map(len(sols)*nShards, func(i int) shardRun {
-		sol, sh := sols[i/nShards], i%nShards
-		s := newShard(cfg, sh, sol)
-		samples := s.run()
+	type sharedTrace struct {
+		once   sync.Once
+		onsets []onset
+		users  atomic.Int32
+	}
+	traces := make([]sharedTrace, nShards)
+	runs := parallel.Map(nShards*nSols, func(i int) shardRun {
+		sh, si := i/nSols, i%nSols
+		tr := &traces[sh]
+		tr.once.Do(func() {
+			tr.onsets = shardTrace(cfg, sh)
+			tr.users.Store(int32(nSols))
+		})
+		s := newShard(cfg, sh, sols[si])
+		samples := s.run(tr.onsets)
+		if tr.users.Add(-1) == 0 {
+			tr.onsets = nil
+		}
 		return shardRun{samples: samples, stats: s.stats}
 	})
 	out := MatrixResult{Config: cfg}
@@ -152,7 +174,7 @@ func RunMatrix(cfg Config, sols []Solution) MatrixResult {
 		res := SolutionResult{Solution: sols[si].Name()}
 		perShard := make([][]shardSample, nShards)
 		for sh := 0; sh < nShards; sh++ {
-			r := runs[si*nShards+sh]
+			r := runs[sh*nSols+si]
 			perShard[sh] = r.samples
 			res.Shards = append(res.Shards, r.stats)
 		}
@@ -294,6 +316,52 @@ func (h tlHeap) nextAt() time.Duration {
 	return h[0].at
 }
 
+// onset is one entry of a shard's corruption trace: link starts
+// corrupting at time at with loss rate q. 24 bytes.
+type onset struct {
+	at   time.Duration
+	link int32
+	q    float64
+}
+
+// shardTrace draws shard sh's corruption trace: every onset before the
+// horizon in (time, link) order. It is a pure function of (seed, shard),
+// never of the solution, the repair schedule or the workers, which is
+// what lets every solution of a matrix consume the one trace. Every
+// link's first onset is armed in link order from the shard's trace
+// stream; drawTrace takes it from there.
+func shardTrace(cfg Config, sh int) []onset {
+	rng := rand.New(rand.NewSource(parallel.SeedFor(cfg.Seed, 2*sh)))
+	_, pods := cfg.shardPods(sh)
+	nLinks := pods * cfg.Fabric.LinksPerPod()
+	armed := make(tlHeap, 0, nLinks)
+	for l := int32(0); l < int32(nLinks); l++ {
+		if at := failtrace.NextOnset(rng); at < cfg.Horizon {
+			armed.push(tlEvent{at: at, link: l})
+		}
+	}
+	return drawTrace(cfg.Horizon, rng, armed, nLinks)
+}
+
+// drawTrace pops the armed onsets in (time, link) order. Each pop draws
+// the link's loss rate, then its re-arm interval: the repair turnaround
+// plus the next time to failure. The trace is sized from the expected
+// onset count of nLinks links with a margin of four standard deviations,
+// so it is allocated once at any horizon.
+func drawTrace(horizon time.Duration, rng *rand.Rand, armed tlHeap, nLinks int) []onset {
+	e := failtrace.ExpectedEvents(nLinks, horizon)
+	trace := make([]onset, 0, int(e+4*math.Sqrt(e))+16)
+	for len(armed) > 0 {
+		ev := armed.pop()
+		q := failtrace.SampleLossRate(rng)
+		if rearm := ev.at + failtrace.SampleRepairTime(rng) + failtrace.NextOnset(rng); rearm < horizon {
+			armed.push(tlEvent{at: rearm, link: ev.link})
+		}
+		trace = append(trace, onset{at: ev.at, link: ev.link, q: q})
+	}
+	return trace
+}
+
 // shardSample is one shard's streaming metric snapshot at a sample time.
 type shardSample struct {
 	at               time.Duration
@@ -336,13 +404,15 @@ type shard struct {
 	podDirty []bool
 	dirty    []int32
 
-	corrupting []int32 // sorted, duplicate-free local link IDs
+	// corrupting holds each pod's corrupting links in a fixed window:
+	// pod p's sorted, duplicate-free local IDs fill
+	// corrupting[p*lpp : p*lpp+podCorr[p]]. Nothing grows with the horizon.
+	corrupting []int32
+	podCorr    []int32
+	nCorr      int     // corrupting links in all windows
 	candidates []int32 // the optimizer's scratch: one pod's up corrupting links
-	onsets     tlHeap
 	repairs    tlHeap
-
-	traceRng  *rand.Rand // onset times, loss rates, re-arm intervals
-	repairRng *rand.Rand // repair durations (consumption may diverge per solution)
+	repairRng  *rand.Rand // repair durations (consumption may diverge per solution)
 
 	penalty        float64
 	activeCorr     int32
@@ -352,17 +422,19 @@ type shard struct {
 	stats          ShardStats
 }
 
+// shardPods is shard sh's pod range: its first pod and its pod count.
+func (c Config) shardPods(sh int) (lo, n int) {
+	lo = sh * c.PodsPerShard
+	return lo, min(c.PodsPerShard, c.Fabric.Pods-lo)
+}
+
 func newShard(cfg Config, shardIdx int, sol Solution) *shard {
-	podLo := shardIdx * cfg.PodsPerShard
-	podHi := podLo + cfg.PodsPerShard
-	if podHi > cfg.Fabric.Pods {
-		podHi = cfg.Fabric.Pods
-	}
+	podLo, pods := cfg.shardPods(shardIdx)
 	s := &shard{
 		cfg:      cfg,
 		sol:      sol,
 		podLo:    podLo,
-		pods:     int32(podHi - podLo),
+		pods:     int32(pods),
 		lpp:      int32(cfg.Fabric.LinksPerPod()),
 		torLpp:   int32(cfg.Fabric.TorLinksPerPod()),
 		fabrics:  int32(cfg.Fabric.FabricsPerPod),
@@ -390,36 +462,36 @@ func newShard(cfg Config, shardIdx int, sol Solution) *shard {
 		s.podCap[p] = float64(s.lpp)
 		s.podPaths[p] = s.maxPaths
 	}
-	s.traceRng = rand.New(rand.NewSource(parallel.SeedFor(cfg.Seed, 2*shardIdx)))
+	s.corrupting = make([]int32, nLinks)
+	s.podCorr = make([]int32, s.pods)
 	s.repairRng = rand.New(rand.NewSource(parallel.SeedFor(cfg.Seed, 2*shardIdx+1)))
 	s.stats.Links = nLinks
-	// Arm every link's first onset in link order: the draw sequence is a
-	// pure function of (seed, shard), independent of solution or workers.
-	s.onsets = make(tlHeap, 0, nLinks)
-	for l := int32(0); l < int32(nLinks); l++ {
-		if at := failtrace.NextOnset(s.traceRng); at < cfg.Horizon {
-			s.onsets.push(tlEvent{at: at, link: l})
-		}
-	}
 	return s
 }
 
-// run drives the shard over the horizon, emitting one shardSample per
-// sample interval. Ties between a repair completion and an onset resolve
-// repair-first — the same discipline as the seed simulator.
-func (s *shard) run() []shardSample {
+// run drives the shard over the horizon through the shard's trace,
+// emitting one shardSample per sample interval. Ties between a repair
+// completion and an onset resolve repair-first — the same discipline as
+// the seed simulator.
+func (s *shard) run(trace []onset) []shardSample {
 	n := int(s.cfg.Horizon / s.cfg.SampleEvery)
 	samples := make([]shardSample, 0, n)
+	next := 0
 	for t := s.cfg.SampleEvery; t <= s.cfg.Horizon; t += s.cfg.SampleEvery {
 		for {
-			nextOnset, nextRepair := s.onsets.nextAt(), s.repairs.nextAt()
+			nextOnset, nextRepair := never, s.repairs.nextAt()
+			if next < len(trace) {
+				nextOnset = trace[next].at
+			}
 			if nextOnset > t && nextRepair > t {
 				break
 			}
 			if nextRepair <= nextOnset {
 				s.completeRepair()
 			} else {
-				s.processOnset()
+				o := &trace[next]
+				next++
+				s.onsetAt(o.at, o.link, o.q)
 			}
 		}
 		samples = append(samples, s.sample(t))
@@ -510,57 +582,50 @@ func (s *shard) markDirty(pod int32) {
 	}
 }
 
-// corruptingIndex is the position of the first tracked link >= link.
-func (s *shard) corruptingIndex(link int32) int {
-	lo, hi := 0, len(s.corrupting)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.corrupting[mid] < link {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// corruptWindow is pod's window of the corrupting set.
+func (s *shard) corruptWindow(pod int32) []int32 {
+	lo := pod * s.lpp
+	return s.corrupting[lo : lo+s.podCorr[pod]]
 }
 
-// corruptingInsert keeps the tracked set sorted and duplicate-free.
+// corruptingInsert keeps the link's pod window sorted and duplicate-free.
+// The window cannot overflow into the next pod's: a pod has lpp links.
 func (s *shard) corruptingInsert(link int32) {
-	i := s.corruptingIndex(link)
-	if i < len(s.corrupting) && s.corrupting[i] == link {
+	pod := s.pod(link)
+	w := s.corruptWindow(pod)
+	i := len(w)
+	for i > 0 && w[i-1] > link {
+		i--
+	}
+	if i > 0 && w[i-1] == link {
 		return
 	}
-	s.corrupting = append(s.corrupting, 0)
-	copy(s.corrupting[i+1:], s.corrupting[i:])
-	s.corrupting[i] = link
-	if len(s.corrupting) > s.stats.MaxCorrupting {
-		s.stats.MaxCorrupting = len(s.corrupting)
-	}
+	w = w[:len(w)+1]
+	copy(w[i+1:], w[i:])
+	w[i] = link
+	s.podCorr[pod]++
+	s.nCorr++
+	s.stats.MaxCorrupting = max(s.stats.MaxCorrupting, s.nCorr)
 }
 
 func (s *shard) corruptingRemove(link int32) {
-	if i := s.corruptingIndex(link); i < len(s.corrupting) && s.corrupting[i] == link {
-		s.corrupting = append(s.corrupting[:i], s.corrupting[i+1:]...)
+	pod := s.pod(link)
+	w := s.corruptWindow(pod)
+	for i, id := range w {
+		if id == link {
+			copy(w[i:], w[i+1:])
+			s.podCorr[pod]--
+			s.nCorr--
+			return
+		}
 	}
-}
-
-// processOnset handles the earliest corruption onset. Trace draws (loss
-// rate, re-arm interval) always happen — even when the link is down — so
-// the trace stream stays a pure function of (seed, shard) no matter what
-// the solution or repair schedule did.
-func (s *shard) processOnset() {
-	ev := s.onsets.pop()
-	q := failtrace.SampleLossRate(s.traceRng)
-	if rearm := ev.at + failtrace.SampleRepairTime(s.traceRng) + failtrace.NextOnset(s.traceRng); rearm < s.cfg.Horizon {
-		s.onsets.push(tlEvent{at: rearm, link: ev.link})
-	}
-	s.onsetAt(ev.at, ev.link, q)
 }
 
 // onsetAt is the per-link lifetime state machine's corruption transition:
 // healthy→corrupting (or corrupting→corrupting at a new rate), solution
-// engagement, and CorrOpt's fast-checker disable. Split from processOnset
-// so the fuzz target can drive it with adversarial inputs.
+// engagement, and CorrOpt's fast-checker disable. The trace's onsets reach
+// it through run; the tests and the fuzz target drive it directly with
+// adversarial inputs.
 func (s *shard) onsetAt(at time.Duration, link int32, q float64) {
 	st := &s.links[link]
 	// Count the trace onset before the liveness check: the trace is paired
@@ -630,8 +695,8 @@ func (s *shard) disableForRepair(now time.Duration, link int32) {
 // outside the link's pod, only a repair raises a pod's path counts, and
 // every onset and repair leaves no up corrupting link passing canDisable
 // (checkInvariants audits this), so a link in any other pod would fail
-// the check anyway. The pod's links are consecutive IDs, one run of the
-// sorted corrupting set.
+// the check anyway. The pod's corrupting links are its window of the
+// corrupting set.
 func (s *shard) completeRepair() {
 	ev := s.repairs.pop()
 	st := &s.links[ev.link]
@@ -645,8 +710,7 @@ func (s *shard) completeRepair() {
 	s.markDirty(pod)
 	s.stats.Repairs++
 
-	run := s.corrupting[s.corruptingIndex(pod*s.lpp):s.corruptingIndex((pod+1)*s.lpp)]
-	for _, id := range s.sortByPenalty(run) {
+	for _, id := range s.sortByPenalty(s.corruptWindow(pod)) {
 		if s.canDisable(id) {
 			s.disableForRepair(ev.at, id)
 		}
@@ -682,20 +746,26 @@ func (s *shard) sortByPenalty(ids []int32) []int32 {
 const pipeLinks = 16
 
 // maxProtectedPerPipe is the largest number of up protected links on one
-// pipe. The corrupting set is sorted and a pipe's links are consecutive
-// IDs of one pod, so each pipe is one run of the set: a single pass, no map.
+// pipe. A pipe's links are consecutive IDs of one pod, so each pipe is
+// one run of its pod's sorted window: one pass over the windows in pod
+// order, no map, and none at all while no link is protected.
 func (s *shard) maxProtectedPerPipe() int32 {
+	if s.protectedCount == 0 {
+		return 0
+	}
 	var best, run int32
 	pipe := int32(-1)
-	for _, id := range s.corrupting {
-		if st := &s.links[id]; !st.up() || !st.protected() {
-			continue
+	for pod := int32(0); pod < s.pods; pod++ {
+		for _, id := range s.corruptWindow(pod) {
+			if st := &s.links[id]; !st.up() || !st.protected() {
+				continue
+			}
+			if p := id - s.podOff(id)%pipeLinks; p != pipe {
+				pipe, run = p, 0
+			}
+			run++
+			best = max(best, run)
 		}
-		if p := id - s.podOff(id)%pipeLinks; p != pipe {
-			pipe, run = p, 0
-		}
-		run++
-		best = max(best, run)
 	}
 	return best
 }

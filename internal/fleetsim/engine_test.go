@@ -52,6 +52,33 @@ func TestFleetWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestMatrixLanesMatchSoloRuns holds every lane of a matrix to the solo
+// run of its solution: sharing one trace per shard among the solutions
+// must not change what any of them computes. The benchmark's traced
+// fleet slices, which call Run once per solution, rely on it.
+func TestMatrixLanesMatchSoloRuns(t *testing.T) {
+	sols := allSolutions(t)
+	defer parallel.SetWorkers(0)
+	variants := []struct{ constraint, deploy float64 }{{0.75, 0}, {0.5, 0.5}}
+	for _, seed := range []int64{1, 2} {
+		for _, v := range variants {
+			for _, w := range []int{1, 2} {
+				parallel.SetWorkers(w)
+				cfg := ciConfig()
+				cfg.Horizon, cfg.Seed = 365*24*time.Hour, seed
+				cfg.Constraint, cfg.DeployFraction = v.constraint, v.deploy
+				m := RunMatrix(cfg, sols)
+				for i, sol := range sols {
+					if solo := Run(cfg, sol); !reflect.DeepEqual(m.Results[i], solo) {
+						t.Fatalf("seed %d, constraint %g, deploy %g, workers %d: matrix lane %s differs from its solo run",
+							seed, v.constraint, v.deploy, w, sol.Name())
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFleetShardStructureFixedByConfig pins that the shard layout depends
 // on PodsPerShard, never on the worker count.
 func TestFleetShardStructureFixedByConfig(t *testing.T) {
@@ -258,5 +285,27 @@ func TestRunAllocsFlatInHorizon(t *testing.T) {
 	short, long := allocs(0.5), allocs(2)
 	if slack := float64(4 * cfg.Shards()); long > short+slack {
 		t.Fatalf("Run allocates %v times over 0.5 years but %v over 2 years (slack %v)", short, long, slack)
+	}
+}
+
+// TestRunMatrixAllocsFlatInHorizon is TestRunAllocsFlatInHorizon for the
+// four-solution matrix, under the same slack: each shard's trace is drawn
+// once and sized from the expected onset count, so a longer horizon adds
+// no doublings of it.
+func TestRunMatrixAllocsFlatInHorizon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-year allocation gate skipped in -short mode")
+	}
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	cfg := Config{Links: 20_000, Seed: 1}
+	sols := allSolutions(t)
+	allocs := func(years float64) float64 {
+		cfg.Horizon = time.Duration(years * 365 * 24 * float64(time.Hour))
+		return testing.AllocsPerRun(1, func() { RunMatrix(cfg, sols) })
+	}
+	short, long := allocs(0.5), allocs(2)
+	if slack := float64(4 * cfg.Shards()); long > short+slack {
+		t.Fatalf("RunMatrix allocates %v times over 0.5 years but %v over 2 years (slack %v)", short, long, slack)
 	}
 }

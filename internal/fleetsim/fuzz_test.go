@@ -71,12 +71,14 @@ func FuzzLinkLifecycle(f *testing.F) {
 					t.Fatalf("%s: op %d (0x%02x,0x%02x): %v", name, i, op, arg, err)
 				}
 			}
-			// Drain: every pending repair must re-enable cleanly.
+			// Drain: every pending repair must re-enable cleanly. The audit
+			// runs after each repair, so a repair that disables a healthy
+			// link, and with it a drain that never ends, fails at once.
 			for len(s.repairs) > 0 {
 				s.completeRepair()
-			}
-			if err := s.checkInvariants(); err != nil {
-				t.Fatalf("%s: after drain: %v", name, err)
+				if err := s.checkInvariants(); err != nil {
+					t.Fatalf("%s: draining repairs: %v", name, err)
+				}
 			}
 			for l := range s.links {
 				if !s.links[l].up() {

@@ -15,8 +15,10 @@ import (
 //     capacity (within float tolerance);
 //   - the incremental penalty, capacity, and counter aggregates match a
 //     from-scratch recomputation;
-//   - the corrupting set is sorted, duplicate-free, and contains exactly
-//     the links whose corrupting flag is set;
+//   - every pod's window of the corrupting set is sorted, duplicate-free
+//     and holds only that pod's links, all flagged corrupting, and the
+//     window sizes sum to the number of flagged links (so the windows
+//     hold exactly the flagged links);
 //   - every scheduled repair refers to a distinct link that is down and
 //     still marked corrupting (a repair is only ever dispatched for a
 //     corrupting link, and only one repair per link can be in flight);
@@ -86,21 +88,27 @@ func (s *shard) checkInvariants() error {
 			}
 		}
 	}
-	for _, id := range s.corrupting {
-		if s.canDisable(id) {
-			return fmt.Errorf("up corrupting link %d passes canDisable: state not settled", id)
+	windows := 0
+	for pod := int32(0); pod < s.pods; pod++ {
+		w := s.corruptWindow(pod)
+		windows += len(w)
+		for i, id := range w {
+			if i > 0 && w[i-1] >= id {
+				return fmt.Errorf("pod %d window not sorted/duplicate-free at %d: %d >= %d", pod, i, w[i-1], id)
+			}
+			if id < 0 || id >= int32(len(s.links)) || s.pod(id) != pod {
+				return fmt.Errorf("pod %d window holds link %d of another pod", pod, id)
+			}
+			if !s.links[id].corrupting() {
+				return fmt.Errorf("pod %d window holds non-corrupting link %d", pod, id)
+			}
+			if s.canDisable(id) {
+				return fmt.Errorf("up corrupting link %d passes canDisable: state not settled", id)
+			}
 		}
 	}
-	if len(s.corrupting) != corruptFlagged {
-		return fmt.Errorf("corrupting set size %d != %d flagged links", len(s.corrupting), corruptFlagged)
-	}
-	for i, id := range s.corrupting {
-		if i > 0 && s.corrupting[i-1] >= id {
-			return fmt.Errorf("corrupting set not sorted/duplicate-free at %d: %d >= %d", i, s.corrupting[i-1], id)
-		}
-		if !s.links[id].corrupting() {
-			return fmt.Errorf("corrupting set contains non-corrupting link %d", id)
-		}
+	if windows != corruptFlagged || s.nCorr != windows {
+		return fmt.Errorf("corrupting windows hold %d links (count %d), %d flagged", windows, s.nCorr, corruptFlagged)
 	}
 	seen := map[int32]bool{}
 	for _, ev := range s.repairs {

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"linkguardian/internal/failtrace"
 	"linkguardian/internal/lgmodel"
+	"linkguardian/internal/parallel"
 )
 
 // figure4Config is a one-shard fleet of Figure 4 pods (48 ToRs, 4 fabric
@@ -30,21 +32,27 @@ func spineLink(s *shard, pod, fab, spine int32) int32 {
 	return pod*s.lpp + s.torLpp + fab*s.spines + spine
 }
 
-// denseShard returns a shard over 8 Figure 4 pods whose trace is n onsets
-// drawn uniformly over the horizon on random links — about 100x the
-// realistic onset rate, so the capacity constraint binds. Loss rates come
-// from the shard's trace stream, so shards built with the same arguments
-// see the same onsets whatever the solution.
-func denseShard(sol Solution, deploy float64, n int, horizon, every time.Duration) *shard {
+// denseRun runs a shard over 8 Figure 4 pods whose trace is armed with n
+// onsets drawn uniformly over the horizon on random links — about 100x
+// the realistic onset rate, so the capacity constraint binds. Loss rates
+// and re-arms come from the shard's trace stream, past the natural first
+// onsets that the dense ones replace, so runs with the same arguments see
+// the same onsets whatever the solution.
+func denseRun(sol Solution, deploy float64, n int, horizon, every time.Duration) (*shard, []shardSample) {
 	cfg := figure4Config(8, 0.75)
 	cfg.Horizon, cfg.SampleEvery, cfg.DeployFraction = horizon, every, deploy
-	s := newShard(cfg.normalized(), 0, sol)
-	s.onsets = s.onsets[:0]
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < n; i++ {
-		s.onsets.push(tlEvent{at: time.Duration(rng.Int63n(int64(horizon))), link: int32(rng.Intn(len(s.links)))})
+	cfg = cfg.normalized()
+	s := newShard(cfg, 0, sol)
+	stream := rand.New(rand.NewSource(parallel.SeedFor(cfg.Seed, 0)))
+	for range s.links {
+		failtrace.NextOnset(stream)
 	}
-	return s
+	rng := rand.New(rand.NewSource(42))
+	armed := tlHeap{}
+	for i := 0; i < n; i++ {
+		armed.push(tlEvent{at: time.Duration(rng.Int63n(int64(horizon))), link: int32(rng.Intn(len(s.links)))})
+	}
+	return s, s.run(drawTrace(cfg.Horizon, stream, armed, len(s.links)))
 }
 
 // TestLinkIDsRoundTrip pins the pod-major link layout of Fabric:
@@ -266,8 +274,7 @@ func TestPodCapacityConsistency(t *testing.T) {
 
 func TestConstraintNeverViolated(t *testing.T) {
 	for _, sol := range []Solution{CorrOptOnly{}, LinkGuardian{}} {
-		s := denseShard(sol, 0, 600, 30*24*time.Hour, 6*time.Hour)
-		samples := s.run()
+		s, samples := denseRun(sol, 0, 600, 30*24*time.Hour, 6*time.Hour)
 		if len(samples) == 0 {
 			t.Fatal("no samples")
 		}
@@ -282,8 +289,8 @@ func TestConstraintNeverViolated(t *testing.T) {
 
 func TestCombinedPolicyReducesPenalty(t *testing.T) {
 	horizon := 60 * 24 * time.Hour
-	vanilla := denseShard(CorrOptOnly{}, 0, 1200, horizon, 6*time.Hour).run()
-	combined := denseShard(LinkGuardian{}, 0, 1200, horizon, 6*time.Hour).run()
+	_, vanilla := denseRun(CorrOptOnly{}, 0, 1200, horizon, 6*time.Hour)
+	_, combined := denseRun(LinkGuardian{}, 0, 1200, horizon, 6*time.Hour)
 
 	// Once corruption pressure builds, the combined policy must deliver
 	// orders-of-magnitude lower penalty at a good share of the sampled
@@ -381,7 +388,8 @@ func TestIncrementalDeployment(t *testing.T) {
 	horizon := 60 * 24 * time.Hour
 	penalty := func(sol Solution, frac float64) float64 {
 		sum := 0.0
-		for _, ss := range denseShard(sol, frac, 1200, horizon, 12*time.Hour).run() {
+		_, samples := denseRun(sol, frac, 1200, horizon, 12*time.Hour)
+		for _, ss := range samples {
 			sum += ss.penalty
 		}
 		return sum

@@ -31,12 +31,21 @@ func (p Params) ResidualFrameLoss(q float64) float64 {
 		return 0
 	}
 	n := p.K + p.R
-	// P(more than R of n frames lost), binomial tail in log space.
+	// P(more than R of n frames lost), binomial tail in log space. The
+	// sum stops once it is final: term i no longer moves it and the terms
+	// shrink from i on. The log-ratio of term i+1 to term i only falls
+	// with i, so once it is negative every later term is smaller still,
+	// and float addition is monotone, so none of them can move the sum
+	// either. The margin keeps rounding in the logs from faking a fall.
 	row, lq, lnq := logChooseRow(n), math.Log(q), math.Log1p(-q)
 	var tail float64
 	for i := p.R + 1; i <= n; i++ {
 		lp := row[i] + float64(i)*lq + float64(n-i)*lnq
-		tail += math.Exp(lp)
+		t := math.Exp(lp)
+		if tail+t == tail && i < n && row[i+1]-row[i]+lq-lnq < -1e-9 {
+			break
+		}
+		tail += t
 	}
 	if tail > 1 {
 		tail = 1

@@ -94,15 +94,17 @@ func residualPerTerm(p Params, q float64) float64 {
 
 // TestResidualMatchesPerTermOracle requires ResidualFrameLoss to be
 // bit-identical to the per-term oracle at every BestParams block, over a
-// log-spaced grid from 1e-9 to 0.5 and over the fleet trace's loss-rate
-// draws, plus two block sizes the logChoose table does not hold.
+// log-spaced grid from 1e-9 to 0.999 and over the fleet trace's loss-rate
+// draws, plus three block sizes the logChoose table does not hold. Above
+// q = 0.5 the first terms of the tail grow, so an early stop would show
+// there; the 1000-frame block has the longest tail.
 func TestResidualMatchesPerTermOracle(t *testing.T) {
-	params := []Params{BestParams(1e-5), BestParams(1e-4), BestParams(1e-3), BestParams(1e-2), {K: 10, R: 2}, {K: 200, R: 8}}
+	params := []Params{BestParams(1e-5), BestParams(1e-4), BestParams(1e-3), BestParams(1e-2), {K: 10, R: 2}, {K: 200, R: 8}, {K: 990, R: 10}}
 	var qs []float64
-	for e := -9.0; e <= math.Log10(0.5); e += 0.05 {
+	for e := -9.0; e <= math.Log10(0.999); e += 0.05 {
 		qs = append(qs, math.Pow(10, e))
 	}
-	qs = append(qs, 0.5)
+	qs = append(qs, 0.5, 0.9, 0.999)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 10_000; i++ {
 		qs = append(qs, failtrace.SampleLossRate(rng))
