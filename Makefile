@@ -22,22 +22,21 @@ vet:
 test:
 	$(GO) test ./...
 
-# Race job for the concurrent packages: the parallel engine itself, the
-# experiment layer that fans out across it, and the sharded simulation
-# engine's determinism regressions (worker/shard invariance is exactly the
-# property a data race would break first). The fabric FCT and chaos runs
-# execute the single-link experiment bodies on shard goroutines. Runs are
-# filtered to the multi-worker tests because the full suite under -race
-# takes many minutes. The reorder-buffer golden runs here too: the
-# receiver's ring replays loops lazily from whichever event touches it
-# first, and the race detector checks that bookkeeping on a busy schedule.
-# The fleet matrix's solutions share each shard's trace across workers;
-# its lanes-equal-solo-runs test checks that sharing on two workers.
+# Race job for the concurrent packages: the parallel worker pool itself and
+# the experiment layer that fans out across it, whose serial-equals-parallel
+# regressions are exactly what a data race would break first (every
+# simulation, fabrics included, runs on one goroutine; only independent
+# runs execute concurrently). Runs are filtered to the multi-worker tests
+# because the full suite under -race takes many minutes. The reorder-buffer
+# golden runs here too: the receiver's ring replays loops lazily from
+# whichever event touches it first, and the race detector checks that
+# bookkeeping on a busy schedule. The fleet matrix's solutions share each
+# shard's trace across workers; its lanes-equal-solo-runs test checks that
+# sharing on two workers. The live dataplane and the results store run
+# goroutines of their own and go under the detector whole.
 race:
 	$(GO) test -race ./internal/parallel
-	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestFabric(Stress|FCT)ShardInvariance|TestReorderBufferGolden' ./internal/experiments
-	$(GO) test -race -run 'TestFabricChaosShardInvariance' ./internal/chaos
-	$(GO) test -race -run 'TestEngine' ./internal/simnet
+	$(GO) test -race -run 'TestParallel.*MatchesSerial|TestReorderBufferGolden' ./internal/experiments
 	$(GO) test -race -run 'TestFleetWorkerInvariance|TestMatrixLanesMatchSoloRuns' ./internal/fleetsim
 	$(GO) test -race -count=1 ./internal/live
 	$(GO) test -race -count=1 ./internal/results

@@ -9,9 +9,8 @@
 //	chaos -gen 17 [-seed 1]             run generated scenario #17 of the seed
 //	chaos -soak 200 [-seed 1] [-workers 8]
 //	                                    sweep generated scenarios in parallel
-//	chaos -scenario spike -fabric 4 [-workers 4]
-//	                                    run one scenario on every segment of a
-//	                                    multi-segment fabric (sharded engine)
+//	chaos -scenario spike -fabric 4     run one scenario on every segment of a
+//	                                    multi-segment fabric
 //	chaos -families 6 [-seed 1]         sweep the composite fault families
 //	                                    (corrupt+congest, asym, correlated)
 //	chaos -attrib 10 [-attrib-multi 4] [-attrib-min 0.9]
@@ -52,8 +51,8 @@ func main() {
 	attribMulti := flag.Int("attrib-multi", 0, "correlated multi-culprit attribution scenarios (reported, not gated)")
 	attribMin := flag.Float64("attrib-min", 0.9, "minimum single-culprit top-1 accuracy")
 	seed := flag.Int64("seed", 1, "scenario seed (soak/gen: master seed)")
-	workers := flag.Int("workers", 0, "soak workers, or concurrent fabric shards (0 = all cores); never changes results")
-	fabric := flag.Int("fabric", 0, "run -scenario on an N-segment fabric (sharded engine)")
+	workers := flag.Int("workers", 0, "soak workers for -soak, -families and -attrib (0 = all cores); never changes results")
+	fabric := flag.Int("fabric", 0, "run -scenario on every segment of an N-segment fabric (one simulation)")
 	artifacts := flag.String("artifacts", "", "flight-recorder directory for failing scenarios")
 	resultsDir := flag.String("results-dir", "", "results store directory: run reports ingest as content-hashed runs and failing-scenario flight-recorder dumps register as content-addressed blobs keyed by scenario-index-seed (replaces -artifacts directory dumps)")
 	tracePath := flag.String("trace", "", "single run: write the protected link's trace (.jsonl = JSONL, else Chrome trace_event)")
@@ -99,7 +98,6 @@ func main() {
 			log.Fatalf("unknown scenario %q (try -list)", *scenario)
 		}
 		if *fabric > 1 {
-			parallel.SetWorkers(*workers)
 			os.Exit(runFabric(sc, *fabric, *metricsOut, store, stopProf))
 		}
 		os.Exit(run(sc, opts, *tracePath, *metricsOut, store, stopProf))
@@ -246,7 +244,7 @@ func run(sc chaos.Scenario, opts chaos.RunOpts, tracePath, metricsOut string, st
 func runFabric(sc chaos.Scenario, nsegs int, metricsOut string, store *results.Store, stopProf func() error) int {
 	fmt.Printf("scenario %s seed=%d rate=%v frame=%dB load=%.2f window=%v steps=%d fabric=%d\n",
 		sc.Name, sc.Seed, sc.Rate, sc.FrameSize, sc.LoadFrac, sc.Window, len(sc.Steps), nsegs)
-	fr := chaos.RunFabric(sc, nsegs, 0)
+	fr := chaos.RunFabric(sc, nsegs)
 	finishProfiles(stopProf)
 	if metricsOut != "" {
 		if err := obs.WriteMetricsFile(metricsOut, fr.Metrics); err != nil {

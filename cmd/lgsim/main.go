@@ -15,9 +15,7 @@
 // format that Perfetto loads directly.
 //
 // -segments > 1 runs the multi-segment fabric — N copies of the testbed
-// joined in a ring of cross-shard links — on the sharded conservative
-// engine, executing up to one shard per core concurrently. Results are
-// identical at any core count; only wall time changes. -mode and -target
+// joined in a ring of links — on one simulation. -mode and -target
 // configure every segment; -trace applies to a single link only.
 package main
 
@@ -47,7 +45,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the run's metrics snapshot as JSON")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile")
 	memprofile := flag.String("memprofile", "", "write a heap profile")
-	segments := flag.Int("segments", 1, "fabric segments (>1 runs the multi-segment fabric on the sharded engine)")
+	segments := flag.Int("segments", 1, "fabric segments (>1 runs N testbeds joined in a ring)")
 	flag.Parse()
 
 	rate, err := parseRate(*rateStr)
@@ -76,7 +74,7 @@ func main() {
 	cfg.Mode = mode
 	cfg.TargetLossRate = *target
 	if *segments > 1 {
-		fres := experiments.RunFabricStress(cfg, rate, *loss, *segments, 0, opts)
+		fres := experiments.RunFabricStress(cfg, rate, *loss, *segments, opts)
 		if err := stopProf(); err != nil {
 			log.Fatal(err)
 		}
@@ -91,10 +89,9 @@ func main() {
 				i, fres.Sent[i], fres.CrossTx[(i+fres.Segments-1)%fres.Segments], fres.Received[i])
 		}
 		for i := 0; i < fres.Segments; i++ {
-			p := fmt.Sprintf("engine.shard%d", i)
-			fmt.Printf("shard %d         : windows %d, stalls %d, handoffs out %d / in %d\n",
-				i, fres.Metrics.Counter(p+".windows"), fres.Metrics.Counter(p+".lookahead_stalls"),
-				fres.Metrics.Counter(p+".handoffs_out"), fres.Metrics.Counter(p+".handoffs_in"))
+			j := (i + 1) % fres.Segments
+			fmt.Printf("ring link x%d    : %d frames s%d.sw6 -> s%d.sw2\n",
+				i, fres.Metrics.Counter(fmt.Sprintf("x%d.s%d.sw6->s%d.sw2.port.tx_frames", i, i, j)), i, j)
 		}
 		return
 	}

@@ -203,17 +203,15 @@ func designSpace(scale float64) {
 	}
 }
 
-// fabricFCT is the multi-segment fabric FCT experiment on the sharded
-// conservative engine: every segment runs 24,387B DCTCP flows over its own
-// lossy protected link while cross-segment transit traffic rides the ring
-// of cross-shard links. Shards execute on up to -workers goroutines, which
-// never changes a byte of the output.
+// fabricFCT is the multi-segment fabric FCT experiment: every segment runs
+// 24,387B DCTCP flows over its own lossy protected link while
+// cross-segment transit traffic rides the ring, all on one simulation.
 func fabricFCT(scale float64, segments int) {
-	header(fmt.Sprintf("Fabric FCT: %d segments on the sharded engine, 24,387B DCTCP, 1e-3 loss", segments))
+	header(fmt.Sprintf("Fabric FCT: %d segments in one simulation, 24,387B DCTCP, 1e-3 loss", segments))
 	opts := experiments.DefaultFCTOpts(24387)
 	opts.Trials = scaleInt(2000, scale)
 	for _, prot := range []experiments.Protection{experiments.NoLoss, experiments.LossOnly, experiments.LG} {
-		results := experiments.RunFabricFCT(experiments.TransDCTCP, prot, opts, segments, 0, 0.05)
+		results := experiments.RunFabricFCT(experiments.TransDCTCP, prot, opts, segments, 0.05)
 		for i, r := range results {
 			fmt.Printf("s%d %v\n", i, r)
 		}

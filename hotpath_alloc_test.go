@@ -4,11 +4,10 @@ package bench
 // are plain tests, so `go test ./...` (tier 1) catches an allocation
 // regression: after warmup, advancing the simulation must not allocate on
 // the port→link→receive path, on the loss-notification→Tx-buffer→
-// retransmission path, across the sharded engine's cross-shard handoffs,
-// nor on the simulated transports' segment, ACK and timer path.
+// retransmission path, across a multi-segment fabric's ring links, nor on
+// the simulated transports' segment, ACK and timer path.
 
 import (
-	"fmt"
 	"testing"
 
 	"linkguardian/internal/core"
@@ -76,37 +75,29 @@ func TestSenderRetxPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFabricHotPathZeroAlloc is the same gate for the sharded engine: a
-// 4-segment (8-switch) fabric at 1e-3 loss on every protected link, with
-// cross-segment traffic crossing a shard boundary every window, so the
-// outbox cells, barrier merge and packet materialization are all on the
-// measured path. Workers 1 runs the four shards inline on one goroutine,
-// workers 4 runs them concurrently; both must be allocation-free per 1 ms
-// slice (~30k packets).
+// TestFabricHotPathZeroAlloc is the same gate for the multi-segment fabric:
+// four segments (8 switches) on one Sim at 1e-3 loss on every protected
+// link, with cross-segment traffic on the ring links. It must be
+// allocation-free per 1 ms slice (~30k packets).
 func TestFabricHotPathZeroAlloc(t *testing.T) {
 	const loss = 1e-3
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
-			f := experiments.NewSegmented(1, 4, workers, simtime.Rate100G, core.NewConfig(simtime.Rate100G, loss))
-			defer f.Eng.Close()
-			f.SetLoss(loss)
-			f.EnableAll()
-			f.CountReceivedAll()
-			for _, tb := range f.Segs {
-				// Same finite-buffer guard as above; cross traffic adds to
-				// the protected queue, so the generators leave headroom.
-				tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
-				defer tb.StartGeneratorAt(1500, 0.85).Stop()
-			}
-			stopCross, _ := f.CrossTraffic(1500, 0.1)
-			defer stopCross()
-			for i := 0; i < 10; i++ {
-				f.Eng.RunFor(simtime.Millisecond)
-			}
-			if avg := testing.AllocsPerRun(5, func() { f.Eng.RunFor(simtime.Millisecond) }); avg != 0 {
-				t.Fatalf("fabric hot path allocates: %.2f allocs per 1ms slice at workers=%d", avg, workers)
-			}
-		})
+	f := experiments.NewSegmented(1, 4, simtime.Rate100G, core.NewConfig(simtime.Rate100G, loss))
+	f.SetLoss(loss)
+	f.EnableAll()
+	f.CountReceivedAll()
+	for _, tb := range f.Segs {
+		// Same finite-buffer guard as above; cross traffic adds to the
+		// protected queue, so the generators leave headroom.
+		tb.Link.A().Port.Q(simnet.PrioNormal).MaxBytes = 256 << 10
+		defer tb.StartGeneratorAt(1500, 0.85).Stop()
+	}
+	stopCross, _ := f.CrossTraffic(1500, 0.1)
+	defer stopCross()
+	for i := 0; i < 10; i++ {
+		f.Sim.RunFor(simtime.Millisecond)
+	}
+	if avg := testing.AllocsPerRun(5, func() { f.Sim.RunFor(simtime.Millisecond) }); avg != 0 {
+		t.Fatalf("fabric hot path allocates: %.2f allocs per 1ms slice", avg)
 	}
 }
 

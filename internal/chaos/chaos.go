@@ -272,14 +272,10 @@ func RunScenario(sc Scenario, opts RunOpts) *Report {
 			_ = fr.SnapshotTrace("trace-" + v.Rule + ".jsonl")
 			_ = fr.SnapshotTracer(dataRing, "trace-"+v.Rule+"-data.jsonl")
 		}
-		tb.Sim.Q.OnBudgetExceeded = func(diag string) {
-			fr.Note("eventq", diag)
-			_, _ = fr.Dump("event-queue drain budget exceeded")
-		}
 	}
 
 	run.start(&sc)
-	drive(tb.Sim.RunFor, &sc, []*linkRun{run}, nil)
+	drive(tb.Sim, &sc, []*linkRun{run}, nil)
 	r := run.report(&sc, sc.Name)
 	if sc.Family != "" {
 		// Per-family fault counters, visible in the report's snapshot and in
@@ -358,12 +354,11 @@ func watch(sc *Scenario, tb *experiments.Testbed, faultSeed int64) *linkRun {
 
 // start is the second half: LinkGuardian enabled at the scenario's sequence
 // position, traffic on, and every step scheduled. Stateful faults are
-// cloned per run — and so per fabric segment: segments run on different
-// shard goroutines, and a CorrelatedGE clone reproduces the shared chain
-// from its seed, which is how a correlated group spans segments without
-// cross-shard state — so a Scenario value can be executed repeatedly with
-// identical results. Faults carrying their own end-of-run invariants wire
-// them into the checker here.
+// cloned per run — and so per fabric segment: a CorrelatedGE clone
+// reproduces the shared chain from its seed, which is how a correlated
+// group spans segments without shared fault state — so a Scenario value can
+// be executed repeatedly with identical results. Faults carrying their own
+// end-of-run invariants wire them into the checker here.
 func (r *linkRun) start(sc *Scenario) {
 	tb := r.eng.rig.Testbed
 	tb.LG.Enable()
@@ -389,29 +384,28 @@ func (sc *Scenario) frame() int {
 	return sc.FrameSize
 }
 
-// drive runs a scenario's window with runFor — a testbed's Sim, or a
-// fabric's Engine advancing every segment at once — stopping every
-// generator (then calling stop, if non-nil) after the traffic fraction of
-// it. It then drains: every in-flight recovery must finish (or time out
-// into the loss accounting) before the end-of-run invariants, and a run
-// counts as quiesced once its checker holds steady for quiesceStable
-// consecutive rounds.
-func drive(runFor func(simtime.Duration), sc *Scenario, runs []*linkRun, stop func()) {
+// drive runs a scenario's window on sim — a testbed's, or a fabric's
+// advancing every segment at once — stopping every generator (then calling
+// stop, if non-nil) after the traffic fraction of it. It then drains: every
+// in-flight recovery must finish (or time out into the loss accounting)
+// before the end-of-run invariants, and a run counts as quiesced once its
+// checker holds steady for quiesceStable consecutive rounds.
+func drive(sim *simnet.Sim, sc *Scenario, runs []*linkRun, stop func()) {
 	genWindow := sc.Window
 	if sc.TrafficFrac > 0 && sc.TrafficFrac < 1 {
 		genWindow = simtime.Duration(float64(sc.Window) * sc.TrafficFrac)
 	}
-	runFor(genWindow)
+	sim.RunFor(genWindow)
 	for _, r := range runs {
 		r.gen.Stop()
 	}
 	if stop != nil {
 		stop()
 	}
-	runFor(sc.Window - genWindow)
+	sim.RunFor(sc.Window - genWindow)
 
 	for i := 0; i < quiesceRounds; i++ {
-		runFor(quiesceRound)
+		sim.RunFor(quiesceRound)
 		all := true
 		for _, r := range runs {
 			if r.quiesced {

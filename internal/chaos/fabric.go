@@ -11,8 +11,7 @@ import (
 
 // FabricReport is the outcome of one fabric scenario: every segment's
 // invariant report, in segment order, plus the merged obs snapshot
-// (per-segment protocol and link metrics and the engine's per-shard
-// counters).
+// (per-segment protocol and link metrics and the ring links' counters).
 type FabricReport struct {
 	Scenario string
 	Seed     int64
@@ -30,8 +29,7 @@ func (fr *FabricReport) Failed() bool {
 	return false
 }
 
-// String renders the report deterministically, one segment per stanza —
-// compared byte-for-byte by the shard-invariance regression.
+// String renders the report deterministically, one segment per stanza.
 func (fr *FabricReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fabric %s seed=%d segments=%d", fr.Scenario, fr.Seed, len(fr.Segments))
@@ -47,17 +45,10 @@ func (fr *FabricReport) String() string {
 // driven by an independent fault RNG (parallel.SeedFor(sc.Seed, segment),
 // so fault patterns decorrelate across segments but are a pure function of
 // the seed), its own checker, and its own protected-link traffic, while
-// cross-segment transit load flows through the ring and across shard
-// boundaries. workers caps concurrent shard execution and — the
-// determinism contract — never changes a byte of the report.
-//
-// Faults act on each segment's own protected link, never on the
-// cross-shard ring links: fault state is single-threaded per shard, which
-// is exactly the engine's rule that FaultFn/SetDown on a cross link is
-// unsupported.
-func RunFabric(sc Scenario, nsegs, workers int) *FabricReport {
-	f := experiments.NewSegmented(sc.Seed, nsegs, workers, sc.Rate, sc.config())
-	defer f.Eng.Close()
+// cross-segment transit load flows through the ring. Faults act on each
+// segment's own protected link, never on the ring links.
+func RunFabric(sc Scenario, nsegs int) *FabricReport {
+	f := experiments.NewSegmented(sc.Seed, nsegs, sc.Rate, sc.config())
 	reg := obs.NewRegistry()
 	f.Register(reg)
 
@@ -67,7 +58,7 @@ func RunFabric(sc Scenario, nsegs, workers int) *FabricReport {
 		runs[i].start(&sc)
 	}
 	stopCross, _ := f.CrossTraffic(sc.frame(), 0.1)
-	drive(f.Eng.RunFor, &sc, runs, stopCross)
+	drive(f.Sim, &sc, runs, stopCross)
 
 	fr := &FabricReport{Scenario: sc.Name, Seed: sc.Seed, Segments: make([]*Report, len(runs))}
 	for i, r := range runs {

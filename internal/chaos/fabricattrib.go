@@ -25,7 +25,7 @@ import (
 // answers ("which link should I enable protection on?"). The whole pipeline
 // is deterministic: probe pacing uses no randomness, fault streams derive
 // from (seed, segment), and observations merge in (src, dst) order, so the
-// blame table is byte-identical at any -workers setting.
+// blame table is a pure function of the scenario.
 
 // AttribScenario describes one fabric attribution run.
 type AttribScenario struct {
@@ -86,8 +86,7 @@ type AttribReport struct {
 	Metrics obs.Snapshot
 }
 
-// String renders the run deterministically — compared byte-for-byte across
-// worker counts by the attribution soak.
+// String renders the run deterministically.
 func (r *AttribReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s seed=%d segs=%d culprits=[%s] top1=%v topK=%d/%d ranks{%s}",
@@ -104,7 +103,7 @@ func indent(s, pad string) string {
 // RunFabricAttrib executes one attribution scenario: an NSegs-segment
 // unprotected fabric, the scenario's fault on each culprit link, one probe
 // stream per ordered segment pair, and a 007 vote over the delivery audit.
-func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
+func RunFabricAttrib(sc AttribScenario) *AttribReport {
 	n := sc.NSegs
 	if n < 2 {
 		n = 2
@@ -121,8 +120,7 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	frame := 1024
 
 	cfg := core.NewConfig(rate, EnvelopeLossRate)
-	f := experiments.NewSegmented(sc.Seed, n, workers, rate, cfg)
-	defer f.Eng.Close()
+	f := experiments.NewSegmented(sc.Seed, n, rate, cfg)
 	// LinkGuardian stays disabled on every segment: 007's unmasked setting.
 	for _, tb := range f.Segs {
 		tb.SetLoss(base)
@@ -180,9 +178,9 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	reg := obs.NewRegistry()
 	f.Register(reg)
 
-	f.Eng.RunFor(window + interval)
+	f.Sim.RunFor(window + interval)
 	// Drain: let the last in-flight probes cross up to n segments.
-	f.Eng.RunFor(simtime.Duration(n) * (simtime.Millisecond / 2))
+	f.Sim.RunFor(simtime.Duration(n) * (simtime.Millisecond / 2))
 
 	// The delivery audit, merged in (src, dst) order.
 	flowObs := make([]attrib.FlowObs, 0, len(probes))
@@ -204,7 +202,7 @@ func RunFabricAttrib(sc AttribScenario, workers int) *AttribReport {
 	acc := attrib.Verify(tab, attrib.GroundTruth{Culprits: culprits})
 
 	// Attribution accuracy gauges and vote counters, merged into the run's
-	// snapshot next to the per-segment link and engine metrics.
+	// snapshot next to the per-segment and ring link metrics.
 	reg.Gauge("attrib.top1_hit").Set(b2f(acc.Top1Hit))
 	reg.Gauge("attrib.topk_hits").Set(float64(acc.TopKHits))
 	if worst, ok := acc.WorstRank(); ok {
@@ -327,16 +325,13 @@ func (s *AttribSoakResult) Register(reg *obs.Registry) {
 }
 
 // AttribSoak runs nSingle single-culprit and nMulti correlated multi-culprit
-// attribution scenarios across the worker pool. Each scenario's fabric runs
-// sequentially (workers=1 inside the fabric) while scenarios fan out, which
-// is both faster and — by the determinism contract — indistinguishable in
-// results from any other split.
+// attribution scenarios across the worker pool, one fabric per scenario.
 func AttribSoak(master int64, nSingle, nMulti int) *AttribSoakResult {
 	reports := parallel.Map(nSingle+nMulti, func(i int) *AttribReport {
 		if i < nSingle {
-			return RunFabricAttrib(GenAttribScenario(master, i), 1)
+			return RunFabricAttrib(GenAttribScenario(master, i))
 		}
-		return RunFabricAttrib(GenAttribMultiScenario(master, i-nSingle), 1)
+		return RunFabricAttrib(GenAttribMultiScenario(master, i-nSingle))
 	})
 	return &AttribSoakResult{Master: master, Single: reports[:nSingle], Multi: reports[nSingle:]}
 }

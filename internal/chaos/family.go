@@ -271,10 +271,9 @@ func (f *CongestionBurst) String() string {
 // computes the identical good/bad chain, advancing it one step per Epoch of
 // simulated time. Instances on different fabric segments therefore go bad
 // in the same windows — the correlated multi-link failure of a shared optics
-// module — without any cross-shard state: the chain is a pure function of
-// (SharedSeed, elapsed time), computed independently wherever a member runs,
-// which is what keeps sharded fabric runs byte-identical at any worker
-// count. While the chain is bad, every protected-direction frame drops.
+// module — without any shared state: the chain is a pure function of
+// (SharedSeed, elapsed time), computed independently wherever a member
+// runs. While the chain is bad, every protected-direction frame drops.
 type CorrelatedGE struct {
 	SharedSeed int64
 	AvgLoss    float64

@@ -49,8 +49,8 @@
 //
 // A run of events whose effects an owner can compute in closed form — a
 // periodic stream on an otherwise idle link — need not be dispatched one at
-// a time either. Inside a RunUntil or RunBefore window, Horizon reports how
-// far the queue holds nothing but the owner's own events; the owner draws
+// a time either. Inside a RunUntil window, Horizon reports how far the
+// queue holds nothing but the owner's own events; the owner draws
 // as many tie-breaking numbers as the replayed events would have
 // (AddReplayed), and re-enters the stream's next event at a ticket of its
 // own with ScheduleCallAt. Fired counts only dispatched events; Fired plus
@@ -58,9 +58,7 @@
 package eventq
 
 import (
-	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 )
 
@@ -143,8 +141,7 @@ func (l *lane) pop() *event {
 
 // Queue is a time-ordered event queue. The zero value is ready to use.
 // Queue is not safe for concurrent use; a simulation run is single-threaded
-// by design (independent queues may run on concurrent goroutines — the
-// sharded engine in internal/simnet runs one Queue per topology shard).
+// by design (independent queues may run on concurrent goroutines).
 type Queue struct {
 	h      []*event // heap: lane heads and out-of-order events
 	free   *event
@@ -154,25 +151,17 @@ type Queue struct {
 	live   int // scheduled and neither canceled nor fired
 	// bound is the firing-order boundary at now: a ticket for now is due
 	// when its seq is below it. Firing an event sets it to that event's
-	// seq; a RunUntil that reaches its deadline sets it to nexts, and a
-	// RunBefore that reaches its limit to 0.
+	// seq; a RunUntil that reaches its deadline sets it to nexts.
 	bound uint64
 
-	// shard is the owning shard's id plus one when the queue belongs to a
-	// parallel-engine shard (SetShard), zero for a standalone global queue.
-	// The Drain-panic diagnostics include it so a panic inside one shard of a
-	// parallel run names the shard and its local clock instead of
-	// masquerading as a single global queue.
-	shard int
+	// _ holds the fields below at the offsets the simulator's hot loop was
+	// measured with: a shift of the lane table alone moves the per-packet
+	// cost by a few percent.
+	_ [16]byte
 
-	// OnBudgetExceeded, if set, observes the queue diagnostics just before
-	// Drain panics on budget exhaustion — the flight-recorder hook, letting
-	// a run dump its trace ring and metrics snapshot before dying.
-	OnBudgetExceeded func(diag string)
-
-	// stop is the end of the active RunUntil or RunBefore window,
-	// exclusive: no event at or after it fires before the run returns.
-	// inRun is false under a bare Step or Drain.
+	// stop is the end of the active RunUntil window, exclusive: no event at
+	// or after it fires before the run returns. inRun is false under a
+	// bare Step.
 	stop  int64
 	inRun bool
 	// hz is Horizon's reusable search frontier.
@@ -183,14 +172,6 @@ type Queue struct {
 	// code pointer. It sits last so the hot fields above share cache lines.
 	lanes [laneSlots]lane
 }
-
-// SetShard marks the queue as owned by shard id of a parallel engine; the
-// id and the shard's local clock then appear in Drain-panic diagnostics.
-func (q *Queue) SetShard(id int) { q.shard = id + 1 }
-
-// Shard returns the owning shard id set by SetShard, or -1 for a
-// standalone (single global queue) simulation.
-func (q *Queue) Shard() int { return q.shard - 1 }
 
 // Now returns the current simulated time in nanoseconds: the firing time of
 // the most recently dispatched event.
@@ -302,8 +283,7 @@ func (q *Queue) TicketAt(at int64) Ticket {
 // Due reports whether an event scheduled in t's place would have fired by
 // now. Inside a callback that means t lies before the dispatched event;
 // between Steps, before the last fired one; after RunUntil(d), at or before
-// d for any ticket reserved before the call; after RunBefore(l), strictly
-// before l.
+// d for any ticket reserved before the call.
 func (q *Queue) Due(t Ticket) bool {
 	return t.at < q.now || t.at == q.now && t.seq < q.bound
 }
@@ -426,33 +406,10 @@ func (q *Queue) RunUntil(deadline int64) {
 	}
 }
 
-// RunBefore fires every event strictly before limit in one batched pass and
-// advances Now to limit. It is the shard-window primitive of the parallel
-// engine: a shard executes all events inside its lookahead-safe window
-// [Now, limit) with a single tight loop. On return Now == limit (the
-// window's end), so the next window's cross-shard arrivals, all stamped at
-// or after limit by the lookahead guarantee, can be scheduled without time
-// running backwards. It returns the number of events fired.
-func (q *Queue) RunBefore(limit int64) int {
-	stop, inRun := q.stop, q.inRun
-	q.stop, q.inRun = limit, true
-	fired := 0
-	for e := q.peek(); e != nil && e.at < limit; e = q.peek() {
-		q.fire(e)
-		fired++
-	}
-	q.stop, q.inRun = stop, inRun
-	if q.now < limit {
-		q.now = limit
-		q.bound = 0
-	}
-	return fired
-}
-
 // NextAt reports the firing time of the earliest pending event. ok is false
 // when no live events remain. Real-time executors (internal/live) use it to
-// set their wall-clock wakeup; the discrete-event Run/Drain loops never need
-// it. Lazily-canceled entries are purged so the answer is exact.
+// set their wall-clock wakeup; the discrete-event Run loops never need it.
+// Lazily-canceled entries are purged so the answer is exact.
 func (q *Queue) NextAt() (at int64, ok bool) {
 	e := q.peek()
 	if e == nil {
@@ -471,12 +428,11 @@ type hzNode struct {
 
 // Horizon reports how far the active run may be replayed past the events in
 // skip: the firing time of the earliest live event not in skip, capped by
-// the end of the RunUntil or RunBefore window (exclusive: deadline+1 for
-// RunUntil, the limit for RunBefore). ok is false outside such a window —
-// under a bare Step or Drain — where nothing bounds a replay. The search
-// is best-first from the heap root: an entry is expanded into its heap
-// children and lane successor only while it is dead or skipped and earlier
-// than the best answer so far.
+// the end of the RunUntil window (exclusive: deadline+1). ok is false
+// outside such a window — under a bare Step — where nothing bounds a
+// replay. The search is best-first from the heap root: an entry is expanded
+// into its heap children and lane successor only while it is dead or
+// skipped and earlier than the best answer so far.
 func (q *Queue) Horizon(skip ...Timer) (at int64, ok bool) {
 	if !q.inRun {
 		return 0, false
@@ -531,61 +487,6 @@ func skipped(e *event, skip []Timer) bool {
 		}
 	}
 	return false
-}
-
-// Drain fires events until none remain. maxEvents bounds runaway
-// simulations: Drain panics if it fires more than maxEvents events
-// (use <=0 for no bound). The panic message carries queue diagnostics —
-// current sim time, pending event count, the next few deadlines — so a
-// non-quiescing run (e.g. a chaos scenario that left a replenishing
-// queue alive) can be debugged from the failure alone.
-func (q *Queue) Drain(maxEvents int64) {
-	var n int64
-	for q.Step() {
-		n++
-		if maxEvents > 0 && n > maxEvents {
-			diag := q.diagnose(5)
-			if q.OnBudgetExceeded != nil {
-				q.OnBudgetExceeded(diag)
-			}
-			panic(fmt.Sprintf(
-				"eventq: event budget %d exceeded; simulation is likely not quiescing (%s)",
-				maxEvents, diag))
-		}
-	}
-}
-
-// diagnose summarizes queue state for the Drain panic: the current time,
-// how many live events are pending, and the earliest k deadlines across the
-// heap and every lane. A queue owned by a parallel-engine shard (SetShard)
-// leads with the shard id and labels the time as that shard's local clock —
-// under the sharded engine there is no single global queue for the old
-// message to describe.
-func (q *Queue) diagnose(k int) string {
-	next := make([]int64, 0, q.live)
-	for _, e := range q.h {
-		if e.lane == nil && !e.dead() { // lane heads are counted with their lane
-			next = append(next, e.at)
-		}
-	}
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		for _, e := range l.evs[l.head:] {
-			if !e.dead() {
-				next = append(next, e.at)
-			}
-		}
-	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	if len(next) > k {
-		next = next[:k]
-	}
-	if q.shard > 0 {
-		return fmt.Sprintf("shard %d: shard clock=%dns, %d live events, next deadlines (ns): %v",
-			q.shard-1, q.now, q.live, next)
-	}
-	return fmt.Sprintf("now=%dns, %d live events, next deadlines (ns): %v",
-		q.now, q.live, next)
 }
 
 // peek returns the earliest live event, left in place at the heap root, or

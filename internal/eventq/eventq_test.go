@@ -4,10 +4,15 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// drain fires events until none remain.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
 
 func TestFIFOAtSameInstant(t *testing.T) {
 	var q Queue
@@ -16,7 +21,7 @@ func TestFIFOAtSameInstant(t *testing.T) {
 		i := i
 		q.Schedule(100, func() { got = append(got, i) })
 	}
-	q.Drain(0)
+	drain(&q)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant events fired out of order: %v", got)
@@ -39,7 +44,7 @@ func TestTimeOrdering(t *testing.T) {
 		at := at
 		q.Schedule(at, func() { fired = append(fired, at) })
 	}
-	q.Drain(0)
+	drain(&q)
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Fatal("events fired out of time order")
 	}
@@ -55,7 +60,7 @@ func TestCancel(t *testing.T) {
 	q.Cancel(e)
 	q.Cancel(e)       // double-cancel is a no-op
 	q.Cancel(Timer{}) // zero timer is inert
-	q.Drain(0)
+	drain(&q)
 	if fired {
 		t.Fatal("canceled event fired")
 	}
@@ -74,7 +79,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 	q.Cancel(evs[7])
 	q.Cancel(evs[13])
-	q.Drain(0)
+	drain(&q)
 	if len(got) != 18 {
 		t.Fatalf("fired %d, want 18", len(got))
 	}
@@ -93,7 +98,7 @@ func TestSchedulingFromCallback(t *testing.T) {
 		q.After(3, func() { order = append(order, "c") })
 		q.Schedule(6, func() { order = append(order, "b") })
 	})
-	q.Drain(0)
+	drain(&q)
 	want := []string{"a", "b", "c"}
 	for i := range want {
 		if order[i] != want[i] {
@@ -147,51 +152,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestDrainBudget(t *testing.T) {
-	var q Queue
-	var bomb func()
-	bomb = func() { q.After(1, bomb) }
-	q.After(1, bomb)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("runaway simulation did not trip the event budget")
-		}
-	}()
-	q.Drain(1000)
-}
-
-// The budget panic must carry enough queue state to debug a hang: the sim
-// time it stopped at, the live event count, and the next deadlines. Most of
-// the pending events here wait behind a lane head, out of the heap, and the
-// deadlines must still be the true earliest ones.
-func TestDrainBudgetPanicDiagnostics(t *testing.T) {
-	var q Queue
-	var bomb func()
-	bomb = func() { q.After(7, bomb) }
-	q.After(7, bomb)
-	nop := func(_, _ any) {}
-	for at := int64(100); at <= 800; at += 100 {
-		q.ScheduleCall(at, nop, nil, nil) // one lane: 100 heads it, 200..800 wait behind
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("runaway simulation did not trip the event budget")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want string", r)
-		}
-		for _, want := range []string{"budget 10", "now=77ns", "9 live events",
-			"next deadlines (ns): [84 100 200 300 400]"} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("panic message %q missing %q", msg, want)
-			}
-		}
-	}()
-	q.Drain(10)
-}
-
 // A stale handle — held across its event's firing and the slot's reuse —
 // must never cancel the successor event occupying the recycled slot.
 func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
@@ -209,7 +169,7 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	if fresh.Canceled() {
 		t.Fatal("stale Cancel killed the recycled event")
 	}
-	q.Drain(0)
+	drain(&q)
 	if !fired {
 		t.Fatal("recycled event did not fire")
 	}
@@ -220,7 +180,7 @@ func TestCanceledInsideOwnCallback(t *testing.T) {
 	var tm Timer
 	var sawCanceled bool
 	tm = q.Schedule(5, func() { sawCanceled = tm.Canceled() })
-	q.Drain(0)
+	drain(&q)
 	if !sawCanceled {
 		t.Fatal("timer not reported canceled inside its own callback")
 	}
@@ -234,7 +194,7 @@ func TestLenExcludesLazilyCanceled(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d with one live and one canceled event, want 1", q.Len())
 	}
-	q.Drain(0)
+	drain(&q)
 	if q.Len() != 0 {
 		t.Fatalf("Len = %d after drain", q.Len())
 	}
@@ -270,7 +230,7 @@ func TestScheduleStepZeroAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.Schedule(q.Now()+int64(i), fn)
 	}
-	q.Drain(0)
+	drain(&q)
 	allocs := testing.AllocsPerRun(10000, func() {
 		q.Schedule(q.Now()+10, fn)
 		q.Step()
@@ -288,7 +248,7 @@ func TestScheduleCancelZeroAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.Schedule(q.Now()+int64(i), fn)
 	}
-	q.Drain(0)
+	drain(&q)
 	allocs := testing.AllocsPerRun(10000, func() {
 		tm := q.Schedule(q.Now()+10, fn)
 		q.Cancel(tm)
@@ -450,7 +410,7 @@ func TestStableOrderProperty(t *testing.T) {
 			at, i := int64(tt), i
 			q.Schedule(at, func() { fired = append(fired, rec{at, i}) })
 		}
-		q.Drain(0)
+		drain(&q)
 		want := make([]rec, len(times))
 		for i, tt := range times {
 			want[i] = rec{int64(tt), i}
@@ -468,45 +428,6 @@ func TestStableOrderProperty(t *testing.T) {
 	}
 }
 
-// The budget-exceeded hook must observe the same diagnostics the panic
-// carries, before the panic unwinds — it is the flight recorder's last
-// chance to dump state from a non-quiescing simulation.
-func TestOnBudgetExceededHook(t *testing.T) {
-	var q Queue
-	var bomb func()
-	bomb = func() { q.After(3, bomb) }
-	q.After(3, bomb)
-	var hooked string
-	q.OnBudgetExceeded = func(diag string) { hooked = diag }
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("budget not tripped")
-		}
-		if hooked == "" {
-			t.Fatal("OnBudgetExceeded not called before the panic")
-		}
-		if msg := r.(string); !strings.Contains(msg, hooked) {
-			t.Fatalf("hook diagnostics %q not embedded in panic %q", hooked, msg)
-		}
-	}()
-	q.Drain(5)
-}
-
-// The Drain-panic summary names the live event count and the earliest
-// deadlines.
-func TestDiagnoseSummary(t *testing.T) {
-	var q Queue
-	q.Schedule(10, func() {})
-	q.Schedule(20, func() {})
-	d := q.diagnose(5)
-	for _, want := range []string{"2 live events", "next deadlines (ns): [10 20]"} {
-		if !strings.Contains(d, want) {
-			t.Fatalf("diagnose = %q, missing %q", d, want)
-		}
-	}
-}
-
 // The typed two-word form must interleave with closure events in exact
 // schedule order (both draw from the same tie-breaking sequence), deliver
 // its operand cells, and report progress via Fired.
@@ -519,7 +440,7 @@ func TestTypedCallEventsOrderAndOperands(t *testing.T) {
 	q.Schedule(10, func() { got = append(got, "closure@10") })
 	q.ScheduleCall(10, rec, &op{"typed@10b"}, nil)
 	q.AfterCall(5, rec, &op{"typed@5"}, nil)
-	q.Drain(0)
+	drain(&q)
 	want := []string{"typed@5", "typed@10a", "closure@10", "typed@10b"}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -559,7 +480,7 @@ func TestTimerAt(t *testing.T) {
 		t.Fatalf("canceled At() = %d, want 0", tm.At())
 	}
 	tm2 := q.ScheduleCall(30, fn, nil, nil)
-	q.Drain(0)
+	drain(&q)
 	if tm2.At() != 0 {
 		t.Fatalf("fired At() = %d, want 0", tm2.At())
 	}
@@ -575,7 +496,7 @@ func TestScheduleCallZeroAllocsSteadyState(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		q.ScheduleCall(q.Now()+int64(i), fn, p, nil)
 	}
-	q.Drain(0)
+	drain(&q)
 	allocs := testing.AllocsPerRun(10000, func() {
 		q.ScheduleCall(q.Now()+10, fn, p, nil)
 		q.Step()
@@ -588,103 +509,9 @@ func TestScheduleCallZeroAllocsSteadyState(t *testing.T) {
 	}
 }
 
-// RunBefore is the shard-window primitive: it must fire exactly the events
-// strictly before the limit, in (time, seq) order, leave later events
-// pending, and advance Now to the window end so arrivals stamped at the
-// limit can be scheduled without "past" panics.
-func TestRunBeforeWindowExclusive(t *testing.T) {
-	var q Queue
-	var got []int64
-	rec := func(at int64) func() { return func() { got = append(got, at) } }
-	for _, at := range []int64{5, 10, 10, 15, 20, 25} {
-		q.Schedule(at, rec(at))
-	}
-	fired := q.RunBefore(20)
-	want := []int64{5, 10, 10, 15}
-	if fired != len(want) {
-		t.Fatalf("fired %d events, want %d", fired, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order %v, want %v", got, want)
-		}
-	}
-	if q.Now() != 20 {
-		t.Fatalf("Now = %d after RunBefore(20), want 20", q.Now())
-	}
-	if q.Len() != 2 {
-		t.Fatalf("%d events pending, want 2 (at 20 and 25)", q.Len())
-	}
-	// The window-boundary arrival: scheduling at exactly the limit is legal.
-	q.Schedule(20, rec(20))
-	q.RunBefore(26)
-	if len(got) != 7 || got[4] != 20 || got[5] != 20 || got[6] != 25 {
-		t.Fatalf("after second window got %v", got)
-	}
-}
-
-// A canceled root must not count as fired and must be reclaimed silently by
-// the batched pass.
-func TestRunBeforeSkipsCanceled(t *testing.T) {
-	var q Queue
-	n := 0
-	tm := q.Schedule(5, func() { n += 100 })
-	q.Schedule(6, func() { n++ })
-	q.Cancel(tm)
-	if fired := q.RunBefore(10); fired != 1 || n != 1 {
-		t.Fatalf("fired=%d n=%d, want 1/1", fired, n)
-	}
-}
-
-// RunBefore is on the parallel hot path: steady-state windows must not
-// allocate.
-func TestRunBeforeZeroAllocsSteadyState(t *testing.T) {
-	var q Queue
-	type payload struct{ n int }
-	p := &payload{}
-	fn := func(a0, _ any) { a0.(*payload).n++ }
-	for i := 0; i < 64; i++ {
-		q.ScheduleCall(q.Now()+int64(i), fn, p, nil)
-	}
-	q.Drain(0)
-	allocs := testing.AllocsPerRun(10000, func() {
-		at := q.Now()
-		q.ScheduleCall(at+1, fn, p, nil)
-		q.ScheduleCall(at+2, fn, p, nil)
-		q.RunBefore(at + 3)
-	})
-	if allocs != 0 {
-		t.Fatalf("RunBefore window allocates %.1f objects/op in steady state, want 0", allocs)
-	}
-}
-
-// A queue owned by a parallel-engine shard reports the shard id and its
-// local clock in diagnostics; a standalone queue keeps the old message.
-func TestDiagnosticsShardLabel(t *testing.T) {
-	var q Queue
-	if q.Shard() != -1 {
-		t.Fatalf("standalone queue Shard() = %d, want -1", q.Shard())
-	}
-	q.Schedule(40, func() {})
-	if d := q.diagnose(3); strings.Contains(d, "shard") {
-		t.Fatalf("standalone diagnostics mention a shard: %q", d)
-	}
-	q.SetShard(3)
-	if q.Shard() != 3 {
-		t.Fatalf("Shard() = %d, want 3", q.Shard())
-	}
-	d := q.diagnose(3)
-	if !strings.Contains(d, "shard 3") || !strings.Contains(d, "shard clock=0ns") {
-		t.Fatalf("sharded diagnostics missing shard id or clock: %q", d)
-	}
-	if !strings.Contains(d, "[40]") {
-		t.Fatalf("sharded diagnostics lost the deadlines: %q", d)
-	}
-}
-
 // A ticket is due exactly when an event in its place would have fired: at
 // its own instant that depends on its place against the dispatched event,
-// on where RunUntil or RunBefore stopped, and on the last Step.
+// on where RunUntil stopped, and on the last Step.
 func TestTicketDue(t *testing.T) {
 	var q Queue
 	var inA, inB [2]bool
@@ -721,12 +548,7 @@ func TestTicketDue(t *testing.T) {
 		t.Fatal("a second RunUntil(20) did not pass the ticket reserved for 20")
 	}
 
-	// After RunBefore(l), a ticket at l is not due; one before l is.
-	edge, inside := q.TicketAt(30), q.TicketAt(29)
-	q.RunBefore(30)
-	if q.Due(edge) || !q.Due(inside) {
-		t.Fatalf("after RunBefore(30): Due(30) = %v, Due(29) = %v, want false, true", q.Due(edge), q.Due(inside))
-	}
+	edge := q.TicketAt(30)
 	q.Schedule(30, func() {})
 	q.Step()
 	if !q.Due(edge) {
@@ -745,7 +567,7 @@ func TestTicketKeepsTieOrder(t *testing.T) {
 		}
 		q.Schedule(7, func() { got = append(got, i) })
 	}
-	q.Drain(0)
+	drain(&q)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) || q.Fired() != 4 || q.Len() != 0 {
 		t.Fatalf("got %v, fired %d, len %d", got, q.Fired(), q.Len())
 	}
@@ -795,7 +617,7 @@ func TestScheduleCallAtKeepsTicketPlace(t *testing.T) {
 	tk := q.TicketAt(5)
 	q.ScheduleCall(5, rec, 2, nil)
 	q.ScheduleCallAt(tk, rec, 1, nil)
-	q.Drain(0)
+	drain(&q)
 	if !reflect.DeepEqual(got, []int{0, 1, 2}) || q.Len() != 0 {
 		t.Fatalf("fired %v, len %d; want [0 1 2], 0", got, q.Len())
 	}
@@ -850,7 +672,7 @@ func TestHorizonWindow(t *testing.T) {
 		})
 	}
 	q.RunUntil(20)
-	q.RunBefore(30)
+	q.RunUntil(29)
 	want := []probe{{7, true}, {21, true}, {30, true}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("horizons %v, want %v", got, want)

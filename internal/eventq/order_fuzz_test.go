@@ -17,8 +17,8 @@ import (
 // collisions, deliberately out-of-order ScheduleCalls that take the heap
 // path behind a non-empty lane, closure events that are heap-only, handlers
 // that re-arm themselves from inside their callback, cancellation of lane
-// heads and of events deep inside a lane, and Step, RunUntil, RunBefore and
-// NextAt windows.
+// heads and of events deep inside a lane, and Step, RunUntil and NextAt
+// windows.
 //
 // Tickets ride along: the model treats each TicketAt as a no-op event in
 // the same order, fired with the real events around it. After every op,
@@ -45,14 +45,15 @@ func FuzzQueueOrder(f *testing.F) {
 				t.Fatalf("after op %d (opcode %d, arg %d): %v", pc/2, op, arg, err)
 			}
 		}
-		r.q.Drain(0)
+		for r.q.Step() {
+		}
 		for m.step() {
 		}
 		if err := r.check(m); err != nil {
-			t.Fatalf("after final Drain: %v", err)
+			t.Fatalf("after the final steps: %v", err)
 		}
 		if r.q.Len() != 0 {
-			t.Fatalf("Len = %d after Drain", r.q.Len())
+			t.Fatalf("Len = %d after the final steps", r.q.Len())
 		}
 	})
 }
@@ -194,15 +195,10 @@ func (r *orderRig) exec(m *orderModel, op byte, arg int) error {
 		if got, want := r.q.Step(), m.step(); got != want {
 			return fmt.Errorf("Step = %v, model %v", got, want)
 		}
-	case 6:
+	case 6, 7: // RunUntil
 		d := m.now + int64(arg)%16
 		r.q.RunUntil(d)
 		m.runUntil(d)
-	case 7:
-		l := m.now + int64(arg)%16
-		if got, want := r.q.RunBefore(l), m.runBefore(l); got != want {
-			return fmt.Errorf("RunBefore(%d) fired %d, model %d", l, got, want)
-		}
 	case 8:
 		at, ok := r.q.NextAt()
 		wantAt, wantOK := m.nextAt()
@@ -403,19 +399,6 @@ func (m *orderModel) runUntil(deadline int64) {
 	}
 	m.fireTickets(deadline+1, 0)
 	m.now = max(m.now, deadline)
-}
-
-func (m *orderModel) runBefore(limit int64) int {
-	m.stop, m.inRun = limit, true
-	defer func() { m.inRun = false }()
-	n := 0
-	for id := m.next(); id >= 0 && m.evs[id].at < limit; id = m.next() {
-		m.fire(id)
-		n++
-	}
-	m.fireTickets(limit, 0)
-	m.now = max(m.now, limit)
-	return n
 }
 
 func (m *orderModel) nextAt() (int64, bool) {

@@ -242,13 +242,13 @@ func startChain(tb *Testbed, prot Protection, opts FCTOpts, start flowStarter) *
 	return c
 }
 
-// runChains advances runFor — a testbed's Sim, or the Engine that drives
-// every segment of a fabric at once — in 2ms slices until every chain has
-// completed its trials. With LinkGuardian enabled the self-replenishing
-// queues keep the event queue busy forever, so a fixed far-future horizon
-// would simulate an idle link indefinitely; the slice budget (50ms per
-// trial plus a second) only bounds a run that stops making progress.
-func runChains(runFor func(simtime.Duration), opts FCTOpts, chains ...*fctChain) {
+// runChains advances sim — a testbed's or a fabric's — in 2ms slices until
+// every chain has completed its trials. With LinkGuardian enabled the
+// self-replenishing queues keep the event queue busy forever, so a fixed
+// far-future horizon would simulate an idle link indefinitely; the slice
+// budget (50ms per trial plus a second) only bounds a run that stops making
+// progress.
+func runChains(sim *simnet.Sim, opts FCTOpts, chains ...*fctChain) {
 	const slice = 2 * simtime.Millisecond
 	budget := int((simtime.Duration(opts.Trials)*(50*simtime.Millisecond+opts.Gap) + simtime.Second) / slice)
 	running := func() bool {
@@ -260,7 +260,7 @@ func runChains(runFor func(simtime.Duration), opts FCTOpts, chains ...*fctChain)
 		return false
 	}
 	for i := 0; i < budget && running(); i++ {
-		runFor(slice)
+		sim.RunFor(slice)
 	}
 }
 
@@ -269,7 +269,7 @@ func runChains(runFor func(simtime.Duration), opts FCTOpts, chains ...*fctChain)
 func runBlock(prot Protection, cfg core.Config, opts FCTOpts, start flowStarter) *fctChain {
 	tb := NewTestbed(opts.Seed, opts.Rate, cfg)
 	c := startChain(tb, prot, opts, start)
-	runChains(tb.Sim.RunFor, opts, c)
+	runChains(tb.Sim, opts, c)
 	return c
 }
 

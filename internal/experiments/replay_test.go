@@ -36,7 +36,7 @@ func runReplayChain(tr Transport, prot Protection, cfg core.Config, opts FCTOpts
 		tb.Link.TapDeliver(func(*simnet.Packet, *simnet.Ifc, bool) {})
 	}
 	c := startChain(tb, prot, opts, transportFlows(tr, opts))
-	runChains(tb.Sim.RunFor, opts, c)
+	runChains(tb.Sim, opts, c)
 	tb.LG.Settle()
 	r := replayRun{Flows: c.flows, Metrics: tb.LG.M, Fcts: c.fcts,
 		Events: tb.Sim.Q.Fired() + tb.Sim.Q.Replayed(), Replayed: tb.Sim.Q.Replayed()}

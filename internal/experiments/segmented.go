@@ -5,27 +5,23 @@ import (
 
 	"linkguardian/internal/core"
 	"linkguardian/internal/obs"
+	"linkguardian/internal/parallel"
 	"linkguardian/internal/simnet"
 	"linkguardian/internal/simtime"
 )
 
 // SegmentCrossDelay is the propagation delay of the inter-segment links —
-// a few switch hops of fiber, and the engine's lookahead window: every
-// shard runs 5µs of simulated time between barriers.
+// a few switch hops of fiber.
 const SegmentCrossDelay = 5 * simtime.Microsecond
 
 // Segmented is the multi-segment fabric: n copies of the Figure 7 testbed
-// (segment i's nodes are named "s<i>.h1" etc.), each on its own shard of a
-// parallel engine, with the segments' switches joined in a unidirectional
-// ring of cross-shard links (sw6 of segment i feeds sw2 of segment i+1).
-// Cross-segment traffic therefore traverses the protected LinkGuardian
-// links of every segment it passes through, so parallel execution
-// exercises the full protocol, not just plain forwarding.
-//
-// The engine's worker cap never changes results: the partition — one
-// segment per shard — and the per-shard seeds are fixed by (seed, n) alone.
+// (segment i's nodes are named "s<i>.h1" etc.) on one Sim, with the
+// segments' switches joined in a unidirectional ring (sw6 of segment i
+// feeds sw2 of segment i+1). Cross-segment traffic therefore traverses the
+// protected LinkGuardian links of every segment it passes through, so the
+// fabric exercises the full protocol, not just plain forwarding.
 type Segmented struct {
-	Eng  *simnet.Engine
+	Sim  *simnet.Sim
 	Segs []*Testbed
 	// Cross[i] joins Segs[i].SW6 to Segs[(i+1)%n].SW2; empty when n == 1.
 	Cross []*simnet.Link
@@ -33,27 +29,25 @@ type Segmented struct {
 	rate simtime.Rate
 }
 
-// NewSegmented builds an n-segment fabric. Shard i is seeded with
-// parallel.SeedFor(seed, i); workers caps concurrent shard execution
-// (0 = parallel.Workers(), 1 = sequential).
-func NewSegmented(seed int64, n, workers int, rate simtime.Rate, cfg core.Config) *Segmented {
+// NewSegmented builds an n-segment fabric on one Sim seeded with
+// parallel.SeedFor(seed, 0), the seed of RunFCT's first block, so a
+// one-segment fabric is that block's testbed. Every segment draws from the
+// Sim's one RNG stream.
+func NewSegmented(seed int64, n int, rate simtime.Rate, cfg core.Config) *Segmented {
 	if n < 1 {
 		n = 1
 	}
-	eng := simnet.NewEngine(seed, n)
-	if workers > 0 {
-		eng.SetWorkers(workers)
-	}
-	f := &Segmented{Eng: eng, rate: rate}
+	sim := simnet.NewSim(parallel.SeedFor(seed, 0))
+	f := &Segmented{Sim: sim, rate: rate}
 	for i := 0; i < n; i++ {
-		f.Segs = append(f.Segs, NewTestbedOn(eng.Shard(i).Sim, fmt.Sprintf("s%d.", i), rate, cfg))
+		f.Segs = append(f.Segs, NewTestbedOn(sim, fmt.Sprintf("s%d.", i), rate, cfg))
 	}
 	if n == 1 {
 		return f
 	}
 	for i := 0; i < n; i++ {
 		j := (i + 1) % n
-		f.Cross = append(f.Cross, eng.Connect(i, f.Segs[i].SW6, j, f.Segs[j].SW2, rate, SegmentCrossDelay))
+		f.Cross = append(f.Cross, simnet.Connect(sim, f.Segs[i].SW6, f.Segs[j].SW2, rate, SegmentCrossDelay))
 	}
 	// Foreign destinations ride the ring: out the local protected link to
 	// sw6, across to the next segment's sw2, and onward until the owning
@@ -92,7 +86,7 @@ const crossFlow = -2
 
 // CrossTraffic starts a stream in every segment sending frameBytes frames
 // from h1 to the next segment's h2 at frac of line rate, so every frame
-// crosses at least one shard boundary (and both segments' protected links),
+// crosses at least one ring link (and both segments' protected links),
 // and returns a stop function plus a per-segment sent counter accessor.
 // With n == 1 the "next" segment is the segment itself, so the traffic
 // still flows (purely locally), keeping single-segment runs comparable.
@@ -126,19 +120,22 @@ func (f *Segmented) CountReceivedAll() (pkts []*uint64, bytes []*uint64) {
 }
 
 // Register exposes every segment's LinkGuardian metrics and protected link
-// plus the engine's per-shard counters on one registry, with per-segment
-// prefixes, so fabric snapshots merge and compare deterministically.
+// under "s<i>", every ring link under "x<i>" and the Sim's dispatched-event
+// count as "sim.fired" on one registry.
 func (f *Segmented) Register(reg *obs.Registry) {
+	reg.CounterFunc("sim.fired", f.Sim.Q.Fired)
 	for i, tb := range f.Segs {
 		p := fmt.Sprintf("s%d", i)
 		tb.LG.Register(reg, p+".lg")
 		obs.RegisterLink(reg, p+".link", tb.Link)
 	}
-	obs.RegisterEngine(reg, "engine", f.Eng)
+	for i, l := range f.Cross {
+		obs.RegisterLink(reg, fmt.Sprintf("x%d", i), l)
+	}
 }
 
 // FabricStressResult is one RunFabricStress outcome: per-segment delivery
-// counts plus the run's obs snapshot (protocol, link and engine metrics).
+// counts plus the run's obs snapshot (protocol and link metrics).
 type FabricStressResult struct {
 	Segments int
 	Sent     []uint64 // per-segment protected-link generator frames
@@ -152,9 +149,8 @@ type FabricStressResult struct {
 // corruption rate, with cross-segment traffic at a tenth of line rate, for
 // opts.Duration — the fabric analogue of the §4.1 stress test, seeded by
 // opts.Seed. The fabric has no trace tap: opts.TraceCap is ignored.
-func RunFabricStress(cfg core.Config, rate simtime.Rate, lossRate float64, nsegs, workers int, opts StressOpts) FabricStressResult {
-	f := NewSegmented(opts.Seed, nsegs, workers, rate, cfg)
-	defer f.Eng.Close()
+func RunFabricStress(cfg core.Config, rate simtime.Rate, lossRate float64, nsegs int, opts StressOpts) FabricStressResult {
+	f := NewSegmented(opts.Seed, nsegs, rate, cfg)
 	f.SetLoss(lossRate)
 	f.EnableAll()
 	rx, _ := f.CountReceivedAll()
@@ -168,12 +164,12 @@ func RunFabricStress(cfg core.Config, rate simtime.Rate, lossRate float64, nsegs
 	}
 	stopCross, crossSent := f.CrossTraffic(opts.FrameSize, 0.1)
 
-	f.Eng.RunFor(opts.Duration)
+	f.Sim.RunFor(opts.Duration)
 	for _, g := range gens {
 		g.Stop()
 	}
 	stopCross()
-	f.Eng.RunFor(opts.Duration/2 + 10*simtime.Millisecond)
+	f.Sim.RunFor(opts.Duration/2 + 10*simtime.Millisecond)
 
 	res := FabricStressResult{Segments: nsegs}
 	for i := range f.Segs {
@@ -189,14 +185,12 @@ func RunFabricStress(cfg core.Config, rate simtime.Rate, lossRate float64, nsegs
 // RunFabricFCT is the fabric flow-completion-time experiment: every
 // segment runs RunFCT's chain of flows over its own protected lossy link
 // while cross-segment background traffic at crossFrac of line rate flows
-// through the ring, so every segment's FCTs feel the transit load and the
-// whole fabric advances in lockstep on the parallel engine. Results are per
-// segment, in segment order; the worker cap never changes a byte of them.
-// Shard 0 of a one-segment fabric is seeded like RunFCT's first block, so
-// without cross traffic the two agree trial for trial.
-func RunFabricFCT(tr Transport, prot Protection, opts FCTOpts, nsegs, workers int, crossFrac float64) []FCTResult {
-	f := NewSegmented(opts.Seed, nsegs, workers, opts.Rate, fctConfig(prot, opts))
-	defer f.Eng.Close()
+// through the ring, so every segment's FCTs feel the transit load. Results
+// are per segment, in segment order. A one-segment fabric is seeded like
+// RunFCT's first block, so without cross traffic the two agree trial for
+// trial.
+func RunFabricFCT(tr Transport, prot Protection, opts FCTOpts, nsegs int, crossFrac float64) []FCTResult {
+	f := NewSegmented(opts.Seed, nsegs, opts.Rate, fctConfig(prot, opts))
 	start := transportFlows(tr, opts)
 	chains := make([]*fctChain, len(f.Segs))
 	for i, tb := range f.Segs {
@@ -205,7 +199,7 @@ func RunFabricFCT(tr Transport, prot Protection, opts FCTOpts, nsegs, workers in
 	if crossFrac > 0 {
 		f.CrossTraffic(simtime.MTUFrame, crossFrac)
 	}
-	runChains(f.Eng.RunFor, opts, chains...)
+	runChains(f.Sim, opts, chains...)
 	out := make([]FCTResult, len(chains))
 	for i, c := range chains {
 		out[i] = c.result(tr, prot, opts.FlowSize)

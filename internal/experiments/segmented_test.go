@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"linkguardian/internal/core"
@@ -18,81 +16,11 @@ func fabricStressOpts(seed int64) StressOpts {
 	return opts
 }
 
-// fabricStressDigest renders everything observable about a fabric stress
-// run — per-segment sent/received counts and the full obs snapshot,
-// including the engine's per-shard window/stall/handoff counters — for
-// byte comparison across worker counts.
-func fabricStressDigest(t *testing.T, workers int) []byte {
-	t.Helper()
-	res := RunFabricStress(core.NewConfig(simtime.Rate25G, 1e-3), simtime.Rate25G, 1e-3, 4, workers, fabricStressOpts(11))
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "sent=%v cross=%v recv=%v\n", res.Sent, res.CrossTx, res.Received)
-	if err := res.Metrics.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestFabricStressShardInvariance is the tier-1 determinism regression for
-// the parallel engine: the same 4-segment fabric stress run must produce
-// byte-identical output at worker caps 1, 2 and 4 of the fixed 4-shard
-// partition.
-func TestFabricStressShardInvariance(t *testing.T) {
-	ref := fabricStressDigest(t, 1)
-	if len(ref) == 0 {
-		t.Fatal("empty reference digest")
-	}
-	for _, w := range []int{2, 4} {
-		got := fabricStressDigest(t, w)
-		if !bytes.Equal(ref, got) {
-			l1, l2 := bytes.Split(ref, []byte("\n")), bytes.Split(got, []byte("\n"))
-			for i := 0; i < len(l1) && i < len(l2); i++ {
-				if !bytes.Equal(l1[i], l2[i]) {
-					t.Fatalf("workers=1 vs workers=%d differ at line %d:\n %s\n %s", w, i+1, l1[i], l2[i])
-				}
-			}
-			t.Fatalf("workers=1 vs workers=%d digests differ in length", w)
-		}
-	}
-}
-
-// TestFabricFCTShardInvariance: the fabric FCT experiment — per-segment
-// DCTCP flows over lossy protected links with cross-segment transit load —
-// must produce exactly the same per-trial FCT series at any worker cap.
-func TestFabricFCTShardInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-run FCT fabric")
-	}
-	run := func(workers int) string {
-		opts := DefaultFCTOpts(24387)
-		opts.Trials = 25
-		results := RunFabricFCT(TransDCTCP, LG, opts, 4, workers, 0.05)
-		var b strings.Builder
-		for i, r := range results {
-			fmt.Fprintf(&b, "seg%d trials=%d flows=%d\n", i, r.Trials, len(r.Flows))
-			for _, st := range r.Flows {
-				fmt.Fprintf(&b, "%d %v %v\n", st.FCT, st.EverSACKed, st.ReducedWhilePending)
-			}
-		}
-		return b.String()
-	}
-	ref := run(1)
-	if !strings.Contains(ref, "trials=25") {
-		t.Fatalf("fabric FCT did not complete its trials:\n%.400s", ref)
-	}
-	for _, w := range []int{2, 4} {
-		if got := run(w); got != ref {
-			t.Fatalf("fabric FCT diverged between workers=1 and workers=%d", w)
-		}
-	}
-}
-
-// TestFabricFCTOneSegmentMatchesRunFCT is the experiment-level twin of
-// simnet's TestEngineSingleShardMatchesSim. A one-segment fabric without
-// cross traffic is RunFCT's first block run on a 1-shard engine — shard 0
-// is seeded parallel.SeedFor(seed, 0), exactly like block 0 — so the two
-// must agree trial for trial, including the end-host RTOMin and the
-// Gilbert–Elliott loss model.
+// TestFabricFCTOneSegmentMatchesRunFCT: a one-segment fabric without cross
+// traffic is RunFCT's first block — its Sim is seeded
+// parallel.SeedFor(seed, 0), exactly like block 0 — so the two must agree
+// trial for trial, including the end-host RTOMin and the Gilbert–Elliott
+// loss model.
 func TestFabricFCTOneSegmentMatchesRunFCT(t *testing.T) {
 	conds := []struct {
 		name   string
@@ -108,7 +36,7 @@ func TestFabricFCTOneSegmentMatchesRunFCT(t *testing.T) {
 			opts.Trials = fctBlockSize
 			opts.RTOMin, opts.MeanBurst = c.rtoMin, c.burst
 			want := RunFCT(TransDCTCP, prot, opts)
-			got := RunFabricFCT(TransDCTCP, prot, opts, 1, 1, 0)[0]
+			got := RunFabricFCT(TransDCTCP, prot, opts, 1, 0)[0]
 			if want.Trials != opts.Trials || got.Trials != want.Trials {
 				t.Fatalf("%s/%v: trials RunFCT=%d fabric=%d, want %d", c.name, prot, want.Trials, got.Trials, opts.Trials)
 			}
@@ -133,7 +61,7 @@ func TestFabricStressHonorsConfig(t *testing.T) {
 	for _, mode := range []core.Mode{core.Ordered, core.NonBlocking} {
 		cfg := core.NewConfig(simtime.Rate25G, 1e-3)
 		cfg.Mode = mode
-		res := RunFabricStress(cfg, simtime.Rate25G, 1e-3, 2, 2, fabricStressOpts(3))
+		res := RunFabricStress(cfg, simtime.Rate25G, 1e-3, 2, fabricStressOpts(3))
 		for i := 0; i < res.Segments; i++ {
 			loops := res.Metrics.Counter(fmt.Sprintf("s%d.lg.receiver_loops", i))
 			if (loops > 0) != (mode == core.Ordered) {
@@ -145,10 +73,10 @@ func TestFabricStressHonorsConfig(t *testing.T) {
 
 // TestFabricDelivery sanity-checks the fabric itself: cross-segment
 // traffic reaches the next segment's host through two protected links and
-// a shard boundary, LinkGuardian recovers the corruption losses, and the
-// engine actually hands frames across shards.
+// a ring link, LinkGuardian recovers the corruption losses, and frames
+// actually cross the ring.
 func TestFabricDelivery(t *testing.T) {
-	res := RunFabricStress(core.NewConfig(simtime.Rate25G, 1e-3), simtime.Rate25G, 1e-3, 2, 2, fabricStressOpts(3))
+	res := RunFabricStress(core.NewConfig(simtime.Rate25G, 1e-3), simtime.Rate25G, 1e-3, 2, fabricStressOpts(3))
 	for i := 0; i < res.Segments; i++ {
 		if res.Received[i] == 0 {
 			t.Fatalf("segment %d delivered nothing", i)
@@ -162,12 +90,8 @@ func TestFabricDelivery(t *testing.T) {
 				i, res.Received[i], res.Sent[i], res.CrossTx[(i+1)%res.Segments])
 		}
 	}
-	handoffs := res.Metrics.Counter("engine.shard0.handoffs_out") + res.Metrics.Counter("engine.shard1.handoffs_out")
-	if handoffs == 0 {
-		t.Fatal("no cross-shard handoffs recorded; fabric ran sequentially?")
-	}
-	if res.Metrics.Counter("engine.shard0.windows") == 0 {
-		t.Fatal("no windows recorded in engine metrics")
+	if res.Metrics.Counter("x0.s0.sw6->s1.sw2.port.tx_frames") == 0 {
+		t.Fatal("ring link x0 carried no frames")
 	}
 	if res.Metrics.Counter("s1.lg.protected") == 0 {
 		t.Fatal("segment 1's LinkGuardian saw no protected packets")

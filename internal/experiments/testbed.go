@@ -32,9 +32,9 @@ func NewTestbed(seed int64, rate simtime.Rate, cfg core.Config) *Testbed {
 }
 
 // NewTestbedOn builds the testbed inside an existing simulation universe —
-// one shard of a parallel engine, typically — with every node name
-// prefixed (e.g. "s3." gives hosts s3.h1/s3.h2). The empty prefix
-// reproduces NewTestbed's names exactly, so golden traces are unaffected.
+// one segment of a fabric, typically — with every node name prefixed (e.g.
+// "s3." gives hosts s3.h1/s3.h2). The empty prefix reproduces NewTestbed's
+// names exactly, so golden traces are unaffected.
 func NewTestbedOn(s *simnet.Sim, prefix string, rate simtime.Rate, cfg core.Config) *Testbed {
 	tb := &Testbed{Sim: s, rate: rate}
 	tb.H1 = simnet.NewHost(s, prefix+"h1")

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -229,5 +231,52 @@ func TestDelaySampleDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("reservoir diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+func TestAddHistogramAndSum(t *testing.T) {
+	h := NewHistogram(1, 10)
+	h.Observe(0.5)
+	h.Observe(5)
+	h.Observe(50)
+	if h.Sum() != 55.5 {
+		t.Fatalf("Sum = %v, want 55.5", h.Sum())
+	}
+
+	r := NewRegistry()
+	r.AddHistogram("ext.hist", h)
+	hp, ok := r.Snapshot().Histogram("ext.hist")
+	if !ok {
+		t.Fatal("externally owned histogram missing from snapshot")
+	}
+	if hp.N != 3 || hp.Sum != 55.5 {
+		t.Fatalf("snapshot histogram = %+v, want n=3 sum=55.5", hp)
+	}
+	// The registry shares, not copies: later observations show up.
+	h.Observe(2)
+	if hp, _ = r.Snapshot().Histogram("ext.hist"); hp.N != 4 {
+		t.Fatalf("snapshot n = %d after fourth observation, want 4", hp.N)
+	}
+}
+
+func TestWriteMetricsFile(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a").Add(3)
+	snap := r.Snapshot()
+
+	path := filepath.Join(t.TempDir(), "metrics.json")
+	if err := WriteMetricsFile(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) == 0 {
+		t.Fatal("metrics file empty")
+	}
+	// Unwritable path surfaces the create error.
+	if err := WriteMetricsFile(filepath.Join(t.TempDir(), "no", "such", "dir.json"), snap); err == nil {
+		t.Fatal("expected error for unwritable path")
 	}
 }

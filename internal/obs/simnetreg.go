@@ -44,22 +44,3 @@ func RegisterLink(r *Registry, prefix string, l *simnet.Link) {
 		RegisterPort(r, p+".port", ifc.Port)
 	}
 }
-
-// RegisterEngine exposes the parallel engine's per-shard execution metrics
-// under "<prefix>.shard<i>": live and peak event-queue depth, fired-event
-// and window counts, lookahead stalls (windows a shard spent with nothing
-// to do), and cross-shard handoff traffic in both directions. Snapshot
-// after Engine.Run returns — the gauges read shard-local state.
-func RegisterEngine(r *Registry, prefix string, e *simnet.Engine) {
-	for i := 0; i < e.Shards(); i++ {
-		sh := e.Shard(i)
-		p := fmt.Sprintf("%s.shard%d", prefix, i)
-		r.GaugeFunc(p+".queue_depth", func() float64 { return float64(sh.Sim.Q.Len()) })
-		r.GaugeFunc(p+".queue_max_depth", func() float64 { return float64(sh.Stats().MaxDepth) })
-		r.CounterFunc(p+".fired", func() uint64 { return sh.Sim.Q.Fired() })
-		r.CounterFunc(p+".windows", func() uint64 { return sh.Stats().Windows })
-		r.CounterFunc(p+".lookahead_stalls", func() uint64 { return sh.Stats().Stalls })
-		r.CounterFunc(p+".handoffs_out", func() uint64 { return sh.Stats().Handoffs })
-		r.CounterFunc(p+".handoffs_in", func() uint64 { return sh.Stats().Recv })
-	}
-}

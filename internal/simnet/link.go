@@ -53,14 +53,6 @@ type Ifc struct {
 // Node returns the node owning the interface.
 func (i *Ifc) Node() Node { return i.node }
 
-// sim returns the simulation universe this interface's side of the link
-// lives in. For a link inside one shard (or a standalone Sim) both sides
-// agree with Link.sim; for a cross-shard link each side belongs to its own
-// shard's Sim, and all per-side work — packet-pool releases, RNG draws,
-// event scheduling — must stay side-local to be race-free and
-// deterministic.
-func (i *Ifc) sim() *Sim { return i.Port.sim }
-
 // Peer returns the other end of the link.
 func (i *Ifc) Peer() *Ifc { return i.peer }
 
@@ -106,7 +98,7 @@ func (i *Ifc) receive(pkt *Packet, corrupted bool) {
 	i.In.RxAll++
 	if corrupted {
 		i.In.RxBad++
-		i.sim().Release(pkt)
+		i.link.sim.Release(pkt)
 		return
 	}
 	i.In.RxOk++
@@ -118,11 +110,11 @@ func (i *Ifc) receive(pkt *Packet, corrupted bool) {
 		// quanta self-expires unless refreshed, so a corrupted resume
 		// frame can stall the queue for at most one quantum.
 		i.Port.PauseFor(pkt.PauseClass, pkt.PauseQuanta)
-		i.sim().Release(pkt)
+		i.link.sim.Release(pkt)
 		return
 	case KindResume:
 		i.Port.Pause(pkt.PauseClass, false)
-		i.sim().Release(pkt)
+		i.link.sim.Release(pkt)
 		return
 	}
 	if i.OnIngress != nil && i.OnIngress(pkt) {
@@ -184,11 +176,6 @@ type Link struct {
 	// The verdict (flap state, FaultFn, DropFn, loss models) and the taps
 	// run where the frame re-enters a topology: the peer's Receive.
 	Carrier func(pkt *Packet, from *Ifc)
-
-	// xab/xba, set only by Engine.Connect for a cross-shard link, carry
-	// frames to the peer shard (a→b and b→a respectively) instead of
-	// scheduling delivery directly into the receiver's event queue.
-	xab, xba *outbox
 }
 
 // A returns the interface on the first node; B the second.
@@ -255,19 +242,6 @@ func (l *Link) deliver(pkt *Packet, from *Ifc) {
 	for _, tap := range l.taps {
 		tap(pkt, from, corrupted)
 	}
-	if l.xab != nil {
-		// Cross-shard link: the receiving interface lives in another
-		// shard's Sim, so instead of scheduling into a foreign queue
-		// (a race) the frame is copied into a pooled cell stamped with
-		// its arrival time on the sender's clock. The engine's barrier
-		// materializes it into the destination shard between windows.
-		ob := l.xab
-		if from == l.b {
-			ob = l.xba
-		}
-		ob.send(from.sim(), pkt, to, int64(l.Delay), corrupted)
-		return
-	}
 	if corrupted {
 		l.sim.AfterCall(l.Delay, deliverCorrupt, to, pkt)
 	} else {
@@ -277,11 +251,10 @@ func (l *Link) deliver(pkt *Packet, from *Ifc) {
 
 // Replayable reports whether Replay may stand in for carrying frames on the
 // link: nothing observes or intercepts a frame beyond the verdict — no taps,
-// no FaultFn, no Carrier, no cross-shard outbox — and the Sim has no
-// OnRelease hook.
+// no FaultFn, no Carrier — and the Sim has no OnRelease hook.
 func (l *Link) Replayable() bool {
 	return len(l.taps) == 0 && l.FaultFn == nil && l.Carrier == nil &&
-		l.xab == nil && l.sim.OnRelease == nil
+		l.sim.OnRelease == nil
 }
 
 // Replay accounts one frame exactly as drawing it from the pool, from's
@@ -294,7 +267,7 @@ func (l *Link) Replayable() bool {
 // draw their IDs in transmission order, so a caller replays them in the
 // order they were drawn. Only for a link that is Replayable.
 func (l *Link) Replay(from *Ifc, pkt *Packet) (corrupted bool) {
-	pkt.ID = from.sim().pktID()
+	pkt.ID = l.sim.pktID()
 	p := from.Port
 	p.TxFrames++
 	p.TxBytes += uint64(pkt.Size)
@@ -332,29 +305,19 @@ func (l *Link) verdict(pkt *Packet, from *Ifc, model LossModel) bool {
 	if l.DropFn != nil {
 		return l.DropFn(pkt, from)
 	}
-	// Draw from the transmitting side's RNG stream: identical to l.sim.Rng
-	// for an intra-shard link (Port.sim == Link.sim), and the only
-	// race-free, per-direction-deterministic choice on a cross-shard link.
-	return model.Drops(from.sim().Rng)
+	return model.Drops(l.sim.Rng)
 }
 
 // Connect joins two nodes with a link of the given per-direction rate and
 // propagation delay, registering the new interfaces with both nodes. The
 // returned link starts lossless.
 func Connect(s *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) *Link {
-	return newLink(s, s, a, b, rate, delay)
-}
-
-// newLink builds a lossless link between a (whose side lives in sa) and b
-// (in sb) and registers its interfaces with their nodes. The link itself
-// belongs to sa; sa != sb only for Engine.Connect's cross-shard links.
-func newLink(sa, sb *Sim, a, b Node, rate simtime.Rate, delay simtime.Duration) *Link {
-	l := &Link{sim: sa, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
+	l := &Link{sim: s, Delay: delay, lossAB: NoLoss{}, lossBA: NoLoss{}}
 	ia := &Ifc{node: a, link: l, Name: a.NodeName() + "->" + b.NodeName()}
 	ib := &Ifc{node: b, link: l, Name: b.NodeName() + "->" + a.NodeName()}
 	ia.peer, ib.peer = ib, ia
-	ia.Port = &Port{sim: sa, ifc: ia, Rate: rate}
-	ib.Port = &Port{sim: sb, ifc: ib, Rate: rate}
+	ia.Port = &Port{sim: s, ifc: ia, Rate: rate}
+	ib.Port = &Port{sim: s, ifc: ib, Rate: rate}
 	l.a, l.b = ia, ib
 	register(a, ia)
 	register(b, ib)

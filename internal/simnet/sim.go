@@ -92,7 +92,7 @@ func (s *Sim) ScheduleCallAt(t eventq.Ticket, fn func(a0, a1 any), a0, a1 any) e
 }
 
 // Horizon reports the earliest live event other than skip's, capped by
-// the active run's end; ok is false outside RunUntil/RunBefore. See
+// the active run's end; ok is false outside RunUntil. See
 // eventq.Queue.Horizon.
 func (s *Sim) Horizon(skip eventq.Timer) (t simtime.Time, ok bool) {
 	at, ok := s.Q.Horizon(skip)

@@ -115,16 +115,10 @@ func (t *Tracer) Tap(sim *Sim, l *Link) { t.TapIf(sim, l, nil) }
 // TapIf is Tap restricted to events satisfying keep (nil keeps everything).
 // A filtered ring retains interesting history — e.g. protected data frames —
 // that a full ring would rotate out under a flood of control frames.
-//
-// Timestamps come from the transmitting side's clock — the same value as
-// sim.Now() for any intra-shard link. Tapping a cross-shard link is
-// unsupported: the two directions run on different goroutines and would
-// race on the ring.
 func (t *Tracer) TapIf(sim *Sim, l *Link, keep func(TraceEvent) bool) {
-	_ = sim
 	l.TapDeliver(func(pkt *Packet, from *Ifc, corrupted bool) {
 		e := TraceEvent{
-			At:        from.sim().Now(),
+			At:        sim.Now(),
 			Link:      from.Name,
 			Kind:      pkt.Kind,
 			Size:      pkt.Size,
