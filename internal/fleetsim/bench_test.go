@@ -10,12 +10,13 @@ import (
 // iteration (≈400K simulated link-years each). The custom metric is
 // link-years of simulation per wall-clock second, which is what bounds the
 // reachable fleet size: 1M links × 4 solutions needs 4M link-years per run.
-// On a 2-vCPU Xeon container (Go 1.24.0) it reads about 1.3M–1.6M
-// link-years/s at -cpu 1 and 2.3M–2.6M at -cpu 2 (three runs each); the
-// engine that redrew each shard's trace for every solution read
-// 0.63M–0.90M and 1.25M–1.62M on the same runs. The repository
-// benchmark's fleet_year workload is the gated number; this is the quick
-// local yardstick.
+// On a 2-vCPU Xeon container (Go 1.24.0) it reads 1.44M–1.78M
+// link-years/s at -cpu 1 (five runs) and 2.41M–2.53M at -cpu 2 (three
+// runs); the engine that walked a pod's ToR links on every spine-link
+// event and every corrupting window at every sample read 0.88M–1.06M and
+// 1.64M–1.89M, run alternately with these. The repository benchmark's
+// fleet_year workload is the gated number; this is the quick local
+// yardstick.
 func BenchmarkFleetPareto(b *testing.B) {
 	cfg := Config{
 		Links:   100_000,

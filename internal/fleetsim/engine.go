@@ -3,6 +3,7 @@ package fleetsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -394,15 +395,27 @@ type shard struct {
 
 	links   []linkState
 	spineUp []int16   // [pod*fabrics + fab] up fabric->spine links
+	torUp   []bool    // [(pod*fabrics + fab)*tors + tor] ToR-fabric link up
 	paths   []int32   // [pod*tors + tor] see torPaths
 	podCap  []float64 // [pod] sum of effSpeed over up links
 
-	// podPaths caches each pod's least ToR path count; pods touched since
-	// the last sample are marked dirty and re-read from paths at sample
-	// time (events are sparse: a handful per shard per sample interval).
-	podPaths []int32
-	podDirty []bool
-	dirty    []int32
+	// podPaths caches each pod's least ToR path count, and is never above
+	// it. A link going down can only lower the count, so adjustPaths
+	// lowers the cache in place; a link coming back may raise it, so the
+	// pod is marked dirty and re-read from paths at sample time (repairs
+	// are sparse: a handful per shard per sample interval). leastPaths is
+	// the least of podPaths.
+	podPaths   []int32
+	podDirty   []bool
+	dirty      []int32
+	leastPaths int32
+
+	// pipeProt counts each pipe's up protected links ([pod*pipesPerPod +
+	// podOff/pipeLinks]); pipeHist[c] is the number of pipes whose count
+	// is c, so the worst pipe is the top non-empty bucket.
+	pipesPerPod int32
+	pipeProt    []int32
+	pipeHist    [pipeLinks + 1]int32
 
 	// corrupting holds each pod's corrupting links in a fixed window:
 	// pod p's sorted, duplicate-free local IDs fill
@@ -442,6 +455,7 @@ func newShard(cfg Config, shardIdx int, sol Solution) *shard {
 		spines:   int32(cfg.Fabric.SpinesPerPlane),
 		maxPaths: int32(cfg.Fabric.MaxToRPaths()),
 	}
+	s.pipesPerPod = (s.lpp + pipeLinks - 1) / pipeLinks
 	nLinks := int(s.pods) * int(s.lpp)
 	s.links = make([]linkState, nLinks)
 	for i := range s.links {
@@ -451,10 +465,17 @@ func newShard(cfg Config, shardIdx int, sol Solution) *shard {
 	for i := range s.spineUp {
 		s.spineUp[i] = int16(s.spines)
 	}
+	s.torUp = make([]bool, int(s.pods)*int(s.torLpp))
+	for i := range s.torUp {
+		s.torUp[i] = true
+	}
 	s.paths = make([]int32, int(s.pods)*int(s.tors))
 	for i := range s.paths {
 		s.paths[i] = s.maxPaths
 	}
+	s.leastPaths = s.maxPaths
+	s.pipeProt = make([]int32, s.pods*s.pipesPerPod)
+	s.pipeHist[0] = int32(len(s.pipeProt))
 	s.podCap = make([]float64, s.pods)
 	s.podPaths = make([]int32, s.pods)
 	s.podDirty = make([]bool, s.pods)
@@ -512,24 +533,48 @@ func (s *shard) torLink(pod, tor, fab int32) int32 { return pod*s.lpp + tor*s.fa
 // adjustPaths keeps it current as links go down and come back.
 func (s *shard) torPaths(pod, tor int32) int32 { return s.paths[pod*s.tors+tor] }
 
+// fabricRow is one fabric switch's view of its pod, both indexed by ToR:
+// whether the ToR's link to it is up, and the ToR's path count. Callers
+// reslice paths to len(up) so the compiler drops the loop's bounds checks.
+func (s *shard) fabricRow(pod, fab int32) (up []bool, paths []int32) {
+	row := (pod*s.fabrics + fab) * s.tors
+	return s.torUp[row : row+s.tors], s.paths[pod*s.tors : (pod+1)*s.tors]
+}
+
 // adjustPaths moves the path counts by delta as a link goes up (+1) or
-// down (-1). A ToR-fabric link carries its fabric switch's up spine links;
-// a fabric-spine link is one path for every ToR whose link to that fabric
+// down (-1), and the ToR up-mask and the pod's least path count with
+// them. A ToR-fabric link carries its fabric switch's up spine links; a
+// fabric-spine link is one path for every ToR whose link to that fabric
 // switch is up. Only the link's own pod changes.
 func (s *shard) adjustPaths(link, delta int32) {
 	pod := s.pod(link)
+	least := s.maxPaths // least count this change moved
 	if s.isSpine(link) {
 		fab := s.spineFab(link)
 		s.spineUp[pod*s.fabrics+fab] += int16(delta)
-		for t := int32(0); t < s.tors; t++ {
-			if s.links[s.torLink(pod, t, fab)].up() {
-				s.paths[pod*s.tors+t] += delta
+		up, paths := s.fabricRow(pod, fab)
+		paths = paths[:len(up)]
+		for t, u := range up {
+			if u {
+				paths[t] += delta
+				least = min(least, paths[t])
 			}
 		}
-		return
+	} else {
+		off := s.podOff(link)
+		tor, fab := off/s.fabrics, off%s.fabrics
+		s.torUp[(pod*s.fabrics+fab)*s.tors+tor] = delta > 0
+		p := &s.paths[pod*s.tors+tor]
+		*p += delta * int32(s.spineUp[pod*s.fabrics+fab])
+		least = *p
 	}
-	off := s.podOff(link)
-	s.paths[pod*s.tors+off/s.fabrics] += delta * int32(s.spineUp[pod*s.fabrics+off%s.fabrics])
+	switch {
+	case delta > 0:
+		s.markDirty(pod)
+	case least < s.podPaths[pod]:
+		s.podPaths[pod] = least
+		s.leastPaths = min(s.leastPaths, least)
+	}
 }
 
 // canDisable is CorrOpt's fast checker: whether taking the link down keeps
@@ -542,12 +587,10 @@ func (s *shard) canDisable(link int32) bool {
 	need := int32(s.cfg.Constraint * float64(s.maxPaths))
 	pod := s.pod(link)
 	if s.isSpine(link) {
-		fab := s.spineFab(link)
-		for t := int32(0); t < s.tors; t++ {
-			if !s.links[s.torLink(pod, t, fab)].up() {
-				continue
-			}
-			if s.torPaths(pod, t)-1 < need {
+		up, paths := s.fabricRow(pod, s.spineFab(link))
+		paths = paths[:len(up)]
+		for t, u := range up {
+			if u && paths[t] <= need {
 				return false
 			}
 		}
@@ -652,13 +695,13 @@ func (s *shard) onsetAt(at time.Duration, link int32, q float64) {
 		if !st.protected() {
 			st.flags |= flagProtected
 			s.protectedCount++
+			s.movePipe(link, +1)
 			s.cost += e.Cost
 			s.stats.Activations++
 		}
 	}
 	s.penalty += st.contribution()
 	s.corruptingInsert(link)
-	s.markDirty(pod)
 	if s.canDisable(link) {
 		s.disableForRepair(at, link)
 	}
@@ -673,11 +716,11 @@ func (s *shard) disableForRepair(now time.Duration, link int32) {
 	s.activeCorr--
 	if st.protected() {
 		s.protectedCount--
+		s.movePipe(link, -1)
 	}
 	s.podCap[pod] -= float64(st.effSpeed)
 	st.flags &^= flagUp
 	s.adjustPaths(link, -1)
-	s.markDirty(pod)
 	s.dispatches++
 	s.stats.Disables++
 	s.cost += s.cfg.RepairCost
@@ -707,7 +750,6 @@ func (s *shard) completeRepair() {
 	s.podCap[pod] += 1
 	s.adjustPaths(ev.link, +1)
 	s.corruptingRemove(ev.link)
-	s.markDirty(pod)
 	s.stats.Repairs++
 
 	for _, id := range s.sortByPenalty(s.corruptWindow(pod)) {
@@ -745,60 +787,52 @@ func (s *shard) sortByPenalty(ids []int32) []int32 {
 // pipe.
 const pipeLinks = 16
 
-// maxProtectedPerPipe is the largest number of up protected links on one
-// pipe. A pipe's links are consecutive IDs of one pod, so each pipe is
-// one run of its pod's sorted window: one pass over the windows in pod
-// order, no map, and none at all while no link is protected.
-func (s *shard) maxProtectedPerPipe() int32 {
-	if s.protectedCount == 0 {
-		return 0
-	}
-	var best, run int32
-	pipe := int32(-1)
-	for pod := int32(0); pod < s.pods; pod++ {
-		for _, id := range s.corruptWindow(pod) {
-			if st := &s.links[id]; !st.up() || !st.protected() {
-				continue
-			}
-			if p := id - s.podOff(id)%pipeLinks; p != pipe {
-				pipe, run = p, 0
-			}
-			run++
-			best = max(best, run)
-		}
-	}
-	return best
+// movePipe moves the up protected count of the link's pipe by delta, and
+// the pipe from its old histogram bucket to its new one.
+func (s *shard) movePipe(link, delta int32) {
+	p := &s.pipeProt[s.pod(link)*s.pipesPerPod+s.podOff(link)/pipeLinks]
+	s.pipeHist[*p]--
+	*p += delta
+	s.pipeHist[*p]++
 }
 
-// sample emits the shard's streaming aggregates at time t, recomputing
-// least-paths only for pods touched since the last sample.
-func (s *shard) sample(t time.Duration) shardSample {
-	for _, pod := range s.dirty {
-		minPaths := s.maxPaths
-		for _, p := range s.paths[pod*s.tors : (pod+1)*s.tors] {
-			minPaths = min(minPaths, p)
+// maxProtectedPerPipe is the largest number of up protected links on one
+// pipe: the top non-empty bucket of the pipe histogram.
+func (s *shard) maxProtectedPerPipe() int32 {
+	for c := int32(pipeLinks); c > 0; c-- {
+		if s.pipeHist[c] != 0 {
+			return c
 		}
-		s.podPaths[pod] = minPaths
+	}
+	return 0
+}
+
+// sample emits the shard's streaming aggregates at time t. It re-reads
+// least-paths only for pods with a link back up since the last sample. A
+// re-read can only raise a pod's cache, so the pods' minimum is rescanned
+// only when a pod that held it rose. The least pod capacity is
+// min(podCap) over lpp: dividing by a positive constant keeps the order,
+// so one division gives the least exactly.
+func (s *shard) sample(t time.Duration) shardSample {
+	rescan := false
+	for _, pod := range s.dirty {
+		old, least := s.podPaths[pod], s.maxPaths
+		for _, p := range s.paths[pod*s.tors : (pod+1)*s.tors] {
+			least = min(least, p)
+		}
+		s.podPaths[pod] = least
 		s.podDirty[pod] = false
+		rescan = rescan || (old == s.leastPaths && least > old)
 	}
 	s.dirty = s.dirty[:0]
-	minPaths := int32(math.MaxInt32)
-	for _, p := range s.podPaths {
-		if p < minPaths {
-			minPaths = p
-		}
-	}
-	minCap := math.Inf(1)
-	for _, c := range s.podCap {
-		if f := c / float64(s.lpp); f < minCap {
-			minCap = f
-		}
+	if rescan {
+		s.leastPaths = slices.Min(s.podPaths)
 	}
 	return shardSample{
 		at:               t,
 		penalty:          s.penalty,
-		minPaths:         minPaths,
-		minPodCap:        minCap,
+		minPaths:         s.leastPaths,
+		minPodCap:        slices.Min(s.podCap) / float64(s.lpp),
 		activeCorrupting: s.activeCorr,
 		disabled:         int32(len(s.repairs)),
 		protected:        s.protectedCount,

@@ -100,12 +100,15 @@ func TestFleetShardStructureFixedByConfig(t *testing.T) {
 
 // TestShardStreamingMatchesRecompute runs a dense shard simulation and
 // audits the incremental aggregates (penalty, pod capacity, counters,
-// corrupting set, repair queue) against brute-force recomputation at every
-// sample point, on a tiny pod shape and on the Figure 4 one.
+// corrupting set, repair queue, ToR up-mask, pipe counts, sample minima)
+// against brute-force recomputation at every sample point, on a tiny pod
+// shape, on the Figure 4 one, and on one whose pods end mid-pipe (216
+// links, not a multiple of 16) and hold more than 64 ToRs.
 func TestShardStreamingMatchesRecompute(t *testing.T) {
 	shapes := []Fabric{
 		{Pods: 2, ToRsPerPod: 8, FabricsPerPod: 4, SpinesPerPlane: 8},
 		{Pods: 2, ToRsPerPod: 48, FabricsPerPod: 4, SpinesPerPlane: 48},
+		{Pods: 2, ToRsPerPod: 65, FabricsPerPod: 3, SpinesPerPlane: 7},
 	}
 	for _, shape := range shapes {
 		for _, name := range AllSolutionNames {
@@ -140,6 +143,11 @@ func streamingMatchesRecompute(t *testing.T, shape Fabric, name string) {
 		link := int32(rng.Intn(len(s.links)))
 		q := []float64{0, 1e-8, 1e-5, 1e-4, 1e-3, 9e-3, 1}[rng.Intn(7)]
 		s.onsetAt(now, link, q)
+		if i%10 == 0 {
+			if err := s.checkSample(s.sample(now)); err != nil {
+				t.Fatalf("%s on %d ToRs: step %d: %v", name, shape.ToRsPerPod, i, err)
+			}
+		}
 		if i%100 == 0 {
 			if err := s.checkInvariants(); err != nil {
 				t.Fatalf("%s on %d ToRs: step %d: %v", name, shape.ToRsPerPod, i, err)

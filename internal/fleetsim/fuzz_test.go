@@ -66,6 +66,9 @@ func FuzzLinkLifecycle(f *testing.F) {
 					if ss.penalty < -1e-9 {
 						t.Fatalf("op %d: negative penalty %g", i, ss.penalty)
 					}
+					if err := s.checkSample(ss); err != nil {
+						t.Fatalf("%s: op %d: %v", name, i, err)
+					}
 				}
 				if err := s.checkInvariants(); err != nil {
 					t.Fatalf("%s: op %d (0x%02x,0x%02x): %v", name, i, op, arg, err)
